@@ -24,11 +24,10 @@ from .core import (
     ValidationError,
     as_fraction,
     normalize,
-    universally_high_valued,
     value,
     verify_allocation,
 )
-from .solver import alpha_mms_partition, mms_bounds, mms_brute_force, mms_exact
+from .solver import mms_bounds, mms_brute_force, mms_exact
 from .adversarial import (
     TentativeState,
     adaptive_lower_bound_adversary,
@@ -77,6 +76,7 @@ from .harness import (
     emit_report,
     monte_carlo,
     perturb,
+    run_algorithm,
     run_trial,
 )
 

@@ -34,6 +34,7 @@ from .core import (
     TrialReport,
     ValidationError,
     as_fraction,
+    finish_run,
     value,
 )
 from .exactpow import mul_sqrt_lt
@@ -381,9 +382,9 @@ def run_adversarial(
     flags: list[str] = []
     if k == 1:
         flags.append("k1Degenerate")
-    entries = []
+    bundles = []
     reason = FailureReason.NONE
-    for agent, ti in enumerate(seq):
+    for ti in seq:
         try:
             bundle = step_adversarial(state, ti)
         except PoolExhausted:
@@ -393,15 +394,9 @@ def run_adversarial(
             state.arrived += 1
             if reason is FailureReason.NONE:
                 reason = FailureReason.POOL_EXHAUSTED
-        entries.append((agent, ti, bundle))
-    allocation = Allocation(tuple(entries))
-    ratios = [
-        Fraction(1) if ti in norm.zero_mms_types else value(norm.base.type_values[ti], b)
-        for _, ti, b in entries
-    ]
+        bundles.append(bundle)
     details = {"violations": list(state.violations)} if state.violations else None
-    report = TrialReport.build(ratios, alpha, reason, tuple(flags), details, state.trace)
-    return allocation, report
+    return finish_run(norm, seq, bundles, alpha, reason, flags, details, state.trace)
 
 
 # -- the adaptive lower-bound adversary ------------------------------------

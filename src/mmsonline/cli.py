@@ -8,35 +8,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import generators, harness, jsonio
-from .adversarial import run_adversarial
 from .core import (
     CapacityError,
     InputError,
     InvariantViolation,
     TypeDistribution,
     as_fraction,
-    normalize,
 )
 from .generators import all_sequences, sample_arrivals
-from .rng import substream
 from .solver import mms_brute_force, mms_exact
-from .stochastic import run_known_d
-from .unknown import run_unknown_d
-
-
-def _frac(s: str) -> Fraction:
-    return as_fraction(s)
-
-
-def _load_norm(path: str):
-    obj = jsonio.load(path)
-    norm = jsonio.normalized_from_obj(obj)
-    if norm is None:
-        norm = normalize(jsonio.instance_from_obj(obj))
-    return norm
 
 
 def _load_dist(path: str) -> TypeDistribution:
@@ -44,12 +26,10 @@ def _load_dist(path: str) -> TypeDistribution:
 
 
 def _emit(obj: dict, out: str | None) -> None:
-    text = jsonio.canonical_json(obj)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        jsonio.dump(obj, out)
     else:
-        print(text)
+        print(jsonio.canonical_json(obj))
 
 
 def _cmd_gen(args) -> int:
@@ -58,7 +38,7 @@ def _cmd_gen(args) -> int:
         inst, _ = generators.gen_example1(args.m)
         _emit(jsonio.instance_to_obj(inst), args.out)
     elif kind == "adv-counter":
-        norm = generators.gen_adv_counterexample(args.n, _frac(args.eps))
+        norm = generators.gen_adv_counterexample(args.n, as_fraction(args.eps))
         _emit(jsonio.instance_to_obj(norm.base, norm), args.out)
     elif kind == "lower-bound":
         cons = generators.gen_lower_bound(args.k, args.n)
@@ -67,14 +47,13 @@ def _cmd_gen(args) -> int:
         obj["witnesses"] = [[list(b.items) for b in part] for part in cons.witnesses]
         _emit(obj, args.out)
     elif kind == "tight-half":
-        norm = generators.gen_tightness_half(args.k, args.n, _frac(args.eps))
+        norm = generators.gen_tightness_half(args.k, args.n, as_fraction(args.eps))
         _emit(jsonio.instance_to_obj(norm.base, norm), args.out)
     elif kind == "tight-pk":
         norm, dist = generators.gen_tightness_pk(args.k, args.n)
         _emit(jsonio.instance_to_obj(norm.base, norm), args.out)
         if args.dist_out:
-            with open(args.dist_out, "w") as fh:
-                fh.write(jsonio.canonical_json(jsonio.distribution_to_obj(dist)) + "\n")
+            jsonio.dump(jsonio.distribution_to_obj(dist), args.dist_out)
     elif kind == "random":
         inst = generators.gen_random(args.n, args.m, args.k, args.model, args.seed)
         _emit(jsonio.instance_to_obj(inst), args.out)
@@ -107,33 +86,9 @@ def _cmd_mms(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    norm = _load_norm(args.instance)
-    n, k = norm.n_agents, norm.k_types
-    if args.algorithm == "adversarial":
-        if args.enumerate:
-            worst = None
-            for seq in all_sequences(k, n):
-                _, rep = run_adversarial(norm, seq, alpha=_frac(args.alpha) if args.alpha else None,
-                                         check=True, strict=True)
-                if worst is None or rep.min_ratio < worst.min_ratio:
-                    worst = rep
-            _emit(jsonio.report_to_obj(worst), args.out)
-            return 0
-        if args.arrivals:
-            seq = jsonio.sequence_from_obj(jsonio.load(args.arrivals))
-        else:
-            raise InputError("adversarial run needs --arrivals or --enumerate")
-        _, rep = run_adversarial(norm, seq, alpha=_frac(args.alpha) if args.alpha else None,
-                                 check=True, strict=True, trace=args.trace)
-        if args.trace:
-            for event in rep.step_trace or ():
-                print(jsonio.canonical_json(event))  # one line per step
-        _emit(jsonio.report_to_obj(rep), args.out)
-        return 0
-
-    if args.trials > 1:
+    instance_obj = jsonio.load(args.instance)
+    if args.algorithm != "adversarial" and args.trials > 1:
         # seeded repetition: route through the experiment runner
-        instance_obj = jsonio.load(args.instance)
         law = tuple(jsonio.distribution_to_obj(_load_dist(args.dist))["probs"]) if args.dist else None
         config = harness.McConfig(
             algorithm=args.algorithm, trials=args.trials, master_seed=args.seed,
@@ -143,34 +98,30 @@ def _cmd_run(args) -> int:
             alpha=args.alpha, eta=args.eta,
             epsilon=args.epsilon if args.algorithm == "known-d" else None,
             c=args.c if args.algorithm == "unknown-d" else None)
-        agg = harness.monte_carlo(config)
-        if args.out:
-            harness.emit_report(agg, "json", args.out)
-        else:
-            print(agg.canonical_json())
+        _emit(harness.monte_carlo(config).to_obj(), args.out)
         return 0
 
-    dist = _load_dist(args.dist) if args.dist else None
-    if args.algorithm == "known-d":
-        if dist is None:
-            raise InputError("known-d needs --dist")
-        seq = sample_arrivals(dist, n, substream(args.seed, "arrivals"))
-        _, rep = run_known_d(
-            norm, dist, seq,
-            alpha=_frac(args.alpha) if args.alpha else None,
-            eta=_frac(args.eta) if args.eta else None,
-            epsilon=_frac(args.epsilon))
-        _emit(jsonio.report_to_obj(rep), args.out)
-        return 0
-
-    if dist is None:
-        raise InputError("unknown-d needs --dist (the hidden arrival law)")
-    seq = sample_arrivals(dist, n, substream(args.seed, "arrivals"))
-    _, rep = run_unknown_d(
-        norm, seq,
-        alpha=_frac(args.alpha) if args.alpha else None,
-        eta=_frac(args.eta) if args.eta else None,
-        c=_frac(args.c), seed=args.seed)
+    norm = jsonio.load_normalized(instance_obj)
+    dist = None
+    params = dict(alpha=args.alpha or None, eta=args.eta or None, epsilon=args.epsilon, c=args.c)
+    if args.algorithm == "adversarial":
+        if args.enumerate:
+            reports = (harness.run_algorithm("adversarial", norm, seq, **params)[1]
+                       for seq in all_sequences(norm.k_types, norm.n_agents))
+            _emit(jsonio.report_to_obj(min(reports, key=lambda rep: rep.min_ratio)), args.out)
+            return 0
+        if not args.arrivals:
+            raise InputError("adversarial run needs --arrivals or --enumerate")
+        seq = jsonio.sequence_from_obj(jsonio.load(args.arrivals))
+    else:
+        if not args.dist:
+            raise InputError(f"{args.algorithm} needs --dist")
+        dist = _load_dist(args.dist)
+        seq = sample_arrivals(dist, norm.n_agents, args.seed)
+    _, rep = harness.run_algorithm(args.algorithm, norm, seq, dist=dist, seed=args.seed,
+                                   trace=args.trace, **params)
+    for event in rep.step_trace or ():
+        print(jsonio.canonical_json(event))  # one line per step
     _emit(jsonio.report_to_obj(rep), args.out)
     return 0
 
@@ -205,7 +156,7 @@ def _cmd_mc(args) -> int:
 
 def _cmd_perturb(args) -> int:
     inst = jsonio.instance_from_obj(jsonio.load(args.instance))
-    out = harness.perturb(inst, _frac(args.beta), args.seed)
+    out = harness.perturb(inst, as_fraction(args.beta), args.seed)
     _emit(jsonio.instance_to_obj(out), args.out)
     return 0
 

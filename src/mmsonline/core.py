@@ -39,14 +39,19 @@ class PoolExhausted(InvariantViolation):
 
 
 def as_fraction(x) -> Fraction:
+    """Exact rational from an int, Fraction or ``"num/den"`` string; anything
+    else (floats, None, malformed strings, zero denominators) is an input error."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise InputError(f"refusing float value {x!r}; pass int, Fraction or 'num/den' string")
-    if isinstance(x, str):
-        num, _, den = x.partition("/")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    return Fraction(x)
+    try:
+        if isinstance(x, str):
+            num, _, den = x.partition("/")
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational {x!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -234,13 +239,6 @@ def normalize(instance: Instance, mms_solver: Callable[[Sequence[Fraction], int]
     return NormalizedInstance(base, tuple(mms_values), tuple(witnesses), frozenset(zero_types))
 
 
-def universally_high_valued(norm: NormalizedInstance, alpha: Fraction) -> Bundle:
-    """Items every type values at >= alpha, ascending."""
-    alpha = as_fraction(alpha)
-    rows = norm.base.type_values
-    return Bundle(tuple(g for g in range(norm.m_items) if all(row[g] >= alpha for row in rows)))
-
-
 @dataclass(frozen=True)
 class Allocation:
     """Irrevocable per-agent grants: (agent_index, type_id, bundle)."""
@@ -259,9 +257,6 @@ class Allocation:
                     raise ValidationError(
                         f"item {g} allocated to both agent {seen[g]} and agent {agent}")
                 seen[g] = agent
-
-    def bundles(self) -> list[Bundle]:
-        return [b for _, _, b in self.entries]
 
 
 @dataclass(frozen=True)
@@ -345,25 +340,62 @@ class TrialReport:
         return cls(ratios, min_ratio, alpha, ok, failure_reason, tuple(flags), details, step_trace)
 
 
+def share_ratio(valuation: Sequence[Fraction], share: Fraction, bundle: Bundle) -> Fraction:
+    """A bundle's value over its agent's maximin share; a zero share gets
+    ratio 1 by convention, since any bundle meets a zero target."""
+    if share == 0:
+        return Fraction(1)
+    worth = value(valuation, bundle)
+    return worth if share == 1 else worth / share
+
+
+def agent_ratio(norm: NormalizedInstance, type_id: int, bundle: Bundle) -> Fraction:
+    """:func:`share_ratio` on the normalized instance, where every
+    positive-share type's share is exactly 1."""
+    share = 0 if type_id in norm.zero_mms_types else 1
+    return share_ratio(norm.base.type_values[type_id], share, bundle)
+
+
+def finish_run(
+    norm: NormalizedInstance,
+    arrivals: Sequence[int],
+    bundles: Iterable[Bundle | None],
+    alpha: Fraction,
+    reason: FailureReason = FailureReason.NONE,
+    flags: Iterable[str] = (),
+    details: dict | None = None,
+    trace: list | None = None,
+) -> tuple[Allocation, TrialReport]:
+    """Assemble one online run's allocation and report from the bundle each
+    arriving agent got.
+
+    A ``None`` bundle marks an agent whose reserve ran dry: she gets the
+    empty bundle, and the first such agent sets the emptyReserve failure
+    unless an earlier stage already set ``reason``.
+    """
+    entries = []
+    for agent, (type_id, bundle) in enumerate(zip(arrivals, bundles)):
+        if bundle is None:
+            bundle = EMPTY_BUNDLE
+            if reason is FailureReason.NONE:
+                reason = FailureReason.EMPTY_RESERVE
+        entries.append((agent, type_id, bundle))
+    allocation = Allocation(tuple(entries))
+    ratios = [agent_ratio(norm, type_id, bundle) for _, type_id, bundle in entries]
+    return allocation, TrialReport.build(ratios, alpha, reason, tuple(flags), details, trace)
+
+
 def verify_allocation(norm: NormalizedInstance, allocation: Allocation, alpha: Fraction) -> TrialReport:
     """Ex-post check of an allocation against the normalized shares.
 
-    Each agent's ratio is her bundle's normalized value (the normalized share
-    of a positive-share type is exactly 1); zero-share types get ratio 1 by
-    convention since any bundle meets a zero target.  Success requires every
+    Each agent's ratio is :func:`agent_ratio`.  Success requires every
     ratio >= alpha, compared exactly; the boundary is inclusive.
     """
-    alpha = as_fraction(alpha)
-    m = norm.m_items
-    k = norm.k_types
-    ratios: list[Fraction] = []
+    ratios = []
     for _agent, type_id, bundle in allocation.entries:
-        if not 0 <= type_id < k:
+        if not 0 <= type_id < norm.k_types:
             raise ValidationError(f"type id {type_id} out of range")
-        if any(g >= m for g in bundle):
+        if any(g >= norm.m_items for g in bundle):
             raise ValidationError("bundle references an item outside the instance")
-        if type_id in norm.zero_mms_types:
-            ratios.append(Fraction(1))
-        else:
-            ratios.append(value(norm.base.type_values[type_id], bundle))
+        ratios.append(agent_ratio(norm, type_id, bundle))
     return TrialReport.build(ratios, alpha)

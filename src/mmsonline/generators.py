@@ -389,6 +389,15 @@ def all_sequences(k: int, n: int) -> Iterable[tuple[int, ...]]:
     return itertools.product(range(k), repeat=n)
 
 
+def nth_sequence(k: int, n: int, index: int) -> list[int]:
+    """The ``index``-th sequence of :func:`all_sequences` without enumerating
+    the ones before it: ``index`` in base k, last position fastest."""
+    seq = [0] * n
+    for pos in range(n - 1, -1, -1):
+        index, seq[pos] = divmod(index, k)
+    return seq
+
+
 GENERATORS: dict[str, Callable] = {
     "example1": gen_example1,
     "adv-counter": gen_adv_counterexample,

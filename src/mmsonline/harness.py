@@ -19,6 +19,7 @@ from pathlib import Path
 from . import generators, jsonio
 from .adversarial import run_adversarial
 from .core import (
+    Allocation,
     InputError,
     Instance,
     InvariantViolation,
@@ -27,14 +28,51 @@ from .core import (
     TypeDistribution,
     as_fraction,
     normalize,
-    value,
+    share_ratio,
 )
-from .generators import all_sequences, sample_arrivals
+from .generators import nth_sequence, sample_arrivals
 from .rng import substream, uniform_fraction
 from .stochastic import run_known_d
 from .unknown import run_unknown_d
 
 ALGORITHMS = ("adversarial", "known-d", "unknown-d")
+
+
+def run_algorithm(
+    algorithm: str,
+    norm: NormalizedInstance,
+    arrivals,
+    *,
+    dist: TypeDistribution | None = None,
+    alpha=None,
+    eta=None,
+    epsilon=None,
+    c=None,
+    seed: int = 0,
+    trace: bool = False,
+) -> tuple[Allocation, TrialReport]:
+    """Run one allocator on one arrival sequence of original type ids.
+
+    Rationals may be Fractions, ints or "num/den" strings.  Every run checks
+    its invariants; only the adversarial allocator runs strict (a failed
+    step is a bug there, an empty reserve is data elsewhere) and honours
+    ``trace``.  ``dist`` is the known-d distribution; ``seed`` drives the
+    unknown-d random split.
+    """
+    if algorithm == "adversarial":
+        return run_adversarial(norm, arrivals, alpha=alpha, check=True, strict=True, trace=trace)
+    if algorithm == "known-d":
+        if dist is None:
+            raise InputError("known-d needs a distribution")
+        if epsilon is None:
+            raise InputError("known-d needs epsilon")
+        return run_known_d(norm, dist, arrivals, alpha=alpha, eta=eta, epsilon=epsilon,
+                           check=True, strict=False)
+    if algorithm == "unknown-d":
+        if c is None:
+            raise InputError("unknown-d needs c")
+        return run_unknown_d(norm, arrivals, alpha=alpha, eta=eta, c=c, seed=seed, check=True)
+    raise InputError(f"unknown algorithm {algorithm!r}")
 
 
 @dataclass(frozen=True)
@@ -83,10 +121,7 @@ class McConfig:
 
 def _resolve_instance(config: McConfig, trial: int) -> NormalizedInstance:
     if config.instance_obj is not None:
-        norm = jsonio.normalized_from_obj(config.instance_obj)
-        if norm is None:
-            norm = normalize(jsonio.instance_from_obj(config.instance_obj))
-        return norm
+        return jsonio.load_normalized(config.instance_obj)
     params = dict(config.generator_params or {})
     seed_key = trial if config.fresh_instance_per_trial else 0
     params.setdefault("seed", substream(config.master_seed, "instance", seed_key).randrange(2**48))
@@ -101,15 +136,21 @@ def _resolve_instance(config: McConfig, trial: int) -> NormalizedInstance:
     raise InputError(f"generator {config.generator!r} returned {type(out).__name__}")
 
 
-def _trial_arrivals(config: McConfig, norm: NormalizedInstance, trial: int) -> list[int]:
+def _law(probs: tuple[str, ...] | None) -> TypeDistribution | None:
+    return TypeDistribution.from_probs(probs) if probs is not None else None
+
+
+def _trial_arrivals(config: McConfig, norm: NormalizedInstance, trial: int,
+                    dist: TypeDistribution | None) -> list[int]:
+    """Trial ``trial``'s arrivals: the trial-th of all sequences, or i.i.d.
+    draws from ``dist`` (the hidden law instead for unknown-d)."""
     n, k = norm.n_agents, norm.k_types
     if config.arrivals == "exhaustive":
-        seqs = list(all_sequences(k, n))
-        return list(seqs[trial])
-    law = config.hidden_dist if config.algorithm == "unknown-d" else config.dist
-    if law is None:
+        return nth_sequence(k, n, trial)
+    if config.algorithm == "unknown-d":
+        dist = _law(config.hidden_dist)
+    if dist is None:
         raise InputError("iid arrivals need a distribution")
-    dist = TypeDistribution.from_probs([as_fraction(p) for p in law])
     if dist.k != k:
         raise InputError("arrival distribution arity mismatch")
     return sample_arrivals(dist, n, substream(config.master_seed, "arrivals", trial))
@@ -118,24 +159,15 @@ def _trial_arrivals(config: McConfig, norm: NormalizedInstance, trial: int) -> l
 def run_trial(config: McConfig, trial: int) -> dict:
     """One seeded trial; returns a flat JSON-able row."""
     norm = _resolve_instance(config, trial)
-    seq = _trial_arrivals(config, norm, trial)
-    alpha = as_fraction(config.alpha) if config.alpha else None
-    eta = as_fraction(config.eta) if config.eta else None
+    dist = _law(config.dist)
+    seq = _trial_arrivals(config, norm, trial, dist)
     try:
-        if config.algorithm == "adversarial":
-            _, report = run_adversarial(norm, seq, alpha=alpha, check=True, strict=True)
-        elif config.algorithm == "known-d":
-            if config.dist is None:
-                raise InputError("known-d needs dist")
-            dist = TypeDistribution.from_probs([as_fraction(p) for p in config.dist])
-            _, report = run_known_d(
-                norm, dist, seq, alpha=alpha, eta=eta,
-                epsilon=as_fraction(config.epsilon), check=True, strict=False)
-        else:
-            _, report = run_unknown_d(
-                norm, seq, alpha=alpha, eta=eta, c=as_fraction(config.c),
-                seed=substream(config.master_seed, "split", trial).randrange(2**48),
-                check=True)
+        _, report = run_algorithm(
+            config.algorithm, norm, seq, dist=dist,
+            alpha=config.alpha or None, eta=config.eta or None,
+            epsilon=config.epsilon, c=config.c,
+            seed=substream(config.master_seed, "split", trial).randrange(2**48)
+            if config.algorithm == "unknown-d" else 0)
     except InvariantViolation as exc:
         raise InvariantViolation(
             f"{exc}; reproduce with master_seed={config.master_seed}, trial={trial}") from exc
@@ -282,7 +314,8 @@ def degradation_trial(
     """Run one algorithm on the perturbed view of an instance and audit the
     exact degradation guarantee against the true values.
 
-    Returns share brackets per type (beta * true >= perturbed >= true / beta)
+    Arrivals are drawn from ``dist``, or uniformly without one; known-d
+    also needs ``dist`` as its parameter.  Returns share brackets per type (beta * true >= perturbed >= true / beta)
     and, when the perturbed run met its claim level, whether every agent's
     true ratio reached alpha / beta**2.
     """
@@ -299,42 +332,25 @@ def degradation_trial(
             bracket_ok = False
 
     n, k = instance.n_agents, instance.k_types
-    if algorithm == "adversarial":
-        alpha_run = alpha if alpha is not None else Fraction(1, k)
-        if dist is not None:
-            seq = sample_arrivals(dist, n, substream(seed, "arrivals"))
-        else:
-            rng = substream(seed, "arrivals")
-            seq = [rng.randrange(k) for _ in range(n)]
-        allocation, report = run_adversarial(pert_norm, seq, alpha=alpha_run, strict=True)
-    elif algorithm == "known-d":
-        alpha_run = alpha if alpha is not None else Fraction(1, 2 * (1 + as_fraction(eta)))
-        seq = sample_arrivals(dist, n, substream(seed, "arrivals"))
-        allocation, report = run_known_d(
-            pert_norm, dist, seq, alpha=alpha_run, epsilon=epsilon, check=True)
-    elif algorithm == "unknown-d":
-        alpha_run = alpha if alpha is not None else Fraction(1, 2 * (1 + as_fraction(eta)))
-        seq = sample_arrivals(dist, n, substream(seed, "arrivals"))
-        allocation, report = run_unknown_d(
-            pert_norm, seq, alpha=alpha_run, c=c, seed=seed, check=True)
+    if dist is not None:
+        seq = sample_arrivals(dist, n, seed)
     else:
-        raise InputError(f"unknown algorithm {algorithm!r}")
+        rng = substream(seed, "arrivals")
+        seq = [rng.randrange(k) for _ in range(n)]
+    allocation, report = run_algorithm(
+        algorithm, pert_norm, seq, dist=dist, alpha=alpha, eta=eta, epsilon=epsilon, c=c,
+        seed=seed)
 
-    degraded_alpha = alpha_run / beta ** 2
-    true_ratios = []
-    for _agent, ti, bundle in allocation.entries:
-        true_mms = true_norm.original_mms[ti]
-        if true_mms == 0:
-            true_ratios.append(Fraction(1))
-        else:
-            true_ratios.append(value(instance.type_values[ti], bundle) / true_mms)
+    degraded_alpha = report.alpha / beta ** 2
+    true_ratios = [share_ratio(instance.type_values[ti], true_norm.original_mms[ti], bundle)
+                   for _agent, ti, bundle in allocation.entries]
     degradation_ok = (not report.succeeded_at_alpha) or all(
         r >= degraded_alpha for r in true_ratios)
     return {
         "bracketOk": bracket_ok,
         "perturbedSuccess": report.succeeded_at_alpha,
         "degradationOk": degradation_ok,
-        "alpha": alpha_run,
+        "alpha": report.alpha,
         "degradedAlpha": degraded_alpha,
         "trueMinRatio": min(true_ratios) if true_ratios else Fraction(1),
     }
@@ -348,7 +364,7 @@ CSV_COLUMNS = ("trial", "seed", "algorithm", "n", "m", "k", "alpha",
 
 def emit_report(aggregate: AggregateReport, fmt: str, path: str | Path) -> None:
     if fmt == "json":
-        Path(path).write_text(aggregate.canonical_json() + "\n")
+        jsonio.dump(aggregate.to_obj(), path)
     elif fmt == "csv":
         Path(path).write_text(render_csv(aggregate))
     else:

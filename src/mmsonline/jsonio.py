@@ -28,19 +28,13 @@ from .core import (
     TrialReport,
     TypeDistribution,
     as_fraction,
+    normalize,
 )
 
 
 def frac_to_str(x: Fraction) -> str:
     x = as_fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def frac_from_str(s) -> Fraction:
-    try:
-        return as_fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {s!r}") from exc
 
 
 def instance_to_obj(instance: Instance, norm: NormalizedInstance | None = None) -> dict:
@@ -61,7 +55,7 @@ def instance_to_obj(instance: Instance, norm: NormalizedInstance | None = None) 
 
 def instance_from_obj(obj: dict) -> Instance:
     try:
-        rows = tuple(tuple(frac_from_str(v) for v in row) for row in obj["types"])
+        rows = tuple(tuple(as_fraction(v) for v in row) for row in obj["types"])
         inst = Instance(int(obj["n"]), rows, tuple(obj["names"]) if "names" in obj else None)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed instance object: {exc}") from exc
@@ -78,9 +72,16 @@ def normalized_from_obj(obj: dict) -> NormalizedInstance | None:
     witnesses = tuple(
         tuple(Bundle(tuple(b)) for b in part) for part in obj["witnesses"]
     )
-    mms = tuple(frac_from_str(v) for v in obj["mms"])
+    mms = tuple(as_fraction(v) for v in obj["mms"])
     zero = frozenset(obj.get("zeroMmsTypes", ()))
     return NormalizedInstance(inst, mms, witnesses, zero)
+
+
+def load_normalized(obj: dict) -> NormalizedInstance:
+    """An instance object's normalized view: its embedded share partitions
+    when it carries them, otherwise solved with :func:`normalize`."""
+    norm = normalized_from_obj(obj)
+    return norm if norm is not None else normalize(instance_from_obj(obj))
 
 
 def distribution_to_obj(dist: TypeDistribution) -> dict:
@@ -89,7 +90,7 @@ def distribution_to_obj(dist: TypeDistribution) -> dict:
 
 def distribution_from_obj(obj: dict) -> TypeDistribution:
     try:
-        return TypeDistribution.from_probs([frac_from_str(p) for p in obj["probs"]])
+        return TypeDistribution.from_probs(obj["probs"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed distribution object: {exc}") from exc
 

@@ -21,12 +21,6 @@ def substream(master_seed: int, *names: object) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-def stream_token(master_seed: int, *names: object) -> int:
-    """Stable integer identifying a substream (for reproducer messages)."""
-    tag = ":".join([str(master_seed), *map(str, names)]).encode()
-    return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
-
-
 def bernoulli(rng: random.Random, p: Fraction) -> bool:
     """Exact Bernoulli(p) draw for rational p."""
     if p <= 0:

@@ -202,13 +202,3 @@ def mms_exact(
     witness = tuple(Bundle(tuple(b)) for b in bundles)
     return MmsResult(Fraction(best, den), witness, nodes=nodes)
 
-
-def alpha_mms_partition(valuation: Sequence[Fraction], n: int, alpha: Fraction) -> tuple[Bundle, ...]:
-    """A partition whose every bundle is worth >= alpha * share.
-
-    The exact witness partition already satisfies this for any alpha <= 1.
-    """
-    alpha = as_fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise InputError("alpha must lie in [0, 1]")
-    return mms_exact(valuation, n).witness

@@ -24,15 +24,13 @@ from typing import Callable, Iterable, Sequence
 from .core import (
     Allocation,
     Bundle,
-    EMPTY_BUNDLE,
-    FailureReason,
     InputError,
     InvariantViolation,
     NormalizedInstance,
     TrialReport,
     TypeDistribution,
     as_fraction,
-    value,
+    finish_run,
 )
 from .exactpow import floor_plus_pow_sqrt, pow_sqrt_le, pow_sqrt_sum_ge
 from .solver import mms_exact
@@ -45,7 +43,6 @@ class StochasticParams:
 
     alpha: Fraction
     epsilon: Fraction
-    eta: Fraction | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
@@ -57,10 +54,19 @@ class StochasticParams:
 
     @classmethod
     def from_eta(cls, eta, epsilon) -> "StochasticParams":
-        eta = as_fraction(eta)
-        if eta < 0:
-            raise InputError("eta must be nonnegative")
-        return cls(Fraction(1, 2 * (1 + eta)), as_fraction(epsilon), eta)
+        return cls(claim_level(None, eta), as_fraction(epsilon))
+
+
+def claim_level(alpha, eta) -> Fraction:
+    """The run's claim level: ``alpha`` if given, else 1/(2(1+eta)) for a
+    prediction error eta >= 0."""
+    if eta is not None and as_fraction(eta) < 0:
+        raise InputError("eta must be nonnegative")
+    if alpha is not None:
+        return as_fraction(alpha)
+    if eta is None:
+        raise InputError("pass alpha or eta")
+    return Fraction(1, 2 * (1 + as_fraction(eta)))
 
 
 def reservation_cap(nprime: int, p: Fraction, epsilon: Fraction) -> int:
@@ -90,17 +96,14 @@ class LowCState:
 
     alpha: Fraction
     epsilon: Fraction
-    nprime: int
     probs: tuple[Fraction, ...]
     high_sets: list[list[int]]          # T_i, ascending item ids
-    consumed: list[set[int]]            # items already reserved when a turn looks
     reserves: list[deque[Bundle]]       # G_i, disjoint across types
     caps: list[int]                     # M_i
     singleton_counts: list[int]         # reserved during the turn phase
     order: list[int]                    # the turn ordering L
     last_type: int                      # L[-1]
     unsaturated: set[int]
-    remainder: list[int]                # unallocated item ids after preprocessing
     bag_count: int = 0
     violations: list[str] = field(default_factory=list)
 
@@ -188,10 +191,10 @@ def preprocess_low_c(
             unsaturated.discard(i)
 
     state = LowCState(
-        alpha=alpha, epsilon=epsilon, nprime=nprime, probs=probs,
-        high_sets=high_sets, consumed=consumed, reserves=reserves, caps=caps,
+        alpha=alpha, epsilon=epsilon, probs=probs,
+        high_sets=high_sets, reserves=reserves, caps=caps,
         singleton_counts=singleton_counts, order=order, last_type=last_type,
-        unsaturated=set(unsaturated), remainder=[],
+        unsaturated=set(unsaturated),
     )
 
     def violate(msg: str) -> None:
@@ -245,7 +248,6 @@ def preprocess_low_c(
             unsaturated.discard(claimant)
 
     state.unsaturated = unsaturated
-    state.remainder = sorted(remaining)
     if check:
         for i in range(k):
             if len(reserves[i]) > caps[i]:
@@ -262,6 +264,22 @@ def run_low_c(state: LowCState, arrival_ranks: Sequence[int]) -> list[Bundle | N
         else:
             out.append(None)
     return out
+
+
+def low_c_info(state: LowCState, arrival_ranks: Sequence[int]) -> dict:
+    """Report view of a saturation run: the reserve caps against the arrival
+    counts per rank, the saturation outcome and any violations."""
+    counts = [0] * len(state.caps)
+    for rank in arrival_ranks:
+        counts[rank] += 1
+    return {
+        "caps": list(state.caps),
+        "counts": counts,
+        "countsWithinCaps": all(c <= cap for c, cap in zip(counts, state.caps)),
+        "allSaturated": state.all_saturated,
+        "unsaturated": sorted(state.unsaturated),
+        "violations": list(state.violations),
+    }
 
 
 # -- abundant universally high-valued items -----------------------------------
@@ -374,21 +392,11 @@ def known_d_engine(
         state = preprocess_low_c(
             values, rest_items, n_agents - served, probs, alpha, epsilon,
             check=check, strict=strict)
-        out.extend(run_low_c(state, arrival_ranks[served:]))
-        counts = [0] * k
-        for rank in arrival_ranks[served:]:
-            counts[rank] += 1
-        info.update({
-            "caps": list(state.caps),
-            "counts": counts,
-            "countsWithinCaps": all(c <= m for c, m in zip(counts, state.caps)),
-            "ordering": list(state.order),
-            "singletons": list(state.singleton_counts),
-            "bags": state.bag_count,
-            "allSaturated": state.all_saturated,
-            "unsaturated": sorted(state.unsaturated),
-            "violations": list(state.violations),
-        })
+        rest_ranks = arrival_ranks[served:]
+        out.extend(run_low_c(state, rest_ranks))
+        info.update(low_c_info(state, rest_ranks),
+                    ordering=list(state.order), singletons=list(state.singleton_counts),
+                    bags=state.bag_count)
     return out, info
 
 
@@ -405,11 +413,7 @@ def run_known_d(
     strict: bool = False,
 ) -> tuple[Allocation, TrialReport]:
     """Full run on a normalized instance with original-id arrivals."""
-    if alpha is None:
-        if eta is None:
-            raise InputError("pass alpha or eta")
-        alpha = Fraction(1, 2 * (1 + as_fraction(eta)))
-    params = StochasticParams(alpha, epsilon, as_fraction(eta) if eta is not None else None)
+    params = StochasticParams(claim_level(alpha, eta), epsilon)
     if dist.k != norm.k_types:
         raise InputError("distribution arity mismatch")
     n = norm.n_agents
@@ -422,20 +426,4 @@ def run_known_d(
         values_sorted, list(range(norm.m_items)), n, dist.probs,
         params.alpha, params.epsilon, ranks,
         partition_provider=partition_provider, check=check, strict=strict)
-
-    entries = []
-    ratios = []
-    reason = FailureReason.NONE
-    for agent, (ti, b) in enumerate(zip(seq, bundles)):
-        if b is None:
-            b = EMPTY_BUNDLE
-            if reason is FailureReason.NONE:
-                reason = FailureReason.EMPTY_RESERVE
-        entries.append((agent, ti, b))
-        if ti in norm.zero_mms_types:
-            ratios.append(Fraction(1))
-        else:
-            ratios.append(value(norm.base.type_values[ti], b))
-    allocation = Allocation(tuple(entries))
-    report = TrialReport.build(ratios, params.alpha, reason, details=info)
-    return allocation, report
+    return finish_run(norm, seq, bundles, params.alpha, details=info)

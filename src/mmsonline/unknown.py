@@ -17,11 +17,11 @@ Parameters follow ``eps = (5+4c)/18`` and ``eps' = (2+c)/3`` for a constant
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .adversarial import TentativeState, step_adversarial
+from .adversarial import TentativeState, run_adversarial, step_adversarial
 from .core import (
     Allocation,
     Bundle,
@@ -33,14 +33,17 @@ from .core import (
     TrialReport,
     TypeDistribution,
     as_fraction,
+    finish_run,
     value,
 )
 from .exactpow import ceil_pow, pow_le
 from .rng import bernoulli, substream
 from .stochastic import (
     PartitionProvider,
+    claim_level,
     default_alpha_partition,
     known_d_engine,
+    low_c_info,
     preprocess_low_c,
     run_low_c,
     universal_items,
@@ -128,11 +131,7 @@ def run_unknown_d(
     learning window, basket sizes, the learned distribution, and the exact
     basket-concentration verdict land in ``details``.
     """
-    if alpha is None:
-        if eta is None:
-            raise InputError("pass alpha or eta")
-        alpha = Fraction(1, 2 * (1 + as_fraction(eta)))
-    alpha = as_fraction(alpha)
+    alpha = claim_level(alpha, eta)
     if not 0 < alpha <= Fraction(1, 2):
         raise InputError("alpha must lie in (0, 1/2] for the split stage")
     n, k, m = norm.n_agents, norm.k_types, norm.m_items
@@ -146,23 +145,18 @@ def run_unknown_d(
 
     if window >= n:
         # too few agents to learn anything; fall back to the 1/k guarantee
-        from .adversarial import run_adversarial
-
-        flags.append("degenerateScale")
         allocation, rep = run_adversarial(norm, seq, alpha=alpha, check=check, strict=False)
         details["branch"] = "degenerate"
         if rep.details and rep.details.get("violations"):
             details["violations"] = rep.details["violations"]
-        report = TrialReport.build(
-            rep.per_agent_ratio, alpha, rep.failure_reason, tuple(flags), details)
-        return allocation, report
+        return allocation, replace(rep, flags=("degenerateScale",), details=details)
 
     if precomputed_universal is not None:
         c_items = list(precomputed_universal)
     else:
         c_items = universal_items(norm.base.type_values, range(m), alpha)
     zero = norm.zero_mms_types
-    bundles: list[Bundle] = []
+    bundles: list[Bundle | None] = []
     reason = FailureReason.NONE
 
     if len(c_items) >= window:
@@ -180,12 +174,7 @@ def run_unknown_d(
             alpha, params.epsilon, ranks,
             partition_provider=partition_provider, check=check)
         details["dispatch"] = info
-        for b in sub:
-            if b is None:
-                b = EMPTY_BUNDLE
-                if reason is FailureReason.NONE:
-                    reason = FailureReason.EMPTY_RESERVE
-            bundles.append(b)
+        bundles.extend(sub)
     else:
         details["branch"] = "splitAndLearn"
         bundles.extend(Bundle((g,)) for g in c_items)
@@ -239,31 +228,7 @@ def run_unknown_d(
             state2 = preprocess_low_c(
                 values_sorted, basket2.items, rest_agents, learned.probs,
                 alpha, params.epsilon, check=check)
-            sub = run_low_c(state2, ranks)
-            counts = [0] * k
-            for r_ in ranks:
-                counts[r_] += 1
-            details["dispatch"] = {
-                "branch": "lowC",
-                "caps": list(state2.caps),
-                "counts": counts,
-                "countsWithinCaps": all(x <= cap for x, cap in zip(counts, state2.caps)),
-                "allSaturated": state2.all_saturated,
-                "unsaturated": sorted(state2.unsaturated),
-                "violations": list(state2.violations),
-            }
-            for b in sub:
-                if b is None:
-                    b = EMPTY_BUNDLE
-                    if reason is FailureReason.NONE:
-                        reason = FailureReason.EMPTY_RESERVE
-                bundles.append(b)
+            bundles.extend(run_low_c(state2, ranks))
+            details["dispatch"] = {"branch": "lowC", **low_c_info(state2, ranks)}
 
-    entries = tuple((agent, ti, b) for agent, (ti, b) in enumerate(zip(seq, bundles)))
-    allocation = Allocation(entries)
-    ratios = [
-        Fraction(1) if ti in zero else value(norm.base.type_values[ti], b)
-        for _, ti, b in entries
-    ]
-    report = TrialReport.build(ratios, alpha, reason, tuple(flags), details)
-    return allocation, report
+    return finish_run(norm, seq, bundles, alpha, reason, flags, details)

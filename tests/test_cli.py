@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from mmsonline.cli import main
 
@@ -95,6 +96,34 @@ def test_exit_code_input_error(tmp_path):
     missing = tmp_path / "nope.json"
     assert run_cli(["mms", "solve", "--instance", str(missing),
                     "--type", "0", "--bundles", "2"]) == 1
+
+
+def _gen_instance_and_dist(tmp_path):
+    inst = tmp_path / "inst.json"
+    run_cli(["gen", "normalized-random", "--n", "12", "--m", "40", "--k", "3",
+             "--seed", "2", "--out", str(inst)])
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"probs": ["1/3", "1/3", "1/3"]}))
+    return str(inst), str(dist)
+
+
+@pytest.mark.parametrize("case", [
+    ["mc", "--algorithm", "known-d", "--eta", "1/2", "--dist", '["1/3", "1/3", "1/3"]'],
+    ["mc", "--algorithm", "unknown-d", "--eta", "1/2", "--hidden-dist", '["1/3", "1/3", "1/3"]'],
+    ["run", "known-d", "--alpha", "1/0"],
+    ["run", "known-d", "--eta", "abc"],
+    ["run", "known-d", "--eta=-1/2"],
+    ["run", "unknown-d", "--c", "x/3", "--eta", "1/2"],
+])
+def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
+    inst, dist = _gen_instance_and_dist(tmp_path)
+    if case[0] == "mc":
+        args = case + ["--trials", "2", "--instance", inst]
+    else:
+        args = case + ["--instance", inst, "--dist", dist]
+    capsys.readouterr()
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_gen_lower_bound_and_tight_instances(tmp_path):

@@ -15,7 +15,7 @@ from mmsonline import (
     TypeDistribution,
     ValidationError,
     normalize,
-    universally_high_valued,
+    universal_items,
     value,
     verify_allocation,
 )
@@ -99,20 +99,23 @@ def test_rescaling_soundness_on_random_bundles(n, m, data):
     assert value(vals, bundle) >= value(norm.base.type_values[0], bundle) * norm.original_mms[0]
 
 
+def _universal(norm, alpha):
+    return universal_items(norm.base.type_values, range(norm.m_items), alpha)
+
+
 def test_universally_high_valued():
-    from mmsonline.stochastic import universal_items
     values = ((F(3, 5), F(2, 5)), (F(7, 10), F(9, 10)))
     assert universal_items(values, range(2), F(1, 2)) == [0]
     assert universal_items(values, range(2), F(0)) == [0, 1]
     norm = _tiny_norm()
-    assert universally_high_valued(norm, F(1, 2)) == Bundle((0, 1, 2, 3))
-    assert universally_high_valued(norm, F(3, 4)) == EMPTY_BUNDLE
+    assert _universal(norm, F(1, 2)) == [0, 1, 2, 3]
+    assert _universal(norm, F(3, 4)) == []
 
 
 def test_universal_empty_on_counterexample():
     from mmsonline.generators import gen_adv_counterexample
     norm = gen_adv_counterexample(4, F(1, 32))
-    assert universally_high_valued(norm, F(1, 2)) == EMPTY_BUNDLE
+    assert _universal(norm, F(1, 2)) == []
 
 
 def test_allocation_disjointness_enforced():

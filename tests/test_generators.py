@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from mmsonline import (
     value,
     TypeDistribution,
 )
+from mmsonline.generators import all_sequences, nth_sequence
 from mmsonline.solver import mms_brute_force, mms_exact
 from mmsonline.stochastic import universal_items
 
@@ -182,3 +184,10 @@ def test_sample_arrivals_long_run_frequency():
     seq = sample_arrivals(d, 100_000, 42)
     freq = seq.count(0) / 100_000
     assert abs(freq - 0.7) <= 0.01
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 4), (2, 1), (2, 5), (3, 4), (4, 3), (5, 2)])
+def test_nth_sequence_matches_product_order(k, n):
+    expected = [list(seq) for seq in itertools.product(range(k), repeat=n)]
+    assert [nth_sequence(k, n, t) for t in range(k ** n)] == expected
+    assert [list(seq) for seq in all_sequences(k, n)] == expected

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mmsonline import (
+    InputError,
     TypeDistribution,
     gen_random,
     normalize,
@@ -120,6 +121,22 @@ def test_degradation_trial_adversarial():
     assert out["degradationOk"]
     if out["perturbedSuccess"]:
         assert out["trueMinRatio"] >= out["degradedAlpha"]
+
+
+def test_degradation_trial_known_d_needs_distribution():
+    with pytest.raises(InputError):
+        degradation_trial("known-d", gen_random(3, 8, 2, "uniform", seed=2),
+                          F(6, 5), seed=3, eta=F(1, 2), epsilon=F(1, 10))
+
+
+@pytest.mark.parametrize("missing", ["epsilon", "c"])
+def test_run_trial_missing_parameter_is_input_error(missing):
+    algorithm = "known-d" if missing == "epsilon" else "unknown-d"
+    cfg = McConfig(algorithm=algorithm, trials=1, master_seed=0,
+                   instance_obj=_fixed_instance_obj(n=12, m=40), dist=UNIFORM2,
+                   hidden_dist=UNIFORM2, eta="1/2")
+    with pytest.raises(InputError, match=missing):
+        run_trial(cfg, 0)
 
 
 def test_emit_report_roundtrip_and_csv(tmp_path):

@@ -8,6 +8,7 @@ from mmsonline import (
     EMPTY_BUNDLE,
     InputError,
     TypeDistribution,
+    as_fraction,
     gen_example1,
     gen_normalized_random,
     gen_random,
@@ -19,7 +20,6 @@ from mmsonline.jsonio import (
     canonical_json,
     distribution_from_obj,
     distribution_to_obj,
-    frac_from_str,
     frac_to_str,
     instance_from_obj,
     instance_to_obj,
@@ -33,12 +33,11 @@ from mmsonline.jsonio import (
 def test_fraction_strings():
     assert frac_to_str(F(3, 4)) == "3/4"
     assert frac_to_str(F(5)) == "5/1"
-    assert frac_from_str("3/4") == F(3, 4)
-    assert frac_from_str("7") == F(7)
-    with pytest.raises(InputError):
-        frac_from_str("1/0")
-    with pytest.raises(InputError):
-        frac_from_str("a/b")
+    assert as_fraction("3/4") == F(3, 4)
+    assert as_fraction("7") == F(7)
+    for bad in ("1/0", "a/b", "abc", "", None, 0.5):
+        with pytest.raises(InputError):
+            as_fraction(bad)
 
 
 def test_instance_roundtrip():

@@ -7,7 +7,6 @@ from mmsonline import Bundle, CapacityError, value
 from mmsonline.generators import gen_random
 from mmsonline.rng import substream
 from mmsonline.solver import (
-    alpha_mms_partition,
     lpt_partition,
     mms_bounds,
     mms_brute_force,
@@ -94,9 +93,10 @@ def test_oracle_equivalence_on_generated_family():
 
 
 def test_alpha_partition_is_witness():
+    # the share witness is an alpha-partition for every alpha <= 1
     vals = [F(1)] * 4
-    part = alpha_mms_partition(vals, 2, F(1, 2))
-    assert part == mms_exact(vals, 2).witness
+    part = mms_exact(vals, 2).witness
+    assert len(part) == 2
     assert all(value(vals, b) >= F(1, 2) * 2 for b in part)
 
 
@@ -105,7 +105,7 @@ def test_alpha_partition_on_counterexample_bags():
     from mmsonline.generators import gen_adv_counterexample
     norm = gen_adv_counterexample(3, F(1, 16))
     row = norm.base.type_values[0]
-    part = alpha_mms_partition(row, 3, F(1))
+    part = mms_exact(row, 3).witness
     assert all(value(row, b) >= 1 for b in part)
 
 

@@ -38,6 +38,17 @@ def test_params_validation():
         StochasticParams(F(0), F(1, 10))
 
 
+@pytest.mark.parametrize("eta", [F(-1, 2), F(-1)])
+def test_run_known_d_rejects_negative_eta(eta):
+    norm = gen_normalized_random(6, 18, 3, seed=1)
+    dist = TypeDistribution.from_probs(UNIFORM3)
+    seq = sample_arrivals(dist, 6, 2)
+    with pytest.raises(InputError):
+        run_known_d(norm, dist, seq, eta=eta, epsilon=F(1, 10))
+    with pytest.raises(InputError):
+        StochasticParams.from_eta(eta, F(1, 10))
+
+
 def test_reservation_cap_examples():
     assert reservation_cap(100, F(1, 4), F(3, 10)) == 44
     assert reservation_cap(200, F(1, 3), F(1, 10)) == 80

@@ -31,6 +31,14 @@ def test_params_formulas():
         UnknownParams.for_instance(100, F(0))
 
 
+@pytest.mark.parametrize("eta", [F(-1, 2), F(-1)])
+def test_run_unknown_d_rejects_negative_eta(eta):
+    norm = gen_normalized_random(12, 40, 2, seed=1)
+    seq = sample_arrivals(TypeDistribution.from_probs([F(1, 2)] * 2), 12, 2)
+    with pytest.raises(InputError):
+        run_unknown_d(norm, seq, eta=eta, c=F(1, 20))
+
+
 def test_parameter_identities_hold_exactly():
     for c in (F(1, 20), F(1, 100), F(9, 100)):
         p = UnknownParams.for_instance(50, c)
