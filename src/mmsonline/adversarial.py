@@ -12,12 +12,14 @@ All "arbitrary" choices of the procedure are pinned: FIFO reserve pick,
 ascending-index bag filling, LIFO trimming, ascending type order when a bag
 is reserved for several claimants.  A seeded-random variant of those choices
 exists for robustness testing.
+``serve`` is the one per-arrival loop: a dry pool raises on a strict state
+and gives the agent the empty bundle otherwise (the unknown-d stages).
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -48,16 +50,16 @@ class TentativeState:
     items (remaining minus everything reserved) is kept as an ascending list
     with a cursor and rebuilt only when a trimmed reserve returns items.
 
-    ``thresholds[i]`` is the claim level of type i (``scale/k``) and
-    ``scales[i]`` the per-type share unit used by the bookkeeping checks;
-    on a normalized instance these are 1/k and 1.
+    ``threshold`` is every type's claim level and ``scale = k * threshold``
+    the share unit used by the bookkeeping checks; on a normalized instance
+    these are 1/k and 1.
     """
 
     values: tuple[tuple[Fraction, ...], ...]
     n: int
     k: int
-    thresholds: tuple[Fraction, ...]
-    scales: tuple[Fraction, ...]
+    threshold: Fraction
+    scale: Fraction
     check_types: tuple[int, ...]
     reserves: list[deque[Bundle]]
     remaining: set[int]
@@ -83,8 +85,7 @@ class TentativeState:
         items: Iterable[int],
         n: int,
         *,
-        thresholds: Sequence[Fraction] | None = None,
-        scales: Sequence[Fraction] | None = None,
+        threshold: Fraction | None = None,
         check_types: Sequence[int] | None = None,
         check: bool = True,
         strict: bool = True,
@@ -103,16 +104,7 @@ class TentativeState:
             raise InputError("need at least one type")
         item_list = sorted(set(int(g) for g in items))
         vals = tuple(tuple(as_fraction(v) for v in row) for row in values)
-        if thresholds is None:
-            thresholds = tuple(Fraction(1, k) for _ in range(k))
-        else:
-            thresholds = tuple(as_fraction(t) for t in thresholds)
-        if scales is None:
-            scales = tuple(t * k for t in thresholds)
-        else:
-            scales = tuple(as_fraction(s) for s in scales)
-        if check_types is None:
-            check_types = tuple(range(k))
+        threshold = Fraction(1, k) if threshold is None else as_fraction(threshold)
 
         singletons: dict[int, Bundle] = {}
         reserves: list[deque[Bundle]] = [deque() for _ in range(k)]
@@ -120,12 +112,9 @@ class TentativeState:
             for g in item_list:
                 if len(reserves[i]) >= n:
                     break
-                if vals[i][g] >= thresholds[i]:
+                if vals[i][g] >= threshold:
                     reserves[i].append(singletons.setdefault(g, Bundle((g,))))
-        refs: dict[Bundle, int] = {}
-        for dq in reserves:
-            for b in dq:
-                refs[b] = refs.get(b, 0) + 1
+        refs = Counter(b for dq in reserves for b in dq)
         reserved = {g for b in refs for g in b}
         remaining = set(item_list)
         remaining_value = [sum((vals[i][g] for g in item_list), Fraction(0)) for i in range(k)]
@@ -134,9 +123,9 @@ class TentativeState:
             values=vals,
             n=n,
             k=k,
-            thresholds=thresholds,
-            scales=scales,
-            check_types=tuple(check_types),
+            threshold=threshold,
+            scale=k * threshold,
+            check_types=tuple(range(k) if check_types is None else check_types),
             reserves=reserves,
             remaining=remaining,
             remaining_value=remaining_value,
@@ -173,9 +162,6 @@ class TentativeState:
     def _valid_pool_item(self, g: int) -> bool:
         return g in self.remaining and g not in self.reserved_items
 
-    def _current_pool(self) -> list[int]:
-        return [g for g in self.pool[self.pool_pos:] if self._valid_pool_item(g)]
-
     def _rebuild_pool(self) -> None:
         self.pool = [g for g in sorted(self.remaining) if g not in self.reserved_items]
         if self.rng is not None:
@@ -202,17 +188,17 @@ class TentativeState:
         open_types = [j for j in self.check_types if not self._demand_saturated(j, current_t)]
         if not open_types:
             return
-        for g in self._current_pool():
+        for g in filter(self._valid_pool_item, self.pool[self.pool_pos:]):
             for j in open_types:
-                if self.values[j][g] >= self.thresholds[j]:
+                if self.values[j][g] >= self.threshold:
                     self._violate(
                         f"pool purity: item {g} worth {self.values[j][g]} to open type {j}")
 
     def _check_reserved_bound(self, bagvals: list[Fraction], current_t: int) -> None:
         for j in self.check_types:
-            if not self._demand_saturated(j, current_t) and bagvals[j] > self.scales[j]:
+            if not self._demand_saturated(j, current_t) and bagvals[j] > self.scale:
                 self._violate(
-                    f"reserved bundle worth {bagvals[j]} > {self.scales[j]} to open type {j}")
+                    f"reserved bundle worth {bagvals[j]} > {self.scale} to open type {j}")
 
     def _check_invariant(self) -> None:
         left = self.n - self.arrived
@@ -220,7 +206,7 @@ class TentativeState:
         for j in self.check_types:
             if len(self.reserves[j]) == left:
                 continue
-            if self.remaining_value[j] >= left * self.scales[j]:
+            if self.remaining_value[j] >= left * self.scale:
                 continue
             ok = False
             self._violate(
@@ -244,7 +230,7 @@ class TentativeState:
             bag.append(g)
             for j in range(self.k):
                 vals[j] += self.values[j][g]
-            claimants = [j for j in sorted(self.unsaturated) if vals[j] >= self.thresholds[j]]
+            claimants = [j for j in sorted(self.unsaturated) if vals[j] >= self.threshold]
             if claimants:
                 return bag, vals, claimants
         return bag, vals, []
@@ -253,21 +239,17 @@ class TentativeState:
 def preprocess(
     norm: NormalizedInstance,
     *,
-    check: bool = True,
     strict: bool = True,
     rng: random.Random | None = None,
     trace: bool = False,
 ) -> TentativeState:
-    """High-valued-item preprocessing on a normalized instance."""
-    k = norm.k_types
+    """High-valued-item preprocessing on a normalized instance, at claim
+    level 1/k."""
     return TentativeState.create(
         norm.base.type_values,
         range(norm.m_items),
         norm.n_agents,
-        thresholds=tuple(Fraction(1, k) for _ in range(k)),
-        scales=tuple(Fraction(1) for _ in range(k)),
-        check_types=tuple(i for i in range(k) if i not in norm.zero_mms_types),
-        check=check,
+        check_types=tuple(i for i in range(norm.k_types) if i not in norm.zero_mms_types),
         strict=strict,
         rng=rng,
         trace=trace,
@@ -311,7 +293,7 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle:
                 state._rebuild_pool()
                 raise PoolExhausted(
                     f"agent {t} of type {i}: pool exhausted before any claim")
-            if bagvals[i] >= state.thresholds[i]:
+            if bagvals[i] >= state.threshold:
                 allocated = Bundle(tuple(bag))
                 state._allocate(allocated)
                 if state.trace is not None:
@@ -357,12 +339,32 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle:
     return allocated
 
 
+def serve(state: TentativeState, arrivals: Iterable[int]) -> tuple[list[Bundle], bool]:
+    """Serve each arriving type in turn; returns the bundles and whether the
+    pool ran dry for some agent.
+
+    On a strict state a dry pool raises :class:`PoolExhausted`; otherwise
+    that agent gets the empty bundle and the later agents are still served.
+    """
+    bundles: list[Bundle] = []
+    dry = False
+    for ti in arrivals:
+        try:
+            bundles.append(step_adversarial(state, ti))
+        except PoolExhausted:
+            if state.strict:
+                raise
+            bundles.append(EMPTY_BUNDLE)
+            state.arrived += 1
+            dry = True
+    return bundles, dry
+
+
 def run_adversarial(
     norm: NormalizedInstance,
     arrivals: Iterable[int],
     *,
     alpha: Fraction | None = None,
-    check: bool = True,
     strict: bool = True,
     rng: random.Random | None = None,
     trace: bool = False,
@@ -371,30 +373,18 @@ def run_adversarial(
 
     Every agent of a positive-share type is guaranteed a bundle worth at
     least 1/k of her (normalized) share; the report's success verdict is
-    taken at ``alpha`` (default 1/k).
+    taken at ``alpha`` (default 1/k).  A non-strict run reports a dry pool
+    as ``poolExhausted`` instead of raising.
     """
     n, k = norm.n_agents, norm.k_types
     seq = list(arrivals)
     if len(seq) != n:
         raise InputError(f"arrival sequence has {len(seq)} types, expected {n}")
     alpha = as_fraction(alpha) if alpha is not None else Fraction(1, k)
-    state = preprocess(norm, check=check, strict=strict, rng=rng, trace=trace)
-    flags: list[str] = []
-    if k == 1:
-        flags.append("k1Degenerate")
-    bundles = []
-    reason = FailureReason.NONE
-    for ti in seq:
-        try:
-            bundle = step_adversarial(state, ti)
-        except PoolExhausted:
-            if strict:
-                raise
-            bundle = EMPTY_BUNDLE
-            state.arrived += 1
-            if reason is FailureReason.NONE:
-                reason = FailureReason.POOL_EXHAUSTED
-        bundles.append(bundle)
+    state = preprocess(norm, strict=strict, rng=rng, trace=trace)
+    flags = ["k1Degenerate"] if k == 1 else []
+    bundles, dry = serve(state, seq)
+    reason = FailureReason.POOL_EXHAUSTED if dry else FailureReason.NONE
     details = {"violations": list(state.violations)} if state.violations else None
     return finish_run(norm, seq, bundles, alpha, reason, flags, details, state.trace)
 
@@ -406,7 +396,7 @@ def tentative_policy(construction) -> Callable[[int], Bundle]:
     """The reservation allocator itself as an online policy for the
     lower-bound game (run on the construction's normalized view)."""
     norm = construction.normalized()
-    state = preprocess(norm, check=True, strict=True)
+    state = preprocess(norm)
     return lambda type_id: step_adversarial(state, type_id)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import generators, harness, jsonio
 from .core import (
@@ -23,6 +24,13 @@ from .solver import mms_brute_force, mms_exact
 
 def _load_dist(path: str) -> TypeDistribution:
     return jsonio.distribution_from_obj(jsonio.load(path))
+
+
+def _probs(spec: str | None) -> tuple[str, ...] | None:
+    """A JSON list of probabilities, or a distribution file's, as strings."""
+    if spec and spec.startswith("["):
+        return tuple(json.loads(spec))
+    return tuple(jsonio.distribution_to_obj(_load_dist(spec))["probs"]) if spec else None
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -86,10 +94,13 @@ def _cmd_mms(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.algorithm == "adversarial" and args.trials > 1:
+        raise InputError("run adversarial serves one arrival sequence; "
+                         "use mc --algorithm adversarial for repeated trials")
     instance_obj = jsonio.load(args.instance)
-    if args.algorithm != "adversarial" and args.trials > 1:
+    if args.trials > 1:
         # seeded repetition: route through the experiment runner
-        law = tuple(jsonio.distribution_to_obj(_load_dist(args.dist))["probs"]) if args.dist else None
+        law = _probs(args.dist)
         config = harness.McConfig(
             algorithm=args.algorithm, trials=args.trials, master_seed=args.seed,
             instance_obj=instance_obj,
@@ -135,10 +146,8 @@ def _cmd_mc(args) -> int:
         generator=args.generator,
         generator_params=json.loads(args.generator_params) if args.generator_params else None,
         fresh_instance_per_trial=not args.fixed_instance,
-        dist=tuple(json.loads(args.dist)) if args.dist and args.dist.startswith("[")
-        else tuple(jsonio.distribution_to_obj(_load_dist(args.dist))["probs"]) if args.dist else None,
-        hidden_dist=tuple(json.loads(args.hidden_dist)) if args.hidden_dist and args.hidden_dist.startswith("[")
-        else tuple(jsonio.distribution_to_obj(_load_dist(args.hidden_dist))["probs"]) if args.hidden_dist else None,
+        dist=_probs(args.dist),
+        hidden_dist=_probs(args.hidden_dist),
         alpha=args.alpha,
         eta=args.eta,
         epsilon=args.epsilon,
@@ -162,20 +171,10 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    obj = jsonio.load(args.aggregate)
-    agg = harness.AggregateReport(
-        config=obj["config"], rows=obj["rows"], success_rate=obj["successRate"],
-        failure_histogram=obj["failureHistogram"],
-        invariant_violations=obj["invariantViolations"],
-        min_ratio_overall=obj["minRatioOverall"], mean_min_ratio=obj["meanMinRatio"],
-        quantiles=obj["quantiles"])
-    if args.format == "csv":
-        text = harness.render_csv(agg)
-    else:
-        text = agg.canonical_json() + "\n"
+    agg = harness.AggregateReport.from_obj(jsonio.load(args.aggregate))
+    text = harness.render_csv(agg) if args.format == "csv" else agg.canonical_json() + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -220,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--c", default="1/20")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--trials", type=int, default=1,
-                   help="repeat with per-trial arrival substreams and aggregate")
+                   help="repeat with per-trial arrival substreams and aggregate "
+                        "(known-d, unknown-d)")
     r.add_argument("--out")
     r.set_defaults(fn=_cmd_run)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,24 +54,23 @@ def run_algorithm(
     """Run one allocator on one arrival sequence of original type ids.
 
     Rationals may be Fractions, ints or "num/den" strings.  Every run checks
-    its invariants; only the adversarial allocator runs strict (a failed
-    step is a bug there, an empty reserve is data elsewhere) and honours
-    ``trace``.  ``dist`` is the known-d distribution; ``seed`` drives the
-    unknown-d random split.
+    its invariants.  Adversarial runs strict (a dry pool raises) and honours
+    ``trace``; known-d and unknown-d report a failed check in ``violations``
+    and an empty reserve as data.  ``dist`` is the known-d distribution;
+    ``seed`` drives the unknown-d random split.
     """
     if algorithm == "adversarial":
-        return run_adversarial(norm, arrivals, alpha=alpha, check=True, strict=True, trace=trace)
+        return run_adversarial(norm, arrivals, alpha=alpha, trace=trace)
     if algorithm == "known-d":
         if dist is None:
             raise InputError("known-d needs a distribution")
         if epsilon is None:
             raise InputError("known-d needs epsilon")
-        return run_known_d(norm, dist, arrivals, alpha=alpha, eta=eta, epsilon=epsilon,
-                           check=True, strict=False)
+        return run_known_d(norm, dist, arrivals, alpha=alpha, eta=eta, epsilon=epsilon)
     if algorithm == "unknown-d":
         if c is None:
             raise InputError("unknown-d needs c")
-        return run_unknown_d(norm, arrivals, alpha=alpha, eta=eta, c=c, seed=seed, check=True)
+        return run_unknown_d(norm, arrivals, alpha=alpha, eta=eta, c=c, seed=seed)
     raise InputError(f"unknown algorithm {algorithm!r}")
 
 
@@ -191,11 +190,13 @@ def run_trial(config: McConfig, trial: int) -> dict:
 
 def _violation_count(report: TrialReport) -> int:
     det = report.details or {}
-    count = len(det.get("violations", ())) if isinstance(det.get("violations"), list) else 0
-    sub = det.get("dispatch") or {}
-    if isinstance(sub.get("violations"), list):
-        count += len(sub["violations"])
-    return count
+    return sum(len(d["violations"]) for d in (det, det.get("dispatch") or {})
+               if isinstance(d.get("violations"), list))
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(w.title() for w in rest)
 
 
 @dataclass
@@ -210,16 +211,22 @@ class AggregateReport:
     quantiles: dict[str, float]
 
     def to_obj(self) -> dict:
-        return {
-            "config": self.config,
-            "rows": self.rows,
-            "successRate": self.success_rate,
-            "failureHistogram": self.failure_histogram,
-            "invariantViolations": self.invariant_violations,
-            "minRatioOverall": self.min_ratio_overall,
-            "meanMinRatio": self.mean_min_ratio,
-            "quantiles": self.quantiles,
-        }
+        # JSON keys are the camelCase field names
+        return {_camel(f.name): getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_obj(cls, obj) -> "AggregateReport":
+        """Inverse of ``to_obj``; a missing key or a row without the CSV
+        columns is an input error."""
+        keys = {_camel(f.name): f.name for f in fields(cls)}
+        missing = sorted(keys.keys() - (obj.keys() if isinstance(obj, dict) else set()))
+        if missing:
+            raise InputError(f"not an aggregate report: missing {', '.join(missing)}")
+        rows = obj["rows"]
+        if not (isinstance(rows, list) and all(isinstance(r, dict) and r.keys() >= set(CSV_COLUMNS)
+                                               for r in rows)):
+            raise InputError(f"aggregate rows need the keys {', '.join(CSV_COLUMNS)}")
+        return cls(**{name: obj[key] for key, name in keys.items()})
 
     def canonical_json(self) -> str:
         return jsonio.canonical_json(self.to_obj())

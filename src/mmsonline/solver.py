@@ -106,8 +106,6 @@ def mms_exact(
     valuation: Sequence[Fraction],
     n: int,
     *,
-    item_cap: int = DEFAULT_ITEM_CAP,
-    bundle_cap: int = DEFAULT_BUNDLE_CAP,
     on_overflow: str = "raise",
 ) -> MmsResult:
     """Exact share via branch-and-bound.
@@ -118,19 +116,21 @@ def mms_exact(
     ``min(load) + remaining`` and the global ``total/n`` cap, and states are
     memoized by (depth, sorted load profile).
 
-    Above the caps, ``on_overflow="bounds"`` returns the exact=False
-    [LPT, v(M)/n] bracket instead of raising.
+    Above the caps (m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP),
+    ``on_overflow="bounds"`` returns the exact=False [LPT, v(M)/n] bracket
+    instead of raising.
     """
     if n < 1:
         raise InputError("need at least one bundle")
     m = len(valuation)
-    if m > item_cap or n > bundle_cap:
+    if m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP:
         if on_overflow == "bounds":
             lower, upper = mms_bounds(valuation, n)
             witness = tuple(Bundle(tuple(b)) for b in lpt_partition(valuation, n))
             return MmsResult(lower, witness, exact=False, upper_bound=upper, nodes=0)
         raise CapacityError(
-            f"exact solver capped at m<={item_cap}, n<={bundle_cap} (got m={m}, n={n}); "
+            f"exact solver capped at m<={DEFAULT_ITEM_CAP}, n<={DEFAULT_BUNDLE_CAP} "
+            f"(got m={m}, n={n}); "
             "pass on_overflow='bounds' for a bracket")
     ints, den = _scaled(valuation)
     if m == 0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Allocation,
@@ -94,9 +94,6 @@ class LowCState:
     """Preprocessing output: exclusive per-type reserve queues, the reached
     saturation status, and audit data."""
 
-    alpha: Fraction
-    epsilon: Fraction
-    probs: tuple[Fraction, ...]
     high_sets: list[list[int]]          # T_i, ascending item ids
     reserves: list[deque[Bundle]]       # G_i, disjoint across types
     caps: list[int]                     # M_i
@@ -119,9 +116,6 @@ def preprocess_low_c(
     probs: Sequence[Fraction],
     alpha: Fraction,
     epsilon: Fraction,
-    *,
-    check: bool = True,
-    strict: bool = False,
 ) -> LowCState:
     """Reserve high-valued singletons in turn order, then bag-fill.
 
@@ -134,7 +128,8 @@ def preprocess_low_c(
     ascending item order until some unsaturated type claims (>= alpha),
     giving each bag to the lowest-ranked unsaturated claimant.
 
-    An unsaturated outcome is a legal, reported state, not an error.
+    An unsaturated outcome is a legal, reported state, not an error; so
+    is a failed check, which lands in ``violations``.
     """
     alpha = as_fraction(alpha)
     epsilon = as_fraction(epsilon)
@@ -191,31 +186,25 @@ def preprocess_low_c(
             unsaturated.discard(i)
 
     state = LowCState(
-        alpha=alpha, epsilon=epsilon, probs=probs,
         high_sets=high_sets, reserves=reserves, caps=caps,
         singleton_counts=singleton_counts, order=order, last_type=last_type,
         unsaturated=set(unsaturated),
     )
+    violate = state.violations.append
 
-    def violate(msg: str) -> None:
-        if strict:
-            raise InvariantViolation(msg)
-        state.violations.append(msg)
-
-    if check:
-        # whoever is still open has exhausted its reachable high-valued items
-        for i in unsaturated:
-            for g in sorted(remaining):
-                if values[i][g] >= alpha:
-                    violate(f"open type {i} left high-valued item {g} unreserved")
-                    break
-        # and cannot hold too many high-valued items overall
-        pk = probs[-1]
-        mus = [nprime * p for p in probs]
-        for i in unsaturated:
-            slack = Fraction(len(high_sets[i])) - nprime * (1 - pk / 2)
-            if not pow_sqrt_sum_ge(nprime, epsilon, mus, slack):
-                violate(f"open type {i} holds {len(high_sets[i])} high-valued items")
+    # whoever is still open has exhausted its reachable high-valued items
+    for i in unsaturated:
+        for g in sorted(remaining):
+            if values[i][g] >= alpha:
+                violate(f"open type {i} left high-valued item {g} unreserved")
+                break
+    # and cannot hold too many high-valued items overall
+    pk = probs[-1]
+    mus = [nprime * p for p in probs]
+    for i in unsaturated:
+        slack = Fraction(len(high_sets[i])) - nprime * (1 - pk / 2)
+        if not pow_sqrt_sum_ge(nprime, epsilon, mus, slack):
+            violate(f"open type {i} holds {len(high_sets[i])} high-valued items")
 
     # bag filling
     scan = sorted(remaining)
@@ -240,18 +229,16 @@ def preprocess_low_c(
         reserves[claimant].append(bundle)
         state.bag_count += 1
         remaining.difference_update(bag)
-        if check:
-            for j in list(unsaturated):
-                if vals[j] > 2 * alpha:
-                    violate(f"bag worth {vals[j]} > 2*alpha to open type {j}")
+        for j in list(unsaturated):
+            if vals[j] > 2 * alpha:
+                violate(f"bag worth {vals[j]} > 2*alpha to open type {j}")
         if len(reserves[claimant]) == caps[claimant]:
             unsaturated.discard(claimant)
 
     state.unsaturated = unsaturated
-    if check:
-        for i in range(k):
-            if len(reserves[i]) > caps[i]:
-                violate(f"type {i} holds {len(reserves[i])} > cap {caps[i]}")
+    for i in range(k):
+        if len(reserves[i]) > caps[i]:
+            violate(f"type {i} holds {len(reserves[i])} > cap {caps[i]}")
     return state
 
 
@@ -285,9 +272,8 @@ def low_c_info(state: LowCState, arrival_ranks: Sequence[int]) -> dict:
 # -- abundant universally high-valued items -----------------------------------
 
 
-def default_alpha_partition(
-    valuation: Sequence[Fraction], items: Sequence[int], n: int, alpha: Fraction
-) -> list[Bundle]:
+def default_alpha_partition(valuation: Sequence[Fraction], items: Sequence[int],
+                            n: int) -> list[Bundle]:
     """Share partition of a valuation restricted to the given items (every
     bundle is worth >= alpha * restricted share for any alpha <= 1)."""
     sub = [valuation[g] for g in items]
@@ -295,21 +281,14 @@ def default_alpha_partition(
     return [Bundle(tuple(items[x] for x in b)) for b in witness]
 
 
-PartitionProvider = Callable[[Sequence[Fraction], Sequence[int], int, Fraction], list[Bundle]]
-
-
 def run_high_c(
-    values: Sequence[Sequence[Fraction]],
-    items: Sequence[int],
+    partition: Sequence[Bundle],
     n_agents: int,
     c_items: Sequence[int],
-    alpha: Fraction,
     arrival_ranks: Sequence[int],
-    *,
-    partition_provider: PartitionProvider = default_alpha_partition,
-    check: bool = True,
 ) -> tuple[list[Bundle | None], dict]:
-    """Route everyone through one rearranged share partition of rank-0.
+    """Route everyone through one rearranged share partition of rank-0
+    (``default_alpha_partition`` of its values over the served items).
 
     The partition is adjusted so each kept bundle carries exactly one
     universally high-valued item (extra ones split into fresh singletons);
@@ -317,9 +296,7 @@ def run_high_c(
     capped at n - |C|.  Rank-0 agents drain that reserve first; everyone
     else, and rank-0 afterwards, draws from the main queue.
     """
-    alpha = as_fraction(alpha)
     c_set = set(c_items)
-    partition = partition_provider(values[0], list(items), n_agents, alpha)
     main: deque[Bundle] = deque()
     reserve0: deque[Bundle] = deque()
     for bundle in partition:
@@ -333,13 +310,11 @@ def run_high_c(
             main.append(Bundle(tuple(g for g in bundle if g not in cs[1:])))
             for g in cs[1:]:
                 main.append(Bundle((g,)))
-    if check:
-        if len(main) != len(c_items):
-            raise InvariantViolation(
-                f"kept {len(main)} bundles for {len(c_items)} universal items")
-        for b in main:
-            if sum(1 for g in b if g in c_set) != 1:
-                raise InvariantViolation("kept bundle without exactly one universal item")
+    if len(main) != len(c_items):
+        raise InvariantViolation(f"kept {len(main)} bundles for {len(c_items)} universal items")
+    for b in main:
+        if sum(1 for g in b if g in c_set) != 1:
+            raise InvariantViolation("kept bundle without exactly one universal item")
 
     out: list[Bundle | None] = []
     for rank in arrival_ranks:
@@ -356,6 +331,12 @@ def run_high_c(
 # -- dispatch ------------------------------------------------------------------
 
 
+def to_rank_space(norm: NormalizedInstance, dist: TypeDistribution, arrivals: Sequence[int]):
+    """Type rows in ``dist.order`` and the arrivals as ranks in that order."""
+    return (tuple(norm.base.type_values[orig] for orig in dist.order),
+            [dist.rank_of(t) for t in arrivals])
+
+
 def known_d_engine(
     values: Sequence[Sequence[Fraction]],
     items: Sequence[int],
@@ -364,15 +345,12 @@ def known_d_engine(
     alpha: Fraction,
     epsilon: Fraction,
     arrival_ranks: Sequence[int],
-    *,
-    partition_provider: PartitionProvider = default_alpha_partition,
-    check: bool = True,
-    strict: bool = False,
 ) -> tuple[list[Bundle | None], dict]:
     """Dispatch between the two regimes; returns per-agent bundles (None for
     an agent whose reserve ran dry) plus run metadata.
 
-    Valuations and arrivals are already in probability-sorted rank space.
+    Valuations and arrivals are already in probability-sorted rank space
+    (see ``to_rank_space``); the high-C regime partitions rank 0's values.
     """
     alpha = as_fraction(alpha)
     if len(arrival_ranks) != n_agents:
@@ -380,8 +358,8 @@ def known_d_engine(
     k = len(values)
     c_items = universal_items(values, items, alpha)
     if high_c_condition(len(c_items), n_agents, k, probs[0], epsilon):
-        return run_high_c(values, items, n_agents, c_items, alpha, arrival_ranks,
-                          partition_provider=partition_provider, check=check)
+        partition = default_alpha_partition(values[0], list(items), n_agents)
+        return run_high_c(partition, n_agents, c_items, arrival_ranks)
 
     served = min(len(c_items), n_agents)
     out: list[Bundle | None] = [Bundle((c_items[t],)) for t in range(served)]
@@ -390,8 +368,7 @@ def known_d_engine(
         c_set = set(c_items)
         rest_items = [g for g in items if g not in c_set]
         state = preprocess_low_c(
-            values, rest_items, n_agents - served, probs, alpha, epsilon,
-            check=check, strict=strict)
+            values, rest_items, n_agents - served, probs, alpha, epsilon)
         rest_ranks = arrival_ranks[served:]
         out.extend(run_low_c(state, rest_ranks))
         info.update(low_c_info(state, rest_ranks),
@@ -408,9 +385,6 @@ def run_known_d(
     alpha: Fraction | None = None,
     eta: Fraction | None = None,
     epsilon: Fraction,
-    partition_provider: PartitionProvider = default_alpha_partition,
-    check: bool = True,
-    strict: bool = False,
 ) -> tuple[Allocation, TrialReport]:
     """Full run on a normalized instance with original-id arrivals."""
     params = StochasticParams(claim_level(alpha, eta), epsilon)
@@ -420,10 +394,8 @@ def run_known_d(
     seq = list(arrivals)
     if len(seq) != n:
         raise InputError(f"arrival sequence has {len(seq)} types, expected {n}")
-    values_sorted = tuple(norm.base.type_values[orig] for orig in dist.order)
-    ranks = [dist.rank_of(t) for t in seq]
+    values_sorted, ranks = to_rank_space(norm, dist, seq)
     bundles, info = known_d_engine(
         values_sorted, list(range(norm.m_items)), n, dist.probs,
-        params.alpha, params.epsilon, ranks,
-        partition_provider=partition_provider, check=check, strict=strict)
+        params.alpha, params.epsilon, ranks)
     return finish_run(norm, seq, bundles, params.alpha, details=info)

@@ -21,15 +21,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .adversarial import TentativeState, run_adversarial, step_adversarial
+from .adversarial import TentativeState, run_adversarial, serve
 from .core import (
     Allocation,
     Bundle,
-    EMPTY_BUNDLE,
     FailureReason,
     InputError,
     NormalizedInstance,
-    PoolExhausted,
     TrialReport,
     TypeDistribution,
     as_fraction,
@@ -39,13 +37,12 @@ from .core import (
 from .exactpow import ceil_pow, pow_le
 from .rng import bernoulli, substream
 from .stochastic import (
-    PartitionProvider,
     claim_level,
-    default_alpha_partition,
     known_d_engine,
     low_c_info,
     preprocess_low_c,
     run_low_c,
+    to_rank_space,
     universal_items,
 )
 
@@ -121,8 +118,6 @@ def run_unknown_d(
     eta: Fraction | None = None,
     c,
     seed: int = 0,
-    check: bool = True,
-    partition_provider: PartitionProvider = default_alpha_partition,
     precomputed_universal: Sequence[int] | None = None,
 ) -> tuple[Allocation, TrialReport]:
     """Serve n agents whose types stream in from an unknown distribution.
@@ -145,7 +140,7 @@ def run_unknown_d(
 
     if window >= n:
         # too few agents to learn anything; fall back to the 1/k guarantee
-        allocation, rep = run_adversarial(norm, seq, alpha=alpha, check=check, strict=False)
+        allocation, rep = run_adversarial(norm, seq, alpha=alpha, strict=False)
         details["branch"] = "degenerate"
         if rep.details and rep.details.get("violations"):
             details["violations"] = rep.details["violations"]
@@ -167,12 +162,10 @@ def run_unknown_d(
         details["learned"] = [str(p) for p in learned.original_probs()]
         taken = set(c_items)
         rest_items = sorted([g for g in range(m) if g not in taken] + leftover_c)
-        values_sorted = tuple(norm.base.type_values[orig] for orig in learned.order)
-        ranks = [learned.rank_of(t) for t in seq[window:]]
+        values_sorted, ranks = to_rank_space(norm, learned, seq[window:])
         sub, info = known_d_engine(
             values_sorted, rest_items, n - window, learned.probs,
-            alpha, params.epsilon, ranks,
-            partition_provider=partition_provider, check=check)
+            alpha, params.epsilon, ranks)
         details["dispatch"] = info
         bundles.extend(sub)
     else:
@@ -201,19 +194,12 @@ def run_unknown_d(
         # learning stage: reservation allocator on basket 1 at claim level 1/2
         state = TentativeState.create(
             norm.base.type_values, basket1.items, learn_count,
-            thresholds=tuple(Fraction(1, 2) for _ in range(k)),
-            scales=tuple(Fraction(k, 2) for _ in range(k)),
-            check=False, strict=False)
+            threshold=Fraction(1, 2), check=False, strict=False)
         learn_types = seq[served_c:served_c + learn_count]
-        for t in learn_types:
-            try:
-                b = step_adversarial(state, t)
-            except PoolExhausted:
-                b = EMPTY_BUNDLE
-                state.arrived += 1
-                if reason is FailureReason.NONE:
-                    reason = FailureReason.VALUE_BELOW_ALPHA
-            bundles.append(b)
+        learn_bundles, dry = serve(state, learn_types)
+        bundles.extend(learn_bundles)
+        if dry:
+            reason = FailureReason.VALUE_BELOW_ALPHA
         if learn_types:
             learned = learn_distribution(learn_types, k)
         else:
@@ -223,11 +209,10 @@ def run_unknown_d(
 
         rest_agents = n - served_c - learn_count
         if rest_agents > 0:
-            values_sorted = tuple(norm.base.type_values[orig] for orig in learned.order)
-            ranks = [learned.rank_of(t) for t in seq[served_c + learn_count:]]
+            values_sorted, ranks = to_rank_space(norm, learned, seq[served_c + learn_count:])
             state2 = preprocess_low_c(
                 values_sorted, basket2.items, rest_agents, learned.probs,
-                alpha, params.epsilon, check=check)
+                alpha, params.epsilon)
             bundles.extend(run_low_c(state2, ranks))
             details["dispatch"] = {"branch": "lowC", **low_c_info(state2, ranks)}
 

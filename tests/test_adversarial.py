@@ -4,6 +4,7 @@ import pytest
 
 from mmsonline import (
     Bundle,
+    EMPTY_BUNDLE,
     Instance,
     NormalizedInstance,
     PoolExhausted,
@@ -18,7 +19,7 @@ from mmsonline import (
     tentative_policy,
     value,
 )
-from mmsonline.adversarial import TentativeState, preprocess
+from mmsonline.adversarial import TentativeState, preprocess, serve
 from mmsonline.generators import presaturation_bundles
 from mmsonline.rng import substream
 
@@ -71,7 +72,7 @@ def test_bag_filling_ascending_prefix():
     # twelve items each worth 1/6 to the arriving type: bag closes at {0,1,2}
     norm = _flat_norm(2, F(1, 6), 12)
     state = TentativeState.create(norm.base.type_values, range(12), 2,
-                                  thresholds=(F(1, 2),), scales=(F(1),))
+                                  threshold=F(1, 2))
     b = step_adversarial(state, 0)
     assert b == Bundle((0, 1, 2))
 
@@ -105,7 +106,7 @@ def test_run_guarantee_exhaustive_small():
     for seed in (0, 1):
         norm = gen_normalized_random(4, 10, 2, seed=seed)
         for seq in all_sequences(2, 4):
-            _, rep = run_adversarial(norm, seq, check=True, strict=True)
+            _, rep = run_adversarial(norm, seq)
             assert rep.min_ratio >= F(1, 2)
             assert rep.succeeded_at_alpha
 
@@ -113,7 +114,7 @@ def test_run_guarantee_exhaustive_small():
 def test_counterexample_instance_all_sequences():
     norm = gen_adv_counterexample(4, F(1, 32))
     for seq in all_sequences(2, 4):
-        _, rep = run_adversarial(norm, seq, check=True, strict=True)
+        _, rep = run_adversarial(norm, seq)
         assert rep.min_ratio >= F(1, 2)
 
 
@@ -134,7 +135,7 @@ def test_presaturation_bundling_breaks_naive_reserving():
 
 def test_single_agent_always_served():
     norm = gen_normalized_random(1, 4, 3, seed=5)
-    _, rep = run_adversarial(norm, [2], check=True, strict=True)
+    _, rep = run_adversarial(norm, [2])
     assert rep.min_ratio >= F(1, 3)
 
 
@@ -148,10 +149,37 @@ def test_k1_degenerate_flagged():
 def test_pool_exhaustion_raises():
     # item subset too poor for the claim level: no type ever claims
     state = TentativeState.create(((F(1, 4),) * 4,), [0, 1], 2,
-                                  thresholds=(F(3, 4),), scales=(F(3, 2),),
-                                  check=False)
+                                  threshold=F(3, 4), check=False)
     with pytest.raises(PoolExhausted):
         step_adversarial(state, 0)
+
+
+def _dry_then_reserved_state(strict: bool) -> TentativeState:
+    # type 0 can never claim (item 1 alone is worth 1/4 < 1/2); type 1 holds
+    # item 0 as a preprocessed singleton reserve
+    rows = ((F(0), F(1, 4)), (F(1), F(0)))
+    return TentativeState.create(rows, [0, 1], 2, check=False, strict=strict)
+
+
+def test_serve_non_strict_gives_empty_bundle_and_goes_on():
+    state = _dry_then_reserved_state(strict=False)
+    bundles, dry = serve(state, [0, 1])
+    assert dry is True
+    assert bundles == [EMPTY_BUNDLE, Bundle((0,))]
+    assert state.arrived == 2
+
+
+def test_serve_strict_raises_on_dry_pool():
+    state = _dry_then_reserved_state(strict=True)
+    with pytest.raises(PoolExhausted):
+        serve(state, [0, 1])
+
+
+def test_serve_reports_no_dry_pool_on_a_normal_run():
+    norm = gen_normalized_random(4, 10, 2, seed=0)
+    bundles, dry = serve(preprocess(norm), [0, 1, 1, 0])
+    assert dry is False
+    assert all(bundles)
 
 
 def test_seeded_random_tie_break_variant_keeps_guarantee():
@@ -159,7 +187,7 @@ def test_seeded_random_tie_break_variant_keeps_guarantee():
     for trial in range(6):
         rng = substream(trial, "tiebreak")
         for seq in [(0, 1, 2, 0), (2, 2, 1, 0)]:
-            _, rep = run_adversarial(norm, seq, check=True, strict=True, rng=rng)
+            _, rep = run_adversarial(norm, seq, rng=rng)
             assert rep.min_ratio >= F(1, 3)
 
 

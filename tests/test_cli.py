@@ -114,16 +114,45 @@ def _gen_instance_and_dist(tmp_path):
     ["run", "known-d", "--eta", "abc"],
     ["run", "known-d", "--eta=-1/2"],
     ["run", "unknown-d", "--c", "x/3", "--eta", "1/2"],
+    ["report"],
 ])
 def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     inst, dist = _gen_instance_and_dist(tmp_path)
     if case[0] == "mc":
         args = case + ["--trials", "2", "--instance", inst]
+    elif case[0] == "report":
+        args = case + ["--aggregate", inst]  # an instance, not an aggregate report
     else:
         args = case + ["--instance", inst, "--dist", dist]
     capsys.readouterr()
     assert run_cli(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_report_rejects_rows_without_csv_columns(tmp_path, capsys):
+    agg = tmp_path / "agg.json"
+    assert run_cli(["mc", "--algorithm", "adversarial", "--trials", "2",
+                    "--generator", "normalized-random",
+                    "--generator-params", '{"n": 3, "m": 8, "k": 2}',
+                    "--dist", '["1/2", "1/2"]', "--out", str(agg)]) == 0
+    obj = json.loads(agg.read_text())
+    obj["rows"] = [{"trial": 0}]
+    agg.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli(["report", "--aggregate", str(agg), "--format", "csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_adversarial_rejects_trials(tmp_path, capsys):
+    inst, _ = _gen_instance_and_dist(tmp_path)
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"sequence": [0] * 12}))
+    capsys.readouterr()
+    assert run_cli(["run", "adversarial", "--instance", inst, "--arrivals", str(seq),
+                    "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "mc" in captured.err
 
 
 def test_gen_lower_bound_and_tight_instances(tmp_path):

@@ -173,22 +173,14 @@ def _high_c_fixture():
     return norm
 
 
-def _witness_partition_provider(norm, rank_rows):
-    def provider(valuation, items, n, alpha):
-        # rank 0 is instance type 0 here; reuse its stored witness
-        return list(norm.witness_partitions[0])
-    return provider
-
-
 def test_high_c_mechanics_and_drain_order():
     norm = _high_c_fixture()
     rows = norm.base.type_values
     c_items = universal_items(rows, range(6), F(1, 2))
     assert c_items == [1, 2]
-    provider = _witness_partition_provider(norm, rows)
+    # rank 0 is instance type 0 here; reuse its stored witness.
     # two rank-0 agents first: they drain the C-free reserve, then A serves the rest
-    out, info = run_high_c(rows, list(range(6)), 4, c_items, F(1, 2),
-                           [0, 0, 1, 1], partition_provider=provider)
+    out, info = run_high_c(norm.witness_partitions[0], 4, c_items, [0, 0, 1, 1])
     assert info["branch"] == "highC"
     assert out[0] == Bundle((3,)) and out[1] == Bundle((4, 5))
     assert out[2] == Bundle((0, 1)) and out[3] == Bundle((2,))
@@ -197,34 +189,21 @@ def test_high_c_mechanics_and_drain_order():
 
 def test_high_c_records_failure_when_type0_scarce():
     norm = _high_c_fixture()
-    rows = norm.base.type_values
-    provider = _witness_partition_provider(norm, rows)
     # no rank-0 arrivals at all: A runs out after two agents
-    out, _ = run_high_c(rows, list(range(6)), 4, [1, 2], F(1, 2),
-                        [1, 1, 1, 1], partition_provider=provider)
+    out, _ = run_high_c(norm.witness_partitions[0], 4, [1, 2], [1, 1, 1, 1])
     assert out[2] is None and out[3] is None
 
 
 def test_high_c_splits_multi_universal_bundles():
-    rows = ((F(1), F(1), F(0), F(0)), (F(1), F(1), F(0), F(0)))
-
-    def provider(valuation, items, n, alpha):
-        return [Bundle((0, 1)), Bundle((2, 3))]
-
-    out, _ = run_high_c(rows, [0, 1, 2, 3], 2, [0, 1], F(1, 2), [1, 1],
-                        partition_provider=provider)
+    partition = [Bundle((0, 1)), Bundle((2, 3))]
+    out, _ = run_high_c(partition, 2, [0, 1], [1, 1])
     # the doubled bundle was split: both agents get exactly one universal item
     assert out[0] == Bundle((0,)) and out[1] == Bundle((1,))
 
 
 def test_high_c_reserve_stays_empty_when_c_covers_everyone():
-    rows = ((F(1), F(1)), (F(1), F(1)))
-
-    def provider(valuation, items, n, alpha):
-        return [Bundle((0,)), Bundle((1,))]
-
-    out, info = run_high_c(rows, [0, 1], 2, [0, 1], F(1, 2), [0, 1],
-                           partition_provider=provider)
+    partition = [Bundle((0,)), Bundle((1,))]
+    out, info = run_high_c(partition, 2, [0, 1], [0, 1])
     assert info["reserve0"] == 0  # |C| >= agents: nothing is set aside
     assert out == [Bundle((0,)), Bundle((1,))]
 

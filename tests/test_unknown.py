@@ -162,6 +162,29 @@ def test_unknown_d_degenerate_window_flag():
     assert "degenerateScale" in rep.flags
 
 
+def test_learning_stage_claims_at_half_with_scale_k_over_2(monkeypatch):
+    import mmsonline.unknown as unknown
+
+    real_serve = unknown.serve
+    seen = []
+
+    def spy(state, arrivals):
+        seen.append(state)
+        return real_serve(state, arrivals)
+
+    monkeypatch.setattr(unknown, "serve", spy)
+    k = 2
+    norm = gen_normalized_random(6, 24, k, seed=13, weight_lo=3, weight_hi=4)
+    seq = sample_arrivals(TypeDistribution.from_probs([F(1, 2), F(1, 2)]), 6,
+                          substream(5, "ukd3"))
+    _, rep = run_unknown_d(norm, seq, eta=F(1, 2), c=F(1, 20), seed=9)
+    assert rep.details["branch"] == "splitAndLearn"
+    (state,) = seen
+    assert state.threshold == F(1, 2)
+    assert state.scale == k * state.threshold == F(k, 2)
+    assert not state.check and not state.strict
+
+
 def test_restricted_share_layering_desk_scale():
     # verify the learning-stage layering literally at desk scale: the
     # basket-restricted share of every type is at least the k/2 floor the
