@@ -47,8 +47,12 @@ class TentativeState:
     """Full mutable state of one online run.
 
     ``remaining`` is the set of never-allocated items; the pool of fillable
-    items (remaining minus everything reserved) is kept as an ascending list
-    with a cursor and rebuilt only when a trimmed reserve returns items.
+    items (remaining minus the items of every bundle in ``bundle_refs``, which
+    counts each bundle's places in the reserve queues) is kept as an
+    ascending list with a cursor and rebuilt only when a trimmed reserve
+    returns items.  Items leave the fillable set only in bags cut from before
+    the cursor (a served reserve was never in the pool), so every item from
+    the cursor on is fillable.
 
     ``threshold`` is every type's claim level and ``scale = k * threshold``
     the share unit used by the bookkeeping checks; on a normalized instance
@@ -71,8 +75,7 @@ class TentativeState:
     rng: random.Random | None = None
     pool: list[int] = field(default_factory=list)
     pool_pos: int = 0
-    reserved_items: set[int] = field(default_factory=set)
-    bundle_refs: dict[Bundle, int] = field(default_factory=dict)
+    bundle_refs: Counter[Bundle] = field(default_factory=Counter)
     violations: list[str] = field(default_factory=list)
     trace: list[dict] | None = None
 
@@ -134,7 +137,6 @@ class TentativeState:
             strict=strict,
             rng=rng,
             pool=[g for g in item_list if g not in reserved],
-            reserved_items=reserved,
             bundle_refs=refs,
             trace=[] if trace else None,
         )
@@ -159,23 +161,12 @@ class TentativeState:
         # Enough reserves for every agent arriving after the current one.
         return len(self.reserves[j]) >= self.n - current_t
 
-    def _valid_pool_item(self, g: int) -> bool:
-        return g in self.remaining and g not in self.reserved_items
-
     def _rebuild_pool(self) -> None:
-        self.pool = [g for g in sorted(self.remaining) if g not in self.reserved_items]
+        reserved = {g for b in self.bundle_refs for g in b}
+        self.pool = [g for g in sorted(self.remaining) if g not in reserved]
         if self.rng is not None:
             self.rng.shuffle(self.pool)
         self.pool_pos = 0
-
-    def _reserve_ref(self, bundle: Bundle, delta: int) -> None:
-        cnt = self.bundle_refs.get(bundle, 0) + delta
-        if cnt > 0:
-            self.bundle_refs[bundle] = cnt
-            self.reserved_items.update(bundle)
-        else:
-            self.bundle_refs.pop(bundle, None)
-            self.reserved_items.difference_update(bundle)
 
     def _allocate(self, bundle: Bundle) -> None:
         self.remaining.difference_update(bundle)
@@ -188,7 +179,7 @@ class TentativeState:
         open_types = [j for j in self.check_types if not self._demand_saturated(j, current_t)]
         if not open_types:
             return
-        for g in filter(self._valid_pool_item, self.pool[self.pool_pos:]):
+        for g in self.pool[self.pool_pos:]:
             for j in open_types:
                 if self.values[j][g] >= self.threshold:
                     self._violate(
@@ -225,8 +216,6 @@ class TentativeState:
         while self.pool_pos < len(self.pool):
             g = self.pool[self.pool_pos]
             self.pool_pos += 1
-            if not self._valid_pool_item(g):
-                continue
             bag.append(g)
             for j in range(self.k):
                 vals[j] += self.values[j][g]
@@ -275,10 +264,8 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle:
         idx = state.rng.randrange(len(state.reserves[i])) if state.rng is not None else 0
         allocated = state.reserves[i][idx]
         for j in range(state.k):
-            before = len(state.reserves[j])
             state.reserves[j] = deque(b for b in state.reserves[j] if b != allocated)
-            for _ in range(before - len(state.reserves[j])):
-                state._reserve_ref(allocated, -1)
+        del state.bundle_refs[allocated]
         state._allocate(allocated)
         if state.trace is not None:
             state.trace.append({"event": "serveReserve", "agent": t, "type": i,
@@ -303,9 +290,9 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle:
                                         "remaining": len(state.remaining)})
                 break
             bundle = Bundle(tuple(bag))
+            state.bundle_refs[bundle] += len(claimants)
             for j in claimants:
                 state.reserves[j].append(bundle)
-                state._reserve_ref(bundle, +1)
                 if len(state.reserves[j]) >= state.n - t:
                     state.unsaturated.discard(j)
             if state.trace is not None:
@@ -327,8 +314,9 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle:
                 del state.reserves[j][pick]
             else:
                 dropped = state.reserves[j].pop()  # most recently added
-            state._reserve_ref(dropped, -1)
-            if dropped not in state.bundle_refs:
+            state.bundle_refs[dropped] -= 1
+            if not state.bundle_refs[dropped]:
+                del state.bundle_refs[dropped]
                 dirty = True
             if state.trace is not None:
                 state.trace.append({"event": "release", "type": j, "items": list(dropped.items)})

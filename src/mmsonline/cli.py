@@ -26,10 +26,18 @@ def _load_dist(path: str) -> TypeDistribution:
     return jsonio.distribution_from_obj(jsonio.load(path))
 
 
+def _json_arg(text: str):
+    """A flag's JSON value; malformed JSON is an input error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON {text!r}: {exc}") from exc
+
+
 def _probs(spec: str | None) -> tuple[str, ...] | None:
     """A JSON list of probabilities, or a distribution file's, as strings."""
     if spec and spec.startswith("["):
-        return tuple(json.loads(spec))
+        return tuple(_json_arg(spec))
     return tuple(jsonio.distribution_to_obj(_load_dist(spec))["probs"]) if spec else None
 
 
@@ -144,7 +152,7 @@ def _cmd_mc(args) -> int:
         master_seed=args.seed,
         instance_obj=jsonio.load(args.instance) if args.instance else None,
         generator=args.generator,
-        generator_params=json.loads(args.generator_params) if args.generator_params else None,
+        generator_params=_json_arg(args.generator_params) if args.generator_params else None,
         fresh_instance_per_trial=not args.fixed_instance,
         dist=_probs(args.dist),
         hidden_dist=_probs(args.hidden_dist),

@@ -1,10 +1,10 @@
 """Exact comparisons, floors and ceilings for expressions that mix rationals
 with rational powers of integers, e.g. ``mu + n**(a/b) * sqrt(mu)``.
 
-All decisions here are made with integer arithmetic.  Floats appear only as
-initial guesses that are then verified and, if needed, corrected exactly.
-This matters in practice: ``5000**(41/60)`` is 336.99969..., so a float
-ceiling is one ULP away from being wrong.
+All decisions here are made with integer arithmetic; no float is ever
+formed.  This matters in practice: ``5000**(41/60)`` is 336.99969..., so a
+float ceiling is one ULP away from being wrong, and float powers overflow
+long before the integers do.
 """
 
 from __future__ import annotations
@@ -61,37 +61,30 @@ def pow_sqrt_le(n: int, exponent: Fraction, radicand: Fraction, threshold: Fract
 
 
 def floor_plus_pow_sqrt(base: Fraction, n: int, exponent: Fraction, radicand: Fraction) -> int:
-    """``floor(base + n**exponent * sqrt(radicand))``, exactly."""
+    """``floor(base + n**exponent * sqrt(radicand))``, exactly.
+
+    With base = num/den and exponent = a/b, den * n**(a/b) * sqrt(q) is the
+    2b-th root of R = den**(2b) * n**(2a) * q**b, and the floor of a
+    rational's r-th root is the floor of the root of its integer part.
+    """
     if n < 0 or radicand < 0 or exponent < 0:
         raise ValueError("requires nonnegative n, exponent, radicand")
     if n == 0 or radicand == 0:
         return math.floor(base)
-    est = float(base) + math.exp(math.log(n) * float(exponent)) * math.sqrt(float(radicand))
-    f = math.floor(est)
-    # f <= base + x  <=>  x >= f - base
-    while not pow_sqrt_ge(n, exponent, radicand, Fraction(f) - base):
-        f -= 1
-    while pow_sqrt_ge(n, exponent, radicand, Fraction(f + 1) - base):
-        f += 1
-    return f
+    a, b = exponent.numerator, exponent.denominator
+    num, den = base.numerator, base.denominator
+    r = den ** (2 * b) * n ** (2 * a) * radicand.numerator ** b // radicand.denominator ** b
+    return (num + int_nth_root(r, 2 * b)) // den
 
 
 def ceil_pow(n: int, exponent: Fraction) -> int:
-    """``ceil(n ** exponent)`` for n >= 1, exponent >= 0, exactly."""
+    """``ceil(n ** exponent)`` for n >= 1, exponent >= 0, exactly: one more
+    than the floor of the b-th root of n**a - 1 (exponent = a/b)."""
     if n < 1:
         raise ValueError("requires n >= 1")
     if exponent < 0:
         raise ValueError("requires exponent >= 0")
-    a, b = exponent.numerator, exponent.denominator
-    if a == 0 or n == 1:
-        return 1
-    target = n ** a
-    w = max(1, math.ceil(math.exp(math.log(n) * a / b)))
-    while w ** b < target:
-        w += 1
-    while w > 1 and (w - 1) ** b >= target:
-        w -= 1
-    return w
+    return int_nth_root(n ** exponent.numerator - 1, exponent.denominator) + 1
 
 
 def pow_le(n: int, exponent: Fraction, threshold: Fraction) -> bool:
@@ -131,18 +124,16 @@ def pow_bracket(n: int, exponent: Fraction, digits: int) -> tuple[Fraction, Frac
     return Fraction(r, s), Fraction(r + 1, s)
 
 
-def pow_sqrt_sum_ge(
-    n: int,
-    exponent: Fraction,
-    radicands: Sequence[Fraction],
-    threshold: Fraction,
-    max_digits: int = 192,
-) -> bool:
+SUM_BRACKET_DIGITS = 192
+
+
+def pow_sqrt_sum_ge(n: int, exponent: Fraction, radicands: Sequence[Fraction],
+                    threshold: Fraction) -> bool:
     """Decide ``n**exponent * sum_j sqrt(radicands[j]) >= threshold``.
 
     A sum of square roots has no single-radical closed form, so this uses
-    escalating-precision rational brackets.  An exact tie, which brackets
-    can never separate, counts as >=.
+    escalating-precision rational brackets, up to ``SUM_BRACKET_DIGITS``
+    digits.  An exact tie, which brackets can never separate, counts as >=.
     """
     if threshold <= 0:
         return True
@@ -161,6 +152,6 @@ def pow_sqrt_sum_ge(
             return True
         if phi * hi < threshold:
             return False
-        if digits >= max_digits:
+        if digits >= SUM_BRACKET_DIGITS:
             return True
         digits *= 2

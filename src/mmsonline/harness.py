@@ -10,6 +10,7 @@ the whole experiment with a reproducer.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -36,6 +37,11 @@ from .stochastic import run_known_d
 from .unknown import run_unknown_d
 
 ALGORITHMS = ("adversarial", "known-d", "unknown-d")
+
+# Read once at import, so a registry entry that is later replaced by a
+# wrapper still reports its generator's parameters.
+_GENERATOR_SIGNATURES = {name: inspect.signature(gen)
+                        for name, gen in generators.GENERATORS.items()}
 
 
 def run_algorithm(
@@ -106,6 +112,13 @@ class McConfig:
             raise InputError("give exactly one of instance_obj or generator")
         if self.arrivals not in ("iid", "exhaustive"):
             raise InputError("arrivals must be 'iid' or 'exhaustive'")
+        if self.generator is not None:
+            if self.generator not in _GENERATOR_SIGNATURES:
+                raise InputError(f"unknown generator {self.generator!r}")
+            try:  # a TypeError: not an object, or not the generator's parameters
+                _GENERATOR_SIGNATURES[self.generator].bind(**(self.generator_params or {}))
+            except TypeError as exc:
+                raise InputError(f"generator_params for {self.generator!r}: {exc}") from exc
 
     def to_obj(self) -> dict:
         # parallelism is an execution detail, not experiment identity
@@ -122,8 +135,9 @@ def _resolve_instance(config: McConfig, trial: int) -> NormalizedInstance:
     if config.instance_obj is not None:
         return jsonio.load_normalized(config.instance_obj)
     params = dict(config.generator_params or {})
-    seed_key = trial if config.fresh_instance_per_trial else 0
-    params.setdefault("seed", substream(config.master_seed, "instance", seed_key).randrange(2**48))
+    if "seed" in _GENERATOR_SIGNATURES[config.generator].parameters:
+        seed_key = trial if config.fresh_instance_per_trial else 0
+        params.setdefault("seed", substream(config.master_seed, "instance", seed_key).randrange(2**48))
     gen = generators.GENERATORS[config.generator]
     out = gen(**params)
     if isinstance(out, tuple):  # generators returning (instance, distribution)
@@ -275,7 +289,7 @@ def monte_carlo(config: McConfig) -> AggregateReport:
         success_rate=(sum(1 for r in rows if r["success"]) / len(rows)) if rows else 0.0,
         failure_histogram=dict(sorted(histogram.items())),
         invariant_violations=0,
-        min_ratio_overall=min((row["minRatio"] for row in rows), key=_ratio_float, default="1/1"),
+        min_ratio_overall=min((row["minRatio"] for row in rows), key=Fraction, default="1/1"),
         mean_min_ratio=(sum(ratios) / len(ratios)) if ratios else 0.0,
         quantiles={"p05": q(0.05), "p50": q(0.50), "p95": q(0.95)},
     )
@@ -292,7 +306,7 @@ def _ratio_float(s: str) -> float:
 def perturb(instance: Instance, beta: Fraction, seed: int) -> Instance:
     """Multiply every value by an independent seeded factor in [1/beta, beta].
 
-    Factors are rational (drawn from a uniform grid), so the perturbed
+    Factors are rational (``rng.uniform_fraction`` draws), so the perturbed
     instance stays exact and satisfies v/beta <= v_perturbed <= v*beta
     entrywise by construction.
     """

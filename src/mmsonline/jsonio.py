@@ -69,11 +69,14 @@ def normalized_from_obj(obj: dict) -> NormalizedInstance | None:
     if "mms" not in obj or "witnesses" not in obj:
         return None
     inst = instance_from_obj(obj)
-    witnesses = tuple(
-        tuple(Bundle(tuple(b)) for b in part) for part in obj["witnesses"]
-    )
-    mms = tuple(as_fraction(v) for v in obj["mms"])
-    zero = frozenset(obj.get("zeroMmsTypes", ()))
+    try:
+        witnesses = tuple(
+            tuple(Bundle(tuple(b)) for b in part) for part in obj["witnesses"]
+        )
+        mms = tuple(as_fraction(v) for v in obj["mms"])
+        zero = frozenset(obj.get("zeroMmsTypes", ()))
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed share partitions: {exc}") from exc
     return NormalizedInstance(inst, mms, witnesses, zero)
 
 

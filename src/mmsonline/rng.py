@@ -42,10 +42,14 @@ def categorical(rng: random.Random, probs: Sequence[Fraction]) -> int:
     return len(probs) - 1
 
 
-def uniform_fraction(rng: random.Random, lo: Fraction, hi: Fraction, grid: int = 10**6) -> Fraction:
-    """Rational draw from a uniform grid over [lo, hi], endpoints included."""
+UNIFORM_STEPS = 10**6
+
+
+def uniform_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    """Rational draw, uniform over the ``UNIFORM_STEPS + 1`` evenly spaced
+    points of [lo, hi], endpoints included."""
     if hi < lo:
         raise ValueError("empty interval")
     if hi == lo:
         return lo
-    return lo + (hi - lo) * Fraction(rng.randrange(grid + 1), grid)
+    return lo + (hi - lo) * Fraction(rng.randrange(UNIFORM_STEPS + 1), UNIFORM_STEPS)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .core import (
@@ -158,31 +159,18 @@ def preprocess_low_c(
     last_type = order[-1]
 
     reserves: list[deque[Bundle]] = [deque() for _ in range(k)]
-    consumed: list[set[int]] = [set() for _ in range(k)]
     singleton_counts = [0] * k
     unsaturated = set(range(k))
     remaining = set(item_list)
-    for pos, i in enumerate(order):
-        while len(reserves[i]) < caps[i]:
-            pick = None
-            for g in high_sets[i]:
-                if g in consumed[i] or g in high_lookup[last_type]:
-                    continue
-                pick = g
-                break
-            if pick is None:
-                for g in high_sets[i]:
-                    if g not in consumed[i]:
-                        pick = g
-                        break
-            if pick is None:
-                break
-            reserves[i].append(Bundle((pick,)))
-            singleton_counts[i] += 1
-            remaining.discard(pick)
-            for j in order[pos:]:
-                consumed[j].add(pick)
-        if len(reserves[i]) == caps[i]:
+    for i in order:
+        # one walk: items the last type does not value highly first, each
+        # group ascending (a stable sort on a boolean key)
+        ranked = sorted(high_sets[i], key=high_lookup[last_type].__contains__)
+        picks = list(islice((g for g in ranked if g in remaining), caps[i]))
+        reserves[i].extend(Bundle((g,)) for g in picks)
+        singleton_counts[i] = len(picks)
+        remaining.difference_update(picks)
+        if len(picks) == caps[i]:
             unsaturated.discard(i)
 
     state = LowCState(
@@ -194,10 +182,9 @@ def preprocess_low_c(
 
     # whoever is still open has exhausted its reachable high-valued items
     for i in unsaturated:
-        for g in sorted(remaining):
-            if values[i][g] >= alpha:
-                violate(f"open type {i} left high-valued item {g} unreserved")
-                break
+        left = next((g for g in high_sets[i] if g in remaining), None)
+        if left is not None:
+            violate(f"open type {i} left high-valued item {left} unreserved")
     # and cannot hold too many high-valued items overall
     pk = probs[-1]
     mus = [nprime * p for p in probs]

@@ -32,7 +32,6 @@ from .core import (
     TypeDistribution,
     as_fraction,
     finish_run,
-    value,
 )
 from .exactpow import ceil_pow, pow_le
 from .rng import bernoulli, substream
@@ -182,11 +181,6 @@ def run_unknown_d(
         basket1, basket2 = random_split(rest, p, substream(seed, "split"))
         details["basket1"] = len(basket1)
         details["basket2"] = len(basket2)
-        basket1_values = [value(row, basket1) for row in norm.base.type_values]
-        details["basket1Values"] = [str(v) for v in basket1_values]
-        details["basket1ConcentrationOk"] = all(
-            basket_value_ok(v, n, k, window, params)
-            for i, v in enumerate(basket1_values) if i not in zero)
 
         learn_count = min(window, n - served_c)
         if learn_count < window:
@@ -195,6 +189,11 @@ def run_unknown_d(
         state = TentativeState.create(
             norm.base.type_values, basket1.items, learn_count,
             threshold=Fraction(1, 2), check=False, strict=False)
+        # basket 1's value to each type, before serving spends any of it
+        details["basket1Values"] = [str(v) for v in state.remaining_value]
+        details["basket1ConcentrationOk"] = all(
+            basket_value_ok(v, n, k, window, params)
+            for i, v in enumerate(state.remaining_value) if i not in zero)
         learn_types = seq[served_c:served_c + learn_count]
         learn_bundles, dry = serve(state, learn_types)
         bundles.extend(learn_bundles)

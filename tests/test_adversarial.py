@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -189,6 +191,39 @@ def test_seeded_random_tie_break_variant_keeps_guarantee():
         for seq in [(0, 1, 2, 0), (2, 2, 1, 0)]:
             _, rep = run_adversarial(norm, seq, rng=rng)
             assert rep.min_ratio >= F(1, 3)
+
+
+def _assert_cursor_items_fillable(state):
+    queued = [b for dq in state.reserves for b in dq]
+    assert state.bundle_refs == Counter(queued)
+    reserved = {g for b in queued for g in b}
+    for g in state.pool[state.pool_pos:]:
+        assert g in state.remaining and g not in reserved
+
+
+def test_pool_cursor_never_passes_over_taken_items():
+    rng = random.Random(3)
+    dry_runs = 0
+    for seed in range(12):
+        n, k = rng.randint(2, 6), rng.randint(2, 3)
+        norm = gen_normalized_random(n, n * rng.randint(2, 4), k, seed=seed)
+        seq = [rng.randrange(k) for _ in range(n)]
+        rows = norm.base.type_values
+        basket = sorted(rng.sample(range(norm.m_items), norm.m_items // 2))
+        states = [
+            preprocess(norm),                                  # FIFO
+            preprocess(norm, rng=substream(seed, "tiebreak")),  # seeded random picks
+            # half the items at claim level 1/2: the pool may run dry
+            TentativeState.create(rows, basket, n, threshold=F(1, 2),
+                                  check=False, strict=False),
+        ]
+        for state in states:
+            _assert_cursor_items_fillable(state)
+            for t in seq:
+                _, dry = serve(state, [t])
+                dry_runs += dry
+                _assert_cursor_items_fillable(state)
+    assert dry_runs > 0
 
 
 def test_arrival_length_checked():

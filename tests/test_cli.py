@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +82,16 @@ def test_mc_and_report_roundtrip(tmp_path):
     assert len(lines) == 9
 
 
+def test_mc_generator_without_seed_parameter(tmp_path):
+    # the tightness constructions are deterministic and take no seed
+    agg = tmp_path / "agg.json"
+    assert run_cli(["mc", "--algorithm", "adversarial", "--trials", "2",
+                    "--generator", "tight-half", "--generator-params", '{"k": 2, "n": 4}',
+                    "--dist", '["1/2", "1/2"]', "--out", str(agg)]) == 0
+    rows = json.loads(agg.read_text())["rows"]
+    assert [(r["n"], r["k"]) for r in rows] == [(4, 2), (4, 2)]
+
+
 def test_perturb_cli(tmp_path):
     inst = tmp_path / "inst.json"
     run_cli(["gen", "random", "--n", "3", "--m", "6", "--k", "2", "--seed", "8",
@@ -107,23 +118,37 @@ def _gen_instance_and_dist(tmp_path):
     return str(inst), str(dist)
 
 
+MC_ADV = ["mc", "--algorithm", "adversarial", "--trials", "2", "--dist", '["1/3", "1/3", "1/3"]',
+          "--generator", "normalized-random"]
+
+
+# INST, DIST and BAD_WITNESS stand for files the test writes; INST is an
+# instance, not an aggregate report, so ``report`` must reject it.
 @pytest.mark.parametrize("case", [
-    ["mc", "--algorithm", "known-d", "--eta", "1/2", "--dist", '["1/3", "1/3", "1/3"]'],
-    ["mc", "--algorithm", "unknown-d", "--eta", "1/2", "--hidden-dist", '["1/3", "1/3", "1/3"]'],
-    ["run", "known-d", "--alpha", "1/0"],
-    ["run", "known-d", "--eta", "abc"],
-    ["run", "known-d", "--eta=-1/2"],
-    ["run", "unknown-d", "--c", "x/3", "--eta", "1/2"],
-    ["report"],
+    ["mc", "--algorithm", "known-d", "--eta", "1/2", "--dist", '["1/3", "1/3", "1/3"]',
+     "--trials", "2", "--instance", "INST"],
+    ["mc", "--algorithm", "unknown-d", "--eta", "1/2", "--hidden-dist", '["1/3", "1/3", "1/3"]',
+     "--trials", "2", "--instance", "INST"],
+    ["run", "known-d", "--alpha", "1/0", "--instance", "INST", "--dist", "DIST"],
+    ["run", "known-d", "--eta", "abc", "--instance", "INST", "--dist", "DIST"],
+    ["run", "known-d", "--eta=-1/2", "--instance", "INST", "--dist", "DIST"],
+    ["run", "unknown-d", "--c", "x/3", "--eta", "1/2", "--instance", "INST", "--dist", "DIST"],
+    ["report", "--aggregate", "INST"],
+    ["mc", "--algorithm", "adversarial", "--trials", "2", "--dist", "[1/3, 1/3, 1/3]",
+     "--instance", "INST"],
+    MC_ADV + ["--generator-params", "{n:3}"],
+    MC_ADV + ["--generator-params", "[1, 2]"],
+    MC_ADV + ["--generator-params", '{"n": 3, "m": 8, "k": 3, "size": 4}'],
+    ["run", "adversarial", "--enumerate", "--instance", "BAD_WITNESS"],
 ])
 def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     inst, dist = _gen_instance_and_dist(tmp_path)
-    if case[0] == "mc":
-        args = case + ["--trials", "2", "--instance", inst]
-    elif case[0] == "report":
-        args = case + ["--aggregate", inst]  # an instance, not an aggregate report
-    else:
-        args = case + ["--instance", inst, "--dist", dist]
+    obj = json.loads(Path(inst).read_text())
+    obj["witnesses"][0][0] = 5  # a bare item where a bundle belongs
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    files = {"INST": inst, "DIST": dist, "BAD_WITNESS": str(bad)}
+    args = [files.get(a, a) for a in case]
     capsys.readouterr()
     assert run_cli(args) == 1
     assert capsys.readouterr().err.startswith("error: ")

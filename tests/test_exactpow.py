@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mmsonline.exactpow import (
     ceil_pow,
@@ -16,6 +16,8 @@ from mmsonline.exactpow import (
     pow_sqrt_sum_ge,
     sqrt_bracket,
 )
+from mmsonline.stochastic import reservation_cap
+from mmsonline.unknown import UnknownParams
 
 
 @given(st.integers(0, 10**12), st.integers(1, 7))
@@ -73,12 +75,40 @@ def test_ceil_pow_near_integer_boundary():
     assert ceil_pow(100, F(0)) == 1
 
 
-@given(st.integers(1, 2000), st.fractions(min_value=0, max_value=3, max_denominator=10))
+@settings(deadline=None)
+@given(st.integers(1, 10**40), st.fractions(min_value=0, max_value=3, max_denominator=10))
 def test_ceil_pow_definition(n, eps):
     w = ceil_pow(n, eps)
     a, b = eps.numerator, eps.denominator
     assert w ** b >= n ** a
     assert w == 1 or (w - 1) ** b < n ** a
+
+
+def _is_floor_plus_pow_sqrt(f, base, n, eps, rad):
+    # f <= base + n^eps sqrt(rad) < f + 1
+    return pow_sqrt_ge(n, eps, rad, f - base) and not pow_sqrt_ge(n, eps, rad, f + 1 - base)
+
+
+@settings(deadline=None)
+@given(st.fractions(min_value=-100, max_value=10**6, max_denominator=60),
+       st.integers(0, 10**40),
+       st.fractions(min_value=0, max_value=1, max_denominator=12),
+       st.fractions(min_value=0, max_value=10**6, max_denominator=60))
+def test_floor_plus_pow_sqrt_definition(base, n, eps, rad):
+    assert _is_floor_plus_pow_sqrt(floor_plus_pow_sqrt(base, n, eps, rad), base, n, eps, rad)
+
+
+def test_floors_and_ceilings_at_extreme_n():
+    # far past float range: these are integer roots, not float guesses
+    assert ceil_pow(10**800, F(1, 2)) == 10**400
+    params = UnknownParams.for_instance(10**800, F(1, 20))
+    w, (a, b) = params.learn_window, (41, 60)
+    assert params.epsilon_prime == F(a, b)
+    assert w ** b >= 10 ** (800 * a) > (w - 1) ** b
+    for nprime in (10**30, 10**400):
+        mu = nprime * F(1, 3)
+        assert _is_floor_plus_pow_sqrt(reservation_cap(nprime, F(1, 3), F(1, 10)),
+                                       mu, nprime, F(1, 10), mu)
 
 
 def test_pow_le():

@@ -10,6 +10,7 @@ from mmsonline import (
     normalize,
     perturb,
 )
+from mmsonline import harness
 from mmsonline.harness import (
     AggregateReport,
     CSV_COLUMNS,
@@ -166,3 +167,17 @@ def test_mcconfig_validation():
         McConfig(algorithm="nope", trials=1, master_seed=0, generator="random")
     with pytest.raises(Exception):
         McConfig(algorithm="adversarial", trials=1, master_seed=0)  # no instance source
+
+
+def test_min_ratio_overall_by_exact_order(monkeypatch):
+    # the binary double nearest 1/3 lies just below it: as floats the two tie
+    third, below = "1/3", "6004799503160661/18014398509481984"
+    assert F(below) < F(third) and float(F(below)) == float(F(third))
+    cfg = McConfig(algorithm="adversarial", trials=2, master_seed=0,
+                   instance_obj=_fixed_instance_obj(), dist=UNIFORM2)
+    for ratios in ([third, below], [below, third]):
+        def fake_trial(config, trial, ratios=ratios):
+            return {"trial": trial, "minRatio": ratios[trial], "success": True,
+                    "failureReason": "none", "violations": 0}
+        monkeypatch.setattr(harness, "run_trial", fake_trial)
+        assert monte_carlo(cfg).min_ratio_overall == below

@@ -1,3 +1,5 @@
+import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -11,11 +13,14 @@ from mmsonline import (
     TypeDistribution,
     gen_normalized_random,
     gen_tightness_half,
+    gen_tightness_pk,
     run_known_d,
     sample_arrivals,
     value,
 )
+from mmsonline.exactpow import pow_sqrt_sum_ge
 from mmsonline.stochastic import (
+    LowCState,
     StochasticParams,
     high_c_condition,
     known_d_engine,
@@ -102,6 +107,118 @@ def test_turn_loop_prefers_items_outside_last_types_set():
         for b in dq:
             assert not (set(b.items) & seen)
             seen.update(b.items)
+
+
+def _rescanning_preprocess_low_c(values, items, nprime, probs, alpha, epsilon):
+    """Reference: ``preprocess_low_c`` with its earlier turn phase, which
+    tracks the items each type has seen consumed and rescans the high set
+    for every pick, and a full scan for the items an open type left."""
+    k = len(values)
+    item_list = sorted(set(items))
+    high_sets = [[g for g in item_list if values[i][g] >= alpha] for i in range(k)]
+    high_lookup = [set(t) for t in high_sets]
+    caps = [reservation_cap(nprime, p, epsilon) for p in probs]
+    order = None
+    for i in range(k):
+        for j in range(k):
+            if i != j and 2 * len(high_lookup[i] - high_lookup[j]) >= nprime * probs[i]:
+                order = [i] + [x for x in range(k) if x not in (i, j)] + [j]
+                break
+        if order is not None:
+            break
+    order = order or list(range(k))
+    last_type = order[-1]
+    reserves = [deque() for _ in range(k)]
+    consumed = [set() for _ in range(k)]
+    singleton_counts = [0] * k
+    unsaturated = set(range(k))
+    remaining = set(item_list)
+    for pos, i in enumerate(order):
+        while len(reserves[i]) < caps[i]:
+            pick = next((g for g in high_sets[i]
+                         if g not in consumed[i] and g not in high_lookup[last_type]), None)
+            if pick is None:
+                pick = next((g for g in high_sets[i] if g not in consumed[i]), None)
+            if pick is None:
+                break
+            reserves[i].append(Bundle((pick,)))
+            singleton_counts[i] += 1
+            remaining.discard(pick)
+            for j in order[pos:]:
+                consumed[j].add(pick)
+        if len(reserves[i]) == caps[i]:
+            unsaturated.discard(i)
+    state = LowCState(high_sets=high_sets, reserves=reserves, caps=caps,
+                      singleton_counts=singleton_counts, order=order,
+                      last_type=last_type, unsaturated=set(unsaturated))
+    violate = state.violations.append
+    for i in unsaturated:
+        for g in sorted(remaining):
+            if values[i][g] >= alpha:
+                violate(f"open type {i} left high-valued item {g} unreserved")
+                break
+    mus = [nprime * p for p in probs]
+    for i in unsaturated:
+        slack = F(len(high_sets[i])) - nprime * (1 - probs[-1] / 2)
+        if not pow_sqrt_sum_ge(nprime, epsilon, mus, slack):
+            violate(f"open type {i} holds {len(high_sets[i])} high-valued items")
+    scan = sorted(remaining)
+    pos = 0
+    while unsaturated and pos < len(scan):
+        bag, vals, claimant = [], [F(0)] * k, None
+        while pos < len(scan):
+            g = scan[pos]
+            pos += 1
+            bag.append(g)
+            for j in range(k):
+                vals[j] += values[j][g]
+            open_claims = [j for j in sorted(unsaturated) if vals[j] >= alpha]
+            if open_claims:
+                claimant = open_claims[0]
+                break
+        if claimant is None:
+            break
+        reserves[claimant].append(Bundle(tuple(bag)))
+        state.bag_count += 1
+        for j in list(unsaturated):
+            if vals[j] > 2 * alpha:
+                violate(f"bag worth {vals[j]} > 2*alpha to open type {j}")
+        if len(reserves[claimant]) == caps[claimant]:
+            unsaturated.discard(claimant)
+    state.unsaturated = unsaturated
+    for i in range(k):
+        if len(reserves[i]) > caps[i]:
+            violate(f"type {i} holds {len(reserves[i])} > cap {caps[i]}")
+    return state
+
+
+def _low_c_cases():
+    rng = random.Random(7)
+    for seed in range(40):
+        n, k = rng.randint(2, 9), rng.randint(2, 4)
+        m = n * rng.randint(2, 5)
+        norm = gen_normalized_random(n, m, k, seed=seed, weight_lo=1, weight_hi=6)
+        items = sorted(rng.sample(range(m), rng.randint(1, m)))
+        weights = [rng.randint(1, 9) for _ in range(k)]
+        probs = sorted((F(w, sum(weights)) for w in weights), reverse=True)
+        yield (norm.base.type_values, items, rng.randint(1, 2 * n), probs,
+               rng.choice([F(1, 6), F(1, 4), F(1, 3), F(1, 2)]), rng.choice([F(1, 10), F(1, 5)]))
+    # identical high sets: type 1 is left open while holding every item
+    yield ((F(1, 2),) * 100,) * 2, range(100), 100, [F(1, 2)] * 2, F(1, 2), F(1, 10)
+    for n in (30, 90, 300):
+        norm, dist = gen_tightness_pk(3, n)
+        rows = tuple(norm.base.type_values[o] for o in dist.order)
+        yield rows, range(norm.m_items), n, dist.probs, F(1, 3), F(1, 10)
+
+
+def test_turn_phase_matches_rescanning_reference():
+    for case in _low_c_cases():
+        got, want = preprocess_low_c(*case), _rescanning_preprocess_low_c(*case)
+        assert [list(dq) for dq in got.reserves] == [list(dq) for dq in want.reserves]
+        assert got.singleton_counts == want.singleton_counts
+        assert got.unsaturated == want.unsaturated
+        assert got.violations == want.violations
+        assert (got.order, got.bag_count) == (want.order, want.bag_count)
 
 
 def test_empty_high_sets_pure_bag_filling():
