@@ -40,7 +40,6 @@ from .adversarial import (
 )
 from .stochastic import (
     LowCState,
-    StochasticParams,
     known_d_engine,
     preprocess_low_c,
     reservation_cap,

@@ -22,6 +22,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -33,9 +34,11 @@ from .core import (
     InvariantViolation,
     NormalizedInstance,
     PoolExhausted,
+    ScaledRows,
     TrialReport,
     ValidationError,
     as_fraction,
+    as_scaled,
     finish_run,
     value,
 )
@@ -56,18 +59,21 @@ class TentativeState:
 
     ``threshold`` is every type's claim level and ``scale = k * threshold``
     the share unit used by the bookkeeping checks; on a normalized instance
-    these are 1/k and 1.
+    these are 1/k and 1.  ``claim``, ``bound`` and ``remaining_value`` are
+    the threshold, the scale and the unspent value in units of each L_i.
     """
 
-    values: tuple[tuple[Fraction, ...], ...]
+    view: ScaledRows
     n: int
     k: int
     threshold: Fraction
     scale: Fraction
+    claim: list[int]
+    bound: list[int]
     check_types: tuple[int, ...]
     reserves: list[deque[Bundle]]
     remaining: set[int]
-    remaining_value: list[Fraction]
+    remaining_value: list[int]
     unsaturated: set[int]
     arrived: int = 0
     check: bool = True
@@ -84,7 +90,7 @@ class TentativeState:
     @classmethod
     def create(
         cls,
-        values: Sequence[Sequence[Fraction]],
+        values: ScaledRows | Sequence[Sequence[Fraction]],
         items: Iterable[int],
         n: int,
         *,
@@ -100,38 +106,36 @@ class TentativeState:
         Scanning types in ascending order and items in ascending order, every
         item worth at least the type's claim threshold becomes a singleton
         reserve of that type (the same singleton may serve several types),
-        until the type holds n of them.
+        until the type holds n of them.  Only the given items are read.
         """
-        k = len(values)
+        view = as_scaled(values)
+        k = len(view.ints)
         if k < 1:
             raise InputError("need at least one type")
-        item_list = sorted(set(int(g) for g in items))
-        vals = tuple(tuple(as_fraction(v) for v in row) for row in values)
+        item_list = sorted(set(map(int, items)))
         threshold = Fraction(1, k) if threshold is None else as_fraction(threshold)
+        claim = view.at_least(threshold)
 
         singletons: dict[int, Bundle] = {}
         reserves: list[deque[Bundle]] = [deque() for _ in range(k)]
-        for i in range(k):
-            for g in item_list:
-                if len(reserves[i]) >= n:
-                    break
-                if vals[i][g] >= threshold:
-                    reserves[i].append(singletons.setdefault(g, Bundle((g,))))
+        for i, row in enumerate(view.ints):
+            high = (g for g in item_list if row[g] >= claim[i])
+            reserves[i].extend(singletons.setdefault(g, Bundle((g,))) for g in islice(high, n))
         refs = Counter(b for dq in reserves for b in dq)
         reserved = {g for b in refs for g in b}
-        remaining = set(item_list)
-        remaining_value = [sum((vals[i][g] for g in item_list), Fraction(0)) for i in range(k)]
 
         state = cls(
-            values=vals,
+            view=view,
             n=n,
             k=k,
             threshold=threshold,
             scale=k * threshold,
+            claim=claim,
+            bound=view.at_most(k * threshold),
             check_types=tuple(range(k) if check_types is None else check_types),
             reserves=reserves,
-            remaining=remaining,
-            remaining_value=remaining_value,
+            remaining=set(item_list),
+            remaining_value=[view.total(i, item_list) for i in range(k)],
             unsaturated={i for i in range(k) if len(reserves[i]) < n},
             check=check,
             strict=strict,
@@ -152,6 +156,10 @@ class TentativeState:
 
     # -- bookkeeping helpers ----------------------------------------------
 
+    def remaining_worth(self) -> list[Fraction]:
+        """Each type's value of the never-allocated items, as rationals."""
+        return [Fraction(x, unit) for x, unit in zip(self.remaining_value, self.view.units)]
+
     def _violate(self, msg: str) -> None:
         if self.strict:
             raise InvariantViolation(msg)
@@ -171,7 +179,7 @@ class TentativeState:
     def _allocate(self, bundle: Bundle) -> None:
         self.remaining.difference_update(bundle)
         for j in range(self.k):
-            self.remaining_value[j] -= value(self.values[j], bundle)
+            self.remaining_value[j] -= self.view.total(j, bundle.items)
 
     # -- checks (quantified over demand-unsaturated positive-share types) --
 
@@ -179,47 +187,51 @@ class TentativeState:
         open_types = [j for j in self.check_types if not self._demand_saturated(j, current_t)]
         if not open_types:
             return
+        rows, claim = self.view.ints, self.claim
         for g in self.pool[self.pool_pos:]:
             for j in open_types:
-                if self.values[j][g] >= self.threshold:
-                    self._violate(
-                        f"pool purity: item {g} worth {self.values[j][g]} to open type {j}")
+                if rows[j][g] >= claim[j]:
+                    self._violate(f"pool purity: item {g} worth "
+                                  f"{Fraction(rows[j][g], self.view.units[j])} to open type {j}")
 
-    def _check_reserved_bound(self, bagvals: list[Fraction], current_t: int) -> None:
+    def _check_reserved_bound(self, bagvals: list[int], current_t: int) -> None:
         for j in self.check_types:
-            if not self._demand_saturated(j, current_t) and bagvals[j] > self.scale:
-                self._violate(
-                    f"reserved bundle worth {bagvals[j]} > {self.scale} to open type {j}")
+            if not self._demand_saturated(j, current_t) and bagvals[j] > self.bound[j]:
+                self._violate(f"reserved bundle worth {Fraction(bagvals[j], self.view.units[j])} "
+                              f"> {self.scale} to open type {j}")
 
     def _check_invariant(self) -> None:
         left = self.n - self.arrived
+        a, b = self.scale.numerator, self.scale.denominator
         ok = True
         for j in self.check_types:
             if len(self.reserves[j]) == left:
                 continue
-            if self.remaining_value[j] >= left * self.scale:
+            if self.remaining_value[j] * b >= left * a * self.view.units[j]:  # >= left * scale
                 continue
             ok = False
             self._violate(
                 f"invariant: type {j} has {len(self.reserves[j])} reserves and remaining "
-                f"value {self.remaining_value[j]} with {left} agents left")
+                f"value {Fraction(self.remaining_value[j], self.view.units[j])} with {left} agents left")
         if self.trace is not None:
             self.trace.append({"event": "invariantCheck", "agentsLeft": left, "ok": ok,
                                "reserveSizes": [len(dq) for dq in self.reserves],
-                               "remainingValue": [str(v) for v in self.remaining_value]})
+                               "remainingValue": [str(v) for v in self.remaining_worth()]})
 
     # -- the per-arrival step ----------------------------------------------
 
-    def _fill_bag(self) -> tuple[list[int], list[Fraction], list[int]]:
+    def _fill_bag(self) -> tuple[list[int], list[int], list[int]]:
+        rows, claim, pool = self.view.ints, self.claim, self.pool
+        open_types = sorted(self.unsaturated)
         bag: list[int] = []
-        vals = [Fraction(0)] * self.k
-        while self.pool_pos < len(self.pool):
-            g = self.pool[self.pool_pos]
+        vals = [0] * self.k
+        while self.pool_pos < len(pool):
+            g = pool[self.pool_pos]
             self.pool_pos += 1
             bag.append(g)
             for j in range(self.k):
-                vals[j] += self.values[j][g]
-            claimants = [j for j in sorted(self.unsaturated) if vals[j] >= self.threshold]
+                vals[j] += rows[j][g]
+            claimants = [j for j in open_types if vals[j] >= claim[j]]
             if claimants:
                 return bag, vals, claimants
         return bag, vals, []
@@ -235,7 +247,7 @@ def preprocess(
     """High-valued-item preprocessing on a normalized instance, at claim
     level 1/k."""
     return TentativeState.create(
-        norm.base.type_values,
+        norm.scaled,
         range(norm.m_items),
         norm.n_agents,
         check_types=tuple(i for i in range(norm.k_types) if i not in norm.zero_mms_types),
@@ -280,7 +292,7 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle:
                 state._rebuild_pool()
                 raise PoolExhausted(
                     f"agent {t} of type {i}: pool exhausted before any claim")
-            if bagvals[i] >= state.threshold:
+            if bagvals[i] >= state.claim[i]:
                 allocated = Bundle(tuple(bag))
                 state._allocate(allocated)
                 if state.trace is not None:

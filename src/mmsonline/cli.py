@@ -49,35 +49,29 @@ def _emit(obj: dict, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    kind = args.kind
+    kind, dist = args.kind, None
     if kind == "example1":
-        inst, _ = generators.gen_example1(args.m)
-        _emit(jsonio.instance_to_obj(inst), args.out)
-    elif kind == "adv-counter":
-        norm = generators.gen_adv_counterexample(args.n, as_fraction(args.eps))
-        _emit(jsonio.instance_to_obj(norm.base, norm), args.out)
+        obj = jsonio.instance_to_obj(generators.gen_example1(args.m)[0])
     elif kind == "lower-bound":
         cons = generators.gen_lower_bound(args.k, args.n)
         obj = jsonio.instance_to_obj(cons.instance)
         obj["mms"] = [jsonio.frac_to_str(v) for v in cons.declared_mms]
         obj["witnesses"] = [[list(b.items) for b in part] for part in cons.witnesses]
-        _emit(obj, args.out)
-    elif kind == "tight-half":
-        norm = generators.gen_tightness_half(args.k, args.n, as_fraction(args.eps))
-        _emit(jsonio.instance_to_obj(norm.base, norm), args.out)
-    elif kind == "tight-pk":
-        norm, dist = generators.gen_tightness_pk(args.k, args.n)
-        _emit(jsonio.instance_to_obj(norm.base, norm), args.out)
-        if args.dist_out:
-            jsonio.dump(jsonio.distribution_to_obj(dist), args.dist_out)
     elif kind == "random":
-        inst = generators.gen_random(args.n, args.m, args.k, args.model, args.seed)
-        _emit(jsonio.instance_to_obj(inst), args.out)
-    elif kind == "normalized-random":
-        norm = generators.gen_normalized_random(args.n, args.m, args.k, args.seed)
-        _emit(jsonio.instance_to_obj(norm.base, norm), args.out)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown generator {kind!r}")
+        obj = jsonio.instance_to_obj(generators.gen_random(args.n, args.m, args.k, args.model, args.seed))
+    else:  # the constructions that ship their share partitions
+        if kind == "adv-counter":
+            norm = generators.gen_adv_counterexample(args.n, as_fraction(args.eps))
+        elif kind == "tight-half":
+            norm = generators.gen_tightness_half(args.k, args.n, as_fraction(args.eps))
+        elif kind == "tight-pk":
+            norm, dist = generators.gen_tightness_pk(args.k, args.n)
+        else:
+            norm = generators.gen_normalized_random(args.n, args.m, args.k, args.seed)
+        obj = jsonio.instance_to_obj(norm.base, norm)
+    _emit(obj, args.out)
+    if dist is not None and args.dist_out:
+        jsonio.dump(jsonio.distribution_to_obj(dist), args.dist_out)
     return 0
 
 

@@ -1,14 +1,18 @@
 """Exact-arithmetic data model: instances, bundles, allocations, type
 distributions, normalization, and ex-post verification.
 
-Every valuation quantity is a ``fractions.Fraction``; all threshold
-comparisons in this package are exact.  Floats are confined to statistics
-aggregation in the harness.
+Valuations are ``fractions.Fraction`` at the API and in reports.  Inside
+the allocators they are integers: each :class:`NormalizedInstance` builds,
+once, a :class:`ScaledRows` view of every type's row over its own unit L_i
+(the lcm of the row's denominators), so a claim level is one integer compare
+and a bag value an int sum.  Floats are confined to statistics aggregation
+in the harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -61,8 +65,8 @@ class Bundle:
     items: tuple[int, ...] = ()
 
     def __post_init__(self):
-        norm = tuple(sorted(set(int(g) for g in self.items)))
-        if any(g < 0 for g in norm):
+        norm = tuple(sorted(set(map(int, self.items))))
+        if norm and norm[0] < 0:
             raise InputError("negative item index")
         object.__setattr__(self, "items", norm)
 
@@ -132,6 +136,49 @@ class Instance:
         return len(self.type_values[0])
 
 
+def scale_row(row: Iterable) -> tuple[tuple[int, ...], int]:
+    """``(ints, L)`` with ``row[g] == ints[g] / L`` and L the lcm of the row's
+    denominators; equal ints share one object, so a row of few distinct
+    values costs about a pointer per item."""
+    vals = [as_fraction(v) for v in row]
+    unit = math.lcm(*{v.denominator for v in vals})
+    distinct: dict[int, int] = {}
+    ints = tuple([distinct.setdefault(x, x) for x in [v.numerator * (unit // v.denominator) for v in vals]])
+    if any(x < 0 for x in distinct):
+        raise InputError("negative value")
+    return ints, unit
+
+
+@dataclass(frozen=True)
+class ScaledRows:
+    """Integer view of k rational rows: type i values item g at
+    ``ints[i][g] / units[i]``.  For an integer x, x / L >= t exactly when
+    x >= ceil(t L), and x / L > t exactly when x > floor(t L)."""
+
+    ints: tuple[tuple[int, ...], ...]
+    units: tuple[int, ...]
+
+    def at_least(self, t: Fraction) -> list[int]:
+        """Per type, the least x with x / L_i >= t."""
+        return [-(-t.numerator * unit // t.denominator) for unit in self.units]
+
+    def at_most(self, t: Fraction) -> list[int]:
+        """Per type, the greatest x with x / L_i <= t."""
+        return [t.numerator * unit // t.denominator for unit in self.units]
+
+    def total(self, i: int, items: Iterable[int]) -> int:
+        """Type i's value of the items, in units of L_i."""
+        return sum(map(self.ints[i].__getitem__, items))
+
+
+def as_scaled(values) -> ScaledRows:
+    """The integer view of rational rows; a prebuilt view passes through."""
+    if isinstance(values, ScaledRows):
+        return values
+    scaled = [scale_row(row) for row in values]
+    return ScaledRows(tuple(ints for ints, _ in scaled), tuple(unit for _, unit in scaled))
+
+
 @dataclass(frozen=True)
 class MmsResult:
     """Maximin-share value of one valuation over ``n`` bundles, with the
@@ -148,12 +195,13 @@ class MmsResult:
 class NormalizedInstance:
     """An instance rescaled so every positive-share type has maximin share
     exactly 1 and total value exactly ``n``; zero-share types are recorded
-    and left unscaled."""
+    and left unscaled.  ``scaled`` is the rows' integer view, built once."""
 
     base: Instance
     original_mms: tuple[Fraction, ...]
     witness_partitions: tuple[tuple[Bundle, ...], ...]
     zero_mms_types: frozenset[int] = frozenset()
+    scaled: ScaledRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inst = self.base
@@ -162,29 +210,27 @@ class NormalizedInstance:
             raise ValidationError("per-type metadata length mismatch")
         object.__setattr__(self, "original_mms", tuple(as_fraction(v) for v in self.original_mms))
         object.__setattr__(self, "zero_mms_types", frozenset(self.zero_mms_types))
+        view = as_scaled(inst.type_values)
+        object.__setattr__(self, "scaled", view)
         for i in range(k):
             part = self.witness_partitions[i]
             if len(part) != n:
                 raise ValidationError(f"type {i}: witness has {len(part)} bundles, expected {n}")
-            seen: set[int] = set()
-            for b in part:
-                for g in b:
-                    if g >= m or g in seen:
-                        raise ValidationError(f"type {i}: witness is not a partition of the items")
-                    seen.add(g)
-            if len(seen) != m:
+            flat = [g for b in part for g in b]
+            if len(set(flat)) < len(flat) or max(flat, default=-1) >= m:
+                raise ValidationError(f"type {i}: witness is not a partition of the items")
+            if len(flat) != m:
                 raise ValidationError(f"type {i}: witness does not cover all items")
-            row = inst.type_values[i]
             if i in self.zero_mms_types:
                 if self.original_mms[i] != 0:
                     raise ValidationError(f"type {i} flagged zero-share but has positive share")
                 continue
             if self.original_mms[i] <= 0:
                 raise ValidationError(f"type {i} has nonpositive share but is not flagged")
-            for b in part:
-                if value(row, b) != 1:
-                    raise ValidationError(f"type {i}: witness bundle value != 1 after rescaling")
-            if any(v > 1 for v in row):
+            unit = view.units[i]
+            if any(view.total(i, b.items) != unit for b in part):
+                raise ValidationError(f"type {i}: witness bundle value != 1 after rescaling")
+            if max(view.ints[i], default=0) > unit:
                 raise ValidationError(f"type {i}: item value above 1 after rescaling")
 
     @property
@@ -334,26 +380,19 @@ class TrialReport:
         ratios = tuple(ratios)
         alpha = as_fraction(alpha)
         min_ratio = min(ratios) if ratios else Fraction(1)
-        ok = all(r >= alpha for r in ratios)
+        ok = not ratios or min_ratio >= alpha
         if not ok and failure_reason is FailureReason.NONE:
             failure_reason = FailureReason.VALUE_BELOW_ALPHA
         return cls(ratios, min_ratio, alpha, ok, failure_reason, tuple(flags), details, step_trace)
 
 
-def share_ratio(valuation: Sequence[Fraction], share: Fraction, bundle: Bundle) -> Fraction:
-    """A bundle's value over its agent's maximin share; a zero share gets
-    ratio 1 by convention, since any bundle meets a zero target."""
-    if share == 0:
-        return Fraction(1)
-    worth = value(valuation, bundle)
-    return worth if share == 1 else worth / share
-
-
 def agent_ratio(norm: NormalizedInstance, type_id: int, bundle: Bundle) -> Fraction:
-    """:func:`share_ratio` on the normalized instance, where every
-    positive-share type's share is exactly 1."""
-    share = 0 if type_id in norm.zero_mms_types else 1
-    return share_ratio(norm.base.type_values[type_id], share, bundle)
+    """A bundle's value over its agent's normalized share: its scaled value
+    over L_i, since every positive-share type's share is exactly 1.  A zero
+    share gets ratio 1 by convention, since any bundle meets a zero target."""
+    if type_id in norm.zero_mms_types:
+        return Fraction(1)
+    return Fraction(norm.scaled.total(type_id, bundle.items), norm.scaled.units[type_id])
 
 
 def finish_run(

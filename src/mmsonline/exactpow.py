@@ -35,21 +35,6 @@ def int_nth_root(x: int, r: int) -> int:
     return g
 
 
-def pow_sqrt_ge(n: int, exponent: Fraction, radicand: Fraction, threshold: Fraction) -> bool:
-    """Decide ``n**exponent * sqrt(radicand) >= threshold`` exactly.
-
-    Requires n >= 0, exponent >= 0, radicand >= 0.  Both sides are raised to
-    the (2 * exponent.denominator)-th power, which turns the comparison into
-    one between plain rationals.
-    """
-    if threshold <= 0:
-        return True
-    if n == 0 or radicand == 0:
-        return False
-    a, b = exponent.numerator, exponent.denominator
-    return Fraction(n) ** (2 * a) * radicand ** b >= threshold ** (2 * b)
-
-
 def pow_sqrt_le(n: int, exponent: Fraction, radicand: Fraction, threshold: Fraction) -> bool:
     """Decide ``n**exponent * sqrt(radicand) <= threshold`` exactly."""
     if n == 0 or radicand == 0:

@@ -38,6 +38,12 @@ def _spread_witness(valued: Sequence[int], zeros: Sequence[int], n: int) -> tupl
     return tuple(Bundle(tuple(p)) for p in parts)
 
 
+def _indicator(m: int, items: Iterable[int]) -> tuple[Fraction, ...]:
+    """The row over m items worth 1 on ``items`` and 0 elsewhere."""
+    marked = set(items)
+    return tuple(Fraction(1 if g in marked else 0) for g in range(m))
+
+
 def _chunk_witness(items: Sequence[int], n: int) -> tuple[Bundle, ...]:
     """Consecutive equal chunks (requires n | len(items))."""
     size = len(items) // n
@@ -57,7 +63,7 @@ def gen_example1(m: int) -> tuple[Instance, Callable[[Bundle], tuple[Instance, l
     """
     if m < 2 or m % 2:
         raise InputError("m must be even and at least 2")
-    ones = tuple(Fraction(1) for _ in range(m))
+    ones = _indicator(m, range(m))
     base = Instance(2, (ones,), ("uniform",))
 
     def reveal_second_type(first_bundle: Bundle) -> tuple[Instance, list[int]]:
@@ -67,10 +73,7 @@ def gen_example1(m: int) -> tuple[Instance, Callable[[Bundle], tuple[Instance, l
                 break
             if g not in picks:
                 picks.append(g)
-        row = [Fraction(0)] * m
-        for g in picks:
-            row[g] = Fraction(1)
-        inst = Instance(2, (ones, tuple(row)), ("uniform", "twoItems"))
+        inst = Instance(2, (ones, _indicator(m, picks)), ("uniform", "twoItems"))
         return inst, [0, 1]
 
     return base, reveal_second_type
@@ -156,14 +159,7 @@ def gen_lower_bound(k: int, n: int) -> LowerBoundConstruction:
     if defined > k:
         raise InputError("internal: construction exceeds k types")
 
-    def ones_row() -> tuple[Fraction, ...]:
-        return tuple(Fraction(1) for _ in range(m))
-
-    def indicator(items: Iterable[int]) -> tuple[Fraction, ...]:
-        marked = set(items)
-        return tuple(Fraction(1 if g in marked else 0) for g in range(m))
-
-    rows: list[tuple[Fraction, ...]] = [ones_row()]
+    rows: list[tuple[Fraction, ...]] = [_indicator(m, range(m))]
     names: list[str] = ["ones"]
     mms: list[Fraction] = [Fraction(mu1)]
     ones_witness = tuple(
@@ -175,7 +171,7 @@ def gen_lower_bound(k: int, n: int) -> LowerBoundConstruction:
     for r in range(mu1):
         block = list(range(r * n, (r + 1) * n))
         interval_types.append(len(rows))
-        rows.append(indicator(block))
+        rows.append(_indicator(m, block))
         names.append(f"block{r}")
         mms.append(Fraction(1))
         block_set = set(block)
@@ -191,7 +187,7 @@ def gen_lower_bound(k: int, n: int) -> LowerBoundConstruction:
             for hr in (0, 1):
                 valued = halves_l[hl] + halves_r[hr]
                 pair_types[(l, r, hl, hr)] = len(rows)
-                rows.append(indicator(valued))
+                rows.append(_indicator(m, valued))
                 names.append(f"pair{l}_{r}_h{hl}{hr}")
                 mms.append(Fraction(1))
                 valued_set = set(valued)
@@ -200,7 +196,7 @@ def gen_lower_bound(k: int, n: int) -> LowerBoundConstruction:
 
     while len(rows) < k:
         names.append(f"ones_fill{len(rows)}")
-        rows.append(ones_row())
+        rows.append(_indicator(m, range(m)))
         mms.append(Fraction(mu1))
         witnesses.append(ones_witness)
 
@@ -270,19 +266,10 @@ def gen_tightness_pk(
         raise InputError("needs k - 1 <= n/k so each type's odd item is distinct")
     m = n + nprime
     c = n - nprime  # universal prefix
-    rows = []
-    for i in range(k - 1):
-        valued = list(range(c)) + list(range(c, c + nprime - 1)) + [c + nprime + i]
-        row = [Fraction(0)] * m
-        for g in valued:
-            row[g] = Fraction(1)
-        rows.append(tuple(row))
-    row = [Fraction(0)] * m
-    for g in range(c + nprime, m):
-        row[g] = Fraction(1)
-    for g in range(c):
-        row[g] = Fraction(1)
-    rows.append(tuple(row))
+    # the first k - 1 types value the prefix, all but one of the next n/k
+    # items and an odd item of their own; the last type the prefix and the tail
+    rows = [_indicator(m, [*range(c + nprime - 1), c + nprime + i]) for i in range(k - 1)]
+    rows.append(_indicator(m, [*range(c), *range(c + nprime, m)]))
 
     witnesses = []
     for i in range(k):

@@ -29,7 +29,7 @@ from .core import (
     TypeDistribution,
     as_fraction,
     normalize,
-    share_ratio,
+    value,
 )
 from .generators import nth_sequence, sample_arrivals
 from .rng import substream, uniform_fraction
@@ -39,8 +39,8 @@ from .unknown import run_unknown_d
 ALGORITHMS = ("adversarial", "known-d", "unknown-d")
 
 # Read once at import, so a registry entry that is later replaced by a
-# wrapper still reports its generator's parameters.
-_GENERATOR_SIGNATURES = {name: inspect.signature(gen)
+# wrapper still reports its generator's parameters and their annotations.
+_GENERATOR_SIGNATURES = {name: inspect.signature(gen, eval_str=True)
                         for name, gen in generators.GENERATORS.items()}
 
 
@@ -112,23 +112,27 @@ class McConfig:
             raise InputError("give exactly one of instance_obj or generator")
         if self.arrivals not in ("iid", "exhaustive"):
             raise InputError("arrivals must be 'iid' or 'exhaustive'")
+        if self.trials < 0:  # 0 is legal: exhaustive runs read it as "all k^n"
+            raise InputError(f"trials must be nonnegative, got {self.trials}")
         if self.generator is not None:
             if self.generator not in _GENERATOR_SIGNATURES:
                 raise InputError(f"unknown generator {self.generator!r}")
+            signature = _GENERATOR_SIGNATURES[self.generator]
             try:  # a TypeError: not an object, or not the generator's parameters
-                _GENERATOR_SIGNATURES[self.generator].bind(**(self.generator_params or {}))
+                bound = signature.bind(**(self.generator_params or {}))
             except TypeError as exc:
                 raise InputError(f"generator_params for {self.generator!r}: {exc}") from exc
+            for name, given in bound.arguments.items():
+                # exactly int: a JSON true/false is a bool, which is not a count
+                if signature.parameters[name].annotation is int and type(given) is not int:
+                    raise InputError(f"generator_params for {self.generator!r}: "
+                                     f"{name} must be an integer, got {given!r}")
 
     def to_obj(self) -> dict:
-        # parallelism is an execution detail, not experiment identity
-        obj = {k: v for k, v in self.__dict__.items()
-               if v is not None and k != "parallelism"}
-        if self.dist is not None:
-            obj["dist"] = list(self.dist)
-        if self.hidden_dist is not None:
-            obj["hidden_dist"] = list(self.hidden_dist)
-        return obj
+        # parallelism is an execution detail, not experiment identity; the
+        # laws (dist, hidden_dist) are the tuple fields, written as lists
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self.__dict__.items()
+                if v is not None and k != "parallelism"}
 
 
 def _resolve_instance(config: McConfig, trial: int) -> NormalizedInstance:
@@ -345,12 +349,8 @@ def degradation_trial(
     perturbed = perturb(instance, beta, seed)
     pert_norm = normalize(perturbed)
 
-    bracket_ok = True
-    for i in range(instance.k_types):
-        true_mms = true_norm.original_mms[i]
-        pert_mms = pert_norm.original_mms[i]
-        if not (beta * true_mms >= pert_mms >= true_mms / beta):
-            bracket_ok = False
+    bracket_ok = all(beta * true_mms >= pert_mms >= true_mms / beta
+                     for true_mms, pert_mms in zip(true_norm.original_mms, pert_norm.original_mms))
 
     n, k = instance.n_agents, instance.k_types
     if dist is not None:
@@ -363,7 +363,9 @@ def degradation_trial(
         seed=seed)
 
     degraded_alpha = report.alpha / beta ** 2
-    true_ratios = [share_ratio(instance.type_values[ti], true_norm.original_mms[ti], bundle)
+    shares = true_norm.original_mms
+    # a zero share gets ratio 1 by convention, since any bundle meets it
+    true_ratios = [value(instance.type_values[ti], bundle) / shares[ti] if shares[ti] else Fraction(1)
                    for _agent, ti, bundle in allocation.entries]
     degradation_ok = (not report.succeeded_at_alpha) or all(
         r >= degraded_alpha for r in true_ratios)

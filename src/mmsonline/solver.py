@@ -5,17 +5,17 @@ symmetry breaking, a longest-processing-time (LPT) incumbent, and the
 average-value upper bound.  ``mms_brute_force`` is the independent oracle:
 plain exhaustive enumeration, kept free of any pruning the solver uses.
 
-Values are scaled to integers by the common denominator before searching;
-that is still exact arithmetic, just faster than Fraction in the hot loop.
+Values are scaled to integers by the common denominator
+(``core.scale_row``) before searching; that is still exact arithmetic, just
+faster than Fraction in the hot loop.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Bundle, CapacityError, InputError, MmsResult, as_fraction, value
+from .core import Bundle, CapacityError, InputError, MmsResult, scale_row
 
 DEFAULT_ITEM_CAP = 24
 DEFAULT_BUNDLE_CAP = 8
@@ -24,19 +24,11 @@ BRUTE_BUNDLE_CAP = 5
 _MEMO_LIMIT = 2_000_000
 
 
-def _scaled(valuation: Sequence[Fraction]) -> tuple[list[int], int]:
-    vals = [as_fraction(v) for v in valuation]
-    if any(v < 0 for v in vals):
-        raise InputError("negative value")
-    den = math.lcm(*(v.denominator for v in vals)) if vals else 1
-    return [v.numerator * (den // v.denominator) for v in vals], den
-
-
 def lpt_partition(valuation: Sequence[Fraction], n: int) -> list[list[int]]:
     """Greedy longest-processing-time split into n bundles (item ids)."""
     if n < 1:
         raise InputError("need at least one bundle")
-    ints, _ = _scaled(valuation)
+    ints, _ = scale_row(valuation)
     order = sorted(range(len(ints)), key=lambda g: (-ints[g], g))
     loads = [0] * n
     bundles: list[list[int]] = [[] for _ in range(n)]
@@ -49,11 +41,9 @@ def lpt_partition(valuation: Sequence[Fraction], n: int) -> list[list[int]]:
 
 def mms_bounds(valuation: Sequence[Fraction], n: int) -> tuple[Fraction, Fraction]:
     """[LPT min-bundle, v(M)/n] bracket around the true share."""
-    vals = [as_fraction(v) for v in valuation]
-    bundles = lpt_partition(vals, n)
-    lower = min(value(vals, Bundle(tuple(b))) for b in bundles)
-    upper = sum(vals, Fraction(0)) / n
-    return lower, upper
+    ints, den = scale_row(valuation)
+    lower = min(sum(ints[g] for g in b) for b in lpt_partition(valuation, n))
+    return Fraction(lower, den), Fraction(sum(ints), den * n)
 
 
 def mms_brute_force(valuation: Sequence[Fraction], n: int) -> MmsResult:
@@ -68,7 +58,7 @@ def mms_brute_force(valuation: Sequence[Fraction], n: int) -> MmsResult:
     m = len(valuation)
     if m > BRUTE_ITEM_CAP or n > BRUTE_BUNDLE_CAP:
         raise CapacityError(f"brute force capped at m<={BRUTE_ITEM_CAP}, n<={BRUTE_BUNDLE_CAP}")
-    ints, den = _scaled(valuation)
+    ints, den = scale_row(valuation)
     if m == 0:
         return MmsResult(Fraction(0), tuple(Bundle(()) for _ in range(n)), nodes=1)
 
@@ -132,7 +122,7 @@ def mms_exact(
             f"exact solver capped at m<={DEFAULT_ITEM_CAP}, n<={DEFAULT_BUNDLE_CAP} "
             f"(got m={m}, n={n}); "
             "pass on_overflow='bounds' for a bracket")
-    ints, den = _scaled(valuation)
+    ints, den = scale_row(valuation)
     if m == 0:
         return MmsResult(Fraction(0), tuple(Bundle(()) for _ in range(n)), nodes=1)
     if n == 1:

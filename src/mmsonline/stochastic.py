@@ -28,34 +28,15 @@ from .core import (
     InputError,
     InvariantViolation,
     NormalizedInstance,
+    ScaledRows,
     TrialReport,
     TypeDistribution,
     as_fraction,
+    as_scaled,
     finish_run,
 )
 from .exactpow import floor_plus_pow_sqrt, pow_sqrt_le, pow_sqrt_sum_ge
 from .solver import mms_exact
-
-
-@dataclass(frozen=True)
-class StochasticParams:
-    """Run parameters: claim level alpha (default 1/(2(1+eta))) and the
-    concentration exponent epsilon in (0, 1/2)."""
-
-    alpha: Fraction
-    epsilon: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        if not 0 < self.alpha <= 1:
-            raise InputError("alpha must lie in (0, 1]")
-        if not 0 < self.epsilon < Fraction(1, 2):
-            raise InputError("epsilon must lie in (0, 1/2)")
-
-    @classmethod
-    def from_eta(cls, eta, epsilon) -> "StochasticParams":
-        return cls(claim_level(None, eta), as_fraction(epsilon))
 
 
 def claim_level(alpha, eta) -> Fraction:
@@ -76,9 +57,14 @@ def reservation_cap(nprime: int, p: Fraction, epsilon: Fraction) -> int:
     return floor_plus_pow_sqrt(mu, nprime, as_fraction(epsilon), mu)
 
 
-def universal_items(values: Sequence[Sequence[Fraction]], items: Iterable[int], alpha: Fraction) -> list[int]:
-    alpha = as_fraction(alpha)
-    return [g for g in sorted(items) if all(row[g] >= alpha for row in values)]
+def universal_items(values, items: Iterable[int], alpha: Fraction) -> list[int]:
+    """The items worth at least alpha to every type of ``values`` (a
+    :class:`ScaledRows` or rational rows), ascending."""
+    view = as_scaled(values)
+    out = sorted(items)
+    for row, level in zip(view.ints, view.at_least(as_fraction(alpha))):
+        out = [g for g in out if row[g] >= level]
+    return out
 
 
 def high_c_condition(c_size: int, n: int, k: int, p1: Fraction, epsilon: Fraction) -> bool:
@@ -111,7 +97,7 @@ class LowCState:
 
 
 def preprocess_low_c(
-    values: Sequence[Sequence[Fraction]],
+    values: ScaledRows | Sequence[Sequence[Fraction]],
     items: Iterable[int],
     nprime: int,
     probs: Sequence[Fraction],
@@ -132,30 +118,24 @@ def preprocess_low_c(
     An unsaturated outcome is a legal, reported state, not an error; so
     is a failed check, which lands in ``violations``.
     """
+    view = as_scaled(values)
     alpha = as_fraction(alpha)
     epsilon = as_fraction(epsilon)
-    k = len(values)
+    k = len(view.ints)
     probs = tuple(as_fraction(p) for p in probs)
     if len(probs) != k:
         raise InputError("probs length mismatch")
-    item_list = sorted(set(int(g) for g in items))
+    item_list = sorted(set(map(int, items)))
 
-    high_sets = [[g for g in item_list if values[i][g] >= alpha] for i in range(k)]
+    rows, claim = view.ints, view.at_least(alpha)
+    high_sets = [[g for g in item_list if row[g] >= level] for row, level in zip(rows, claim)]
     high_lookup = [set(t) for t in high_sets]
     caps = [reservation_cap(nprime, p, epsilon) for p in probs]
 
-    order: list[int] | None = None
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            if 2 * len(high_lookup[i] - high_lookup[j]) >= nprime * probs[i]:
-                order = [i] + [x for x in range(k) if x not in (i, j)] + [j]
-                break
-        if order is not None:
-            break
-    if order is None:
-        order = list(range(k))  # probs are sorted, so the last rank is least frequent
+    pair = next(((i, j) for i in range(k) for j in range(k)
+                 if i != j and 2 * len(high_lookup[i] - high_lookup[j]) >= nprime * probs[i]), None)
+    # without a qualifying pair the least frequent type, the last rank, goes last
+    order = list(range(k)) if pair is None else [pair[0], *(x for x in range(k) if x not in pair), pair[1]]
     last_type = order[-1]
 
     reserves: list[deque[Bundle]] = [deque() for _ in range(k)]
@@ -193,22 +173,26 @@ def preprocess_low_c(
         if not pow_sqrt_sum_ge(nprime, epsilon, mus, slack):
             violate(f"open type {i} holds {len(high_sets[i])} high-valued items")
 
-    # bag filling
+    # bag filling, in units of each type's L_i
+    over = view.at_most(2 * alpha)
     scan = sorted(remaining)
     pos = 0
     while unsaturated and pos < len(scan):
         bag: list[int] = []
-        vals = [Fraction(0)] * k
+        vals = [0] * k
         claimant = None
+        open_types = sorted(unsaturated)
         while pos < len(scan):
             g = scan[pos]
             pos += 1
             bag.append(g)
             for j in range(k):
-                vals[j] += values[j][g]
-            open_claims = [j for j in sorted(unsaturated) if vals[j] >= alpha]
-            if open_claims:
-                claimant = open_claims[0]
+                vals[j] += rows[j][g]
+            for j in open_types:
+                if vals[j] >= claim[j]:
+                    claimant = j
+                    break
+            if claimant is not None:
                 break
         if claimant is None:
             break  # remainder exhausted without a claim; bag items stay unallocated
@@ -217,8 +201,8 @@ def preprocess_low_c(
         state.bag_count += 1
         remaining.difference_update(bag)
         for j in list(unsaturated):
-            if vals[j] > 2 * alpha:
-                violate(f"bag worth {vals[j]} > 2*alpha to open type {j}")
+            if vals[j] > over[j]:
+                violate(f"bag worth {Fraction(vals[j], view.units[j])} > 2*alpha to open type {j}")
         if len(reserves[claimant]) == caps[claimant]:
             unsaturated.discard(claimant)
 
@@ -259,23 +243,14 @@ def low_c_info(state: LowCState, arrival_ranks: Sequence[int]) -> dict:
 # -- abundant universally high-valued items -----------------------------------
 
 
-def default_alpha_partition(valuation: Sequence[Fraction], items: Sequence[int],
-                            n: int) -> list[Bundle]:
-    """Share partition of a valuation restricted to the given items (every
-    bundle is worth >= alpha * restricted share for any alpha <= 1)."""
-    sub = [valuation[g] for g in items]
-    witness = mms_exact(sub, n).witness
-    return [Bundle(tuple(items[x] for x in b)) for b in witness]
-
-
 def run_high_c(
     partition: Sequence[Bundle],
     n_agents: int,
     c_items: Sequence[int],
     arrival_ranks: Sequence[int],
 ) -> tuple[list[Bundle | None], dict]:
-    """Route everyone through one rearranged share partition of rank-0
-    (``default_alpha_partition`` of its values over the served items).
+    """Route everyone through one rearranged share partition of rank 0's
+    values over the served items.
 
     The partition is adjusted so each kept bundle carries exactly one
     universally high-valued item (extra ones split into fresh singletons);
@@ -319,13 +294,15 @@ def run_high_c(
 
 
 def to_rank_space(norm: NormalizedInstance, dist: TypeDistribution, arrivals: Sequence[int]):
-    """Type rows in ``dist.order`` and the arrivals as ranks in that order."""
-    return (tuple(norm.base.type_values[orig] for orig in dist.order),
+    """The scaled type rows in ``dist.order`` (shared, not copied) and the
+    arrivals as ranks in that order."""
+    view = norm.scaled
+    return (ScaledRows(tuple(view.ints[o] for o in dist.order), tuple(view.units[o] for o in dist.order)),
             [dist.rank_of(t) for t in arrivals])
 
 
 def known_d_engine(
-    values: Sequence[Sequence[Fraction]],
+    values: ScaledRows | Sequence[Sequence[Fraction]],
     items: Sequence[int],
     n_agents: int,
     probs: Sequence[Fraction],
@@ -339,13 +316,18 @@ def known_d_engine(
     Valuations and arrivals are already in probability-sorted rank space
     (see ``to_rank_space``); the high-C regime partitions rank 0's values.
     """
+    view = as_scaled(values)
     alpha = as_fraction(alpha)
     if len(arrival_ranks) != n_agents:
         raise InputError(f"{len(arrival_ranks)} arrivals for {n_agents} agents")
-    k = len(values)
-    c_items = universal_items(values, items, alpha)
+    k = len(view.ints)
+    c_items = universal_items(view, items, alpha)
     if high_c_condition(len(c_items), n_agents, k, probs[0], epsilon):
-        partition = default_alpha_partition(values[0], list(items), n_agents)
+        # every bundle of a share partition restricted to the served items is
+        # worth >= alpha times the restricted share, for any alpha <= 1
+        items = list(items)
+        witness = mms_exact([Fraction(view.ints[0][g], view.units[0]) for g in items], n_agents).witness
+        partition = [Bundle(tuple(items[x] for x in b)) for b in witness]
         return run_high_c(partition, n_agents, c_items, arrival_ranks)
 
     served = min(len(c_items), n_agents)
@@ -355,7 +337,7 @@ def known_d_engine(
         c_set = set(c_items)
         rest_items = [g for g in items if g not in c_set]
         state = preprocess_low_c(
-            values, rest_items, n_agents - served, probs, alpha, epsilon)
+            view, rest_items, n_agents - served, probs, alpha, epsilon)
         rest_ranks = arrival_ranks[served:]
         out.extend(run_low_c(state, rest_ranks))
         info.update(low_c_info(state, rest_ranks),
@@ -373,8 +355,13 @@ def run_known_d(
     eta: Fraction | None = None,
     epsilon: Fraction,
 ) -> tuple[Allocation, TrialReport]:
-    """Full run on a normalized instance with original-id arrivals."""
-    params = StochasticParams(claim_level(alpha, eta), epsilon)
+    """Full run on a normalized instance with original-id arrivals, at claim
+    level alpha in (0, 1] and concentration exponent epsilon in (0, 1/2)."""
+    alpha, epsilon = claim_level(alpha, eta), as_fraction(epsilon)
+    if not 0 < alpha <= 1:
+        raise InputError("alpha must lie in (0, 1]")
+    if not 0 < epsilon < Fraction(1, 2):
+        raise InputError("epsilon must lie in (0, 1/2)")
     if dist.k != norm.k_types:
         raise InputError("distribution arity mismatch")
     n = norm.n_agents
@@ -383,6 +370,5 @@ def run_known_d(
         raise InputError(f"arrival sequence has {len(seq)} types, expected {n}")
     values_sorted, ranks = to_rank_space(norm, dist, seq)
     bundles, info = known_d_engine(
-        values_sorted, list(range(norm.m_items)), n, dist.probs,
-        params.alpha, params.epsilon, ranks)
-    return finish_run(norm, seq, bundles, params.alpha, details=info)
+        values_sorted, list(range(norm.m_items)), n, dist.probs, alpha, epsilon, ranks)
+    return finish_run(norm, seq, bundles, alpha, details=info)

@@ -34,7 +34,7 @@ from .core import (
     finish_run,
 )
 from .exactpow import ceil_pow, pow_le
-from .rng import bernoulli, substream
+from .rng import substream
 from .stochastic import (
     claim_level,
     known_d_engine,
@@ -87,14 +87,16 @@ def learn_distribution(observed_types: Sequence[int], k: int) -> TypeDistributio
 
 
 def random_split(items: Sequence[int], p: Fraction, rng: random.Random) -> tuple[Bundle, Bundle]:
-    """Independent exact Bernoulli(p) per item, ascending: (kept, rest)."""
+    """Independent exact Bernoulli(p) per item, ascending: (kept, rest); as in
+    ``rng.bernoulli``, p = 1 and p = 0 take no draw."""
     p = as_fraction(p)
     if not 0 <= p <= 1:
         raise InputError("p must lie in [0, 1]")
+    num, den, draw = p.numerator, p.denominator, rng.randrange
     b1: list[int] = []
     b2: list[int] = []
     for g in sorted(items):
-        (b1 if bernoulli(rng, p) else b2).append(g)
+        (b1 if num == den or num and draw(den) < num else b2).append(g)
     return Bundle(tuple(b1)), Bundle(tuple(b2))
 
 
@@ -148,7 +150,7 @@ def run_unknown_d(
     if precomputed_universal is not None:
         c_items = list(precomputed_universal)
     else:
-        c_items = universal_items(norm.base.type_values, range(m), alpha)
+        c_items = universal_items(norm.scaled, range(m), alpha)
     zero = norm.zero_mms_types
     bundles: list[Bundle | None] = []
     reason = FailureReason.NONE
@@ -187,13 +189,14 @@ def run_unknown_d(
             flags.append("truncatedWindow")
         # learning stage: reservation allocator on basket 1 at claim level 1/2
         state = TentativeState.create(
-            norm.base.type_values, basket1.items, learn_count,
+            norm.scaled, basket1.items, learn_count,
             threshold=Fraction(1, 2), check=False, strict=False)
         # basket 1's value to each type, before serving spends any of it
-        details["basket1Values"] = [str(v) for v in state.remaining_value]
+        basket1_values = state.remaining_worth()
+        details["basket1Values"] = [str(v) for v in basket1_values]
         details["basket1ConcentrationOk"] = all(
             basket_value_ok(v, n, k, window, params)
-            for i, v in enumerate(state.remaining_value) if i not in zero)
+            for i, v in enumerate(basket1_values) if i not in zero)
         learn_types = seq[served_c:served_c + learn_count]
         learn_bundles, dry = serve(state, learn_types)
         bundles.extend(learn_bundles)

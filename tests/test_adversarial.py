@@ -1,13 +1,15 @@
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmsonline import (
     Bundle,
     EMPTY_BUNDLE,
     Instance,
+    InvariantViolation,
     NormalizedInstance,
     PoolExhausted,
     adaptive_lower_bound_adversary,
@@ -224,6 +226,205 @@ def test_pool_cursor_never_passes_over_taken_items():
                 dry_runs += dry
                 _assert_cursor_items_fillable(state)
     assert dry_runs > 0
+
+
+# -- the integer kernel against the Fraction implementation it replaced ----------
+
+
+class _FractionState:
+    """Reference: ``TentativeState`` and its step as they were with Fraction
+    values, before the integer view (the step trace left out)."""
+
+    def __init__(self, values, items, n, threshold=None, check_types=None,
+                 check=True, strict=True, rng=None):
+        k = len(values)
+        item_list = sorted(set(items))
+        self.values, self.n, self.k = values, n, k
+        self.threshold = F(1, k) if threshold is None else threshold
+        self.scale = k * self.threshold
+        self.check_types = tuple(range(k) if check_types is None else check_types)
+        self.check, self.strict, self.rng = check, strict, rng
+        singletons = {}
+        self.reserves = [deque() for _ in range(k)]
+        for i in range(k):
+            for g in item_list:
+                if len(self.reserves[i]) >= n:
+                    break
+                if values[i][g] >= self.threshold:
+                    self.reserves[i].append(singletons.setdefault(g, Bundle((g,))))
+        self.bundle_refs = Counter(b for dq in self.reserves for b in dq)
+        reserved = {g for b in self.bundle_refs for g in b}
+        self.remaining = set(item_list)
+        self.remaining_value = [sum((values[i][g] for g in item_list), F(0)) for i in range(k)]
+        self.unsaturated = {i for i in range(k) if len(self.reserves[i]) < n}
+        self.arrived, self.violations = 0, []
+        self.pool, self.pool_pos = [g for g in item_list if g not in reserved], 0
+        if check:
+            self.check_pool_purity(0)
+
+    def violate(self, msg):
+        if self.strict:
+            raise InvariantViolation(msg)
+        self.violations.append(msg)
+
+    def saturated(self, j, current_t):
+        return len(self.reserves[j]) >= self.n - current_t
+
+    def rebuild_pool(self):
+        reserved = {g for b in self.bundle_refs for g in b}
+        self.pool = [g for g in sorted(self.remaining) if g not in reserved]
+        if self.rng is not None:
+            self.rng.shuffle(self.pool)
+        self.pool_pos = 0
+
+    def allocate(self, bundle):
+        self.remaining.difference_update(bundle)
+        for j in range(self.k):
+            self.remaining_value[j] -= value(self.values[j], bundle)
+
+    def check_pool_purity(self, current_t):
+        open_types = [j for j in self.check_types if not self.saturated(j, current_t)]
+        for g in self.pool[self.pool_pos:] if open_types else ():
+            for j in open_types:
+                if self.values[j][g] >= self.threshold:
+                    self.violate(f"pool purity: item {g} worth {self.values[j][g]} to open type {j}")
+
+    def check_invariant(self):
+        left = self.n - self.arrived
+        for j in self.check_types:
+            if len(self.reserves[j]) != left and self.remaining_value[j] < left * self.scale:
+                self.violate(
+                    f"invariant: type {j} has {len(self.reserves[j])} reserves and remaining "
+                    f"value {self.remaining_value[j]} with {left} agents left")
+
+    def fill_bag(self):
+        bag, vals = [], [F(0)] * self.k
+        while self.pool_pos < len(self.pool):
+            g = self.pool[self.pool_pos]
+            self.pool_pos += 1
+            bag.append(g)
+            for j in range(self.k):
+                vals[j] += self.values[j][g]
+            claimants = [j for j in sorted(self.unsaturated) if vals[j] >= self.threshold]
+            if claimants:
+                return bag, vals, claimants
+        return bag, vals, []
+
+    def step(self, i):
+        t = self.arrived + 1
+        if self.reserves[i]:
+            idx = self.rng.randrange(len(self.reserves[i])) if self.rng is not None else 0
+            allocated = self.reserves[i][idx]
+            for j in range(self.k):
+                self.reserves[j] = deque(b for b in self.reserves[j] if b != allocated)
+            del self.bundle_refs[allocated]
+            self.allocate(allocated)
+        else:
+            while True:
+                bag, bagvals, claimants = self.fill_bag()
+                if not claimants:
+                    self.rebuild_pool()
+                    raise PoolExhausted(f"agent {t} of type {i}: pool exhausted before any claim")
+                if bagvals[i] >= self.threshold:
+                    allocated = Bundle(tuple(bag))
+                    self.allocate(allocated)
+                    break
+                bundle = Bundle(tuple(bag))
+                self.bundle_refs[bundle] += len(claimants)
+                for j in claimants:
+                    self.reserves[j].append(bundle)
+                    if len(self.reserves[j]) >= self.n - t:
+                        self.unsaturated.discard(j)
+                if self.check:
+                    self.check_pool_purity(t)
+                    for j in self.check_types:
+                        if not self.saturated(j, t) and bagvals[j] > self.scale:
+                            self.violate(f"reserved bundle worth {bagvals[j]} > {self.scale} "
+                                         f"to open type {j}")
+        self.arrived = t
+        dirty = False
+        for j in range(self.k):
+            while len(self.reserves[j]) > self.n - t:
+                if self.rng is not None:
+                    pick = self.rng.randrange(len(self.reserves[j]))
+                    dropped = self.reserves[j][pick]
+                    del self.reserves[j][pick]
+                else:
+                    dropped = self.reserves[j].pop()
+                self.bundle_refs[dropped] -= 1
+                if not self.bundle_refs[dropped]:
+                    del self.bundle_refs[dropped]
+                    dirty = True
+        if dirty:
+            self.rebuild_pool()
+        if self.check:
+            self.check_invariant()
+        return allocated
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (InvariantViolation, PoolExhausted) as exc:
+        return type(exc), str(exc)
+
+
+def _snapshot(state, remaining_value):
+    return ([list(dq) for dq in state.reserves], sorted(state.unsaturated),
+            remaining_value, list(state.violations), state.pool[state.pool_pos:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32),
+       st.sampled_from(["fifo", "rng", "dry", "dry-checked"]), st.data())
+def test_tentative_state_matches_fraction_reference(n, k, mult, seed, mode, data):
+    # FIFO and seeded-rng runs on every item at 1/k; "dry" runs on a random
+    # basket at a drawn claim level, non-strict, with or without the checks
+    # (checked runs record violations instead of raising)
+    norm = gen_normalized_random(n, n * mult, k, seed=seed)
+    rows = norm.base.type_values
+    items, opts = range(norm.m_items), {}
+    if mode == "rng":
+        opts["rng"] = "tiebreak"
+    elif mode.startswith("dry"):
+        items = data.draw(st.sets(st.integers(0, norm.m_items - 1)))
+        opts = {"threshold": data.draw(st.sampled_from([F(1, k), F(1, 2), F(1, 3), F(2, 3)])),
+                "check": mode == "dry-checked", "strict": False}
+    arrivals = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+
+    def build(cls_create):
+        kw = dict(opts)
+        if "rng" in kw:
+            kw["rng"] = substream(seed, kw["rng"])
+        return _outcome(lambda: cls_create(kw))
+
+    got = build(lambda kw: TentativeState.create(norm.scaled, items, n, **kw))
+    want = build(lambda kw: _FractionState(rows, items, n, **kw))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert _snapshot(got, got.remaining_worth()) == _snapshot(want, want.remaining_value)
+    for ti in arrivals:
+        b_got = _outcome(lambda: step_adversarial(got, ti))
+        b_want = _outcome(lambda: want.step(ti))
+        assert b_got == b_want
+        if isinstance(b_want, tuple):
+            if want.strict:
+                return
+            got.arrived += 1  # as ``serve`` does for a dry non-strict step
+            want.arrived += 1
+        assert _snapshot(got, got.remaining_worth()) == _snapshot(want, want.remaining_value)
+
+
+def test_reserved_bound_check_flags_exactly_the_bags_above_scale():
+    # claim level 2/3 at k = 2 gives scale 4/3; over the unit L = 2 that is
+    # 8/3 units, no integer, so a bag of 2 units passes and one of 3 does not
+    rows = ((F(1, 2),) * 4, (F(1, 2),) * 4)
+    for x in range(6):
+        state = TentativeState.create(rows, [], 2, threshold=F(2, 3), check=False, strict=False)
+        state._check_reserved_bound([x, x], current_t=0)
+        want = [f"reserved bundle worth {F(x, 2)} > 4/3 to open type {j}" for j in (0, 1)]
+        assert state.violations == (want if F(x, 2) > F(4, 3) else [])
 
 
 def test_arrival_length_checked():

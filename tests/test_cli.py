@@ -140,6 +140,11 @@ MC_ADV = ["mc", "--algorithm", "adversarial", "--trials", "2", "--dist", '["1/3"
     MC_ADV + ["--generator-params", "[1, 2]"],
     MC_ADV + ["--generator-params", '{"n": 3, "m": 8, "k": 3, "size": 4}'],
     ["run", "adversarial", "--enumerate", "--instance", "BAD_WITNESS"],
+    MC_ADV + ["--generator-params", '{"n": "3", "m": 8, "k": 3}'],
+    MC_ADV + ["--generator-params", '{"n": 3.0, "m": 8, "k": 3}'],
+    MC_ADV + ["--generator-params", '{"n": true, "m": 8, "k": 3}'],
+    ["mc", "--algorithm", "adversarial", "--trials", "-3", "--dist", '["1/3", "1/3", "1/3"]',
+     "--generator", "normalized-random", "--generator-params", '{"n": 3, "m": 8, "k": 3}'],
 ])
 def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     inst, dist = _gen_instance_and_dist(tmp_path)

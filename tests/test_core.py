@@ -174,3 +174,44 @@ def test_normalized_instance_rejects_bad_witness():
     inst = Instance(2, ((F(1, 2),) * 4,))
     with pytest.raises(ValidationError):
         NormalizedInstance(inst, (F(1),), ((Bundle((0,)), Bundle((1, 2, 3))),))
+
+
+def _fraction_rescaling_error(inst, witnesses, zero_types):
+    """Reference: the value checks ``NormalizedInstance`` made in Fractions
+    before the integer view; the first failing check's message, or None."""
+    for i, row in enumerate(inst.type_values):
+        if i in zero_types:
+            continue
+        if any(value(row, b) != 1 for b in witnesses[i]):
+            return f"type {i}: witness bundle value != 1 after rescaling"
+        if any(v > 1 for v in row):
+            return f"type {i}: item value above 1 after rescaling"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32), st.data())
+def test_normalized_instance_rejects_what_fraction_checks_rejected(n, k, mult, seed, data):
+    # a normalized instance with a few values overwritten: some bundle may no
+    # longer be worth 1, some item may exceed 1, or both, or neither
+    from mmsonline import gen_normalized_random
+
+    norm = gen_normalized_random(n, n * mult, k, seed=seed)
+    rows = [list(row) for row in norm.base.type_values]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, g = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, n * mult - 1))
+        rows[i][g] = data.draw(st.one_of(
+            st.sampled_from([rows[i][g], F(1), F(0), F(3, 2)]),
+            st.fractions(min_value=0, max_value=3, max_denominator=40)))
+    zero = frozenset(data.draw(st.sets(st.integers(0, k - 1), max_size=1)))
+    inst = Instance(n, tuple(tuple(r) for r in rows))
+    mms = tuple(F(0) if i in zero else F(1) for i in range(k))
+    want = _fraction_rescaling_error(inst, norm.witness_partitions, zero)
+    if want is None:
+        got = NormalizedInstance(inst, mms, norm.witness_partitions, zero)
+        assert got.scaled.ints == tuple(
+            tuple(v * unit for v in row) for row, unit in zip(inst.type_values, got.scaled.units))
+    else:
+        with pytest.raises(ValidationError) as err:
+            NormalizedInstance(inst, mms, norm.witness_partitions, zero)
+        assert str(err.value) == want

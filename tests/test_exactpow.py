@@ -11,13 +11,28 @@ from mmsonline.exactpow import (
     mul_sqrt_lt,
     pow_bracket,
     pow_le,
-    pow_sqrt_ge,
     pow_sqrt_le,
     pow_sqrt_sum_ge,
     sqrt_bracket,
 )
 from mmsonline.stochastic import reservation_cap
 from mmsonline.unknown import UnknownParams
+
+
+def pow_sqrt_ge(n: int, exponent: F, radicand: F, threshold: F) -> bool:
+    """Decide ``n**exponent * sqrt(radicand) >= threshold`` exactly: the
+    definition the floor tests check against.
+
+    Requires n >= 0, exponent >= 0, radicand >= 0.  Both sides are raised to
+    the (2 * exponent.denominator)-th power, which turns the comparison into
+    one between plain rationals.
+    """
+    if threshold <= 0:
+        return True
+    if n == 0 or radicand == 0:
+        return False
+    a, b = exponent.numerator, exponent.denominator
+    return F(n) ** (2 * a) * radicand ** b >= threshold ** (2 * b)
 
 
 @given(st.integers(0, 10**12), st.integers(1, 7))

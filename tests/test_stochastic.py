@@ -1,8 +1,10 @@
 import random
 from collections import deque
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmsonline import (
     Bundle,
@@ -21,7 +23,7 @@ from mmsonline import (
 from mmsonline.exactpow import pow_sqrt_sum_ge
 from mmsonline.stochastic import (
     LowCState,
-    StochasticParams,
+    claim_level,
     high_c_condition,
     known_d_engine,
     preprocess_low_c,
@@ -35,12 +37,14 @@ UNIFORM3 = [F(1, 3)] * 3
 
 
 def test_params_validation():
-    p = StochasticParams.from_eta(F(1, 2), F(1, 10))
-    assert p.alpha == F(1, 3)
+    assert claim_level(None, F(1, 2)) == F(1, 3)
+    norm = gen_normalized_random(6, 18, 3, seed=1)
+    dist = TypeDistribution.from_probs(UNIFORM3)
+    seq = sample_arrivals(dist, 6, 2)
     with pytest.raises(InputError):
-        StochasticParams(F(1, 3), F(3, 5))  # epsilon >= 1/2
+        run_known_d(norm, dist, seq, alpha=F(1, 3), epsilon=F(3, 5))  # epsilon >= 1/2
     with pytest.raises(InputError):
-        StochasticParams(F(0), F(1, 10))
+        run_known_d(norm, dist, seq, alpha=F(0), epsilon=F(1, 10))
 
 
 @pytest.mark.parametrize("eta", [F(-1, 2), F(-1)])
@@ -51,7 +55,7 @@ def test_run_known_d_rejects_negative_eta(eta):
     with pytest.raises(InputError):
         run_known_d(norm, dist, seq, eta=eta, epsilon=F(1, 10))
     with pytest.raises(InputError):
-        StochasticParams.from_eta(eta, F(1, 10))
+        claim_level(None, eta)
 
 
 def test_reservation_cap_examples():
@@ -219,6 +223,137 @@ def test_turn_phase_matches_rescanning_reference():
         assert got.unsaturated == want.unsaturated
         assert got.violations == want.violations
         assert (got.order, got.bag_count) == (want.order, want.bag_count)
+
+
+# -- the integer kernel against the Fraction implementation it replaced ----------
+
+
+def _fraction_universal_items(values, items, alpha):
+    """Reference: ``universal_items`` compared in Fractions."""
+    return [g for g in sorted(items) if all(row[g] >= alpha for row in values)]
+
+
+def _fraction_preprocess_low_c(values, items, nprime, probs, alpha, epsilon):
+    """Reference: ``preprocess_low_c`` as it was with Fraction values, before
+    the integer view: high sets, bag sums and the 2*alpha check in Fractions."""
+    k = len(values)
+    item_list = sorted(set(int(g) for g in items))
+    high_sets = [[g for g in item_list if values[i][g] >= alpha] for i in range(k)]
+    high_lookup = [set(t) for t in high_sets]
+    caps = [reservation_cap(nprime, p, epsilon) for p in probs]
+    order = None
+    for i in range(k):
+        for j in range(k):
+            if i != j and 2 * len(high_lookup[i] - high_lookup[j]) >= nprime * probs[i]:
+                order = [i] + [x for x in range(k) if x not in (i, j)] + [j]
+                break
+        if order is not None:
+            break
+    order = order or list(range(k))
+    last_type = order[-1]
+    reserves = [deque() for _ in range(k)]
+    singleton_counts = [0] * k
+    unsaturated = set(range(k))
+    remaining = set(item_list)
+    for i in order:
+        ranked = sorted(high_sets[i], key=high_lookup[last_type].__contains__)
+        picks = list(islice((g for g in ranked if g in remaining), caps[i]))
+        reserves[i].extend(Bundle((g,)) for g in picks)
+        singleton_counts[i] = len(picks)
+        remaining.difference_update(picks)
+        if len(picks) == caps[i]:
+            unsaturated.discard(i)
+    state = LowCState(high_sets=high_sets, reserves=reserves, caps=caps,
+                      singleton_counts=singleton_counts, order=order,
+                      last_type=last_type, unsaturated=set(unsaturated))
+    violate = state.violations.append
+    for i in unsaturated:
+        left = next((g for g in high_sets[i] if g in remaining), None)
+        if left is not None:
+            violate(f"open type {i} left high-valued item {left} unreserved")
+    mus = [nprime * p for p in probs]
+    for i in unsaturated:
+        slack = F(len(high_sets[i])) - nprime * (1 - probs[-1] / 2)
+        if not pow_sqrt_sum_ge(nprime, epsilon, mus, slack):
+            violate(f"open type {i} holds {len(high_sets[i])} high-valued items")
+    scan = sorted(remaining)
+    pos = 0
+    while unsaturated and pos < len(scan):
+        bag, vals, claimant = [], [F(0)] * k, None
+        while pos < len(scan):
+            g = scan[pos]
+            pos += 1
+            bag.append(g)
+            for j in range(k):
+                vals[j] += values[j][g]
+            open_claims = [j for j in sorted(unsaturated) if vals[j] >= alpha]
+            if open_claims:
+                claimant = open_claims[0]
+                break
+        if claimant is None:
+            break
+        reserves[claimant].append(Bundle(tuple(bag)))
+        state.bag_count += 1
+        remaining.difference_update(bag)
+        for j in list(unsaturated):
+            if vals[j] > 2 * alpha:
+                violate(f"bag worth {vals[j]} > 2*alpha to open type {j}")
+        if len(reserves[claimant]) == caps[claimant]:
+            unsaturated.discard(claimant)
+    state.unsaturated = unsaturated
+    for i in range(k):
+        if len(reserves[i]) > caps[i]:
+            violate(f"type {i} holds {len(reserves[i])} > cap {caps[i]}")
+    return state
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A random normalized instance (k in {1, 2, 3}) with a random item
+    subset, agent count, law and claim level (1/k and 1/2 among them)."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    m = n * draw(st.integers(1, 5))
+    lo = draw(st.integers(1, 4))
+    norm = gen_normalized_random(n, m, k, seed=draw(st.integers(0, 2**32)),
+                                 weight_lo=lo, weight_hi=lo + draw(st.integers(0, 5)))
+    items = draw(st.sets(st.integers(0, m - 1)))
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    probs = sorted((F(w, sum(weights)) for w in weights), reverse=True)
+    alpha = draw(st.sampled_from([F(1, k), F(1, 2), F(1, 3), F(1, 6), F(2, 5), F(2, 3)]))
+    return norm, items, draw(st.integers(1, 2 * n)), probs, alpha, draw(st.sampled_from([F(1, 10), F(1, 5)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases())
+def test_universal_items_matches_fraction_reference(case):
+    norm, items, _, _, alpha, _ = case
+    want = _fraction_universal_items(norm.base.type_values, items, alpha)
+    assert universal_items(norm.scaled, items, alpha) == want
+    assert universal_items(norm.base.type_values, items, alpha) == want
+
+
+def _assert_same_low_c(got, want):
+    assert [list(dq) for dq in got.reserves] == [list(dq) for dq in want.reserves]
+    assert got.singleton_counts == want.singleton_counts
+    assert (got.order, got.caps, got.bag_count) == (want.order, want.caps, want.bag_count)
+    assert got.unsaturated == want.unsaturated
+    assert got.violations == want.violations
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases())
+def test_preprocess_low_c_matches_fraction_reference(case):
+    norm, items, nprime, probs, alpha, epsilon = case
+    want = _fraction_preprocess_low_c(norm.base.type_values, items, nprime, probs, alpha, epsilon)
+    _assert_same_low_c(preprocess_low_c(norm.scaled, items, nprime, probs, alpha, epsilon), want)
+
+
+def test_preprocess_low_c_matches_fraction_reference_on_violations():
+    # identical high sets: type 1 is left open while holding every item
+    case = (((F(1, 2),) * 100,) * 2, range(100), 100, [F(1, 2)] * 2, F(1, 2), F(1, 10))
+    want = _fraction_preprocess_low_c(*case)
+    assert want.violations
+    _assert_same_low_c(preprocess_low_c(*case), want)
 
 
 def test_empty_high_sets_pure_bag_filling():

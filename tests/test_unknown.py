@@ -16,7 +16,7 @@ from mmsonline import (
     value,
 )
 from mmsonline.exactpow import ceil_pow
-from mmsonline.rng import substream
+from mmsonline.rng import bernoulli, substream
 from mmsonline.unknown import UnknownParams, basket_value_ok
 
 
@@ -87,6 +87,26 @@ def test_random_split_conserves(seed, m, p):
     b1, b2 = random_split(items, p, substream(seed, "split-prop"))
     assert sorted(b1.items + b2.items) == items
     assert not (set(b1) & set(b2))
+
+
+def _bernoulli_random_split(items, p, rng):
+    """Reference: ``random_split`` as it was, one ``rng.bernoulli`` call per item."""
+    b1, b2 = [], []
+    for g in sorted(items):
+        (b1 if bernoulli(rng, p) else b2).append(g)
+    return Bundle(tuple(b1)), Bundle(tuple(b2))
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32), st.lists(st.integers(0, 200), max_size=60),
+       st.one_of(st.sampled_from([F(0), F(1), F(1, 2)]),
+                 st.fractions(min_value=0, max_value=1, max_denominator=10**6)))
+def test_random_split_matches_bernoulli_reference(seed, items, p):
+    # same baskets from the same substream, and the stream is left in the
+    # same place (no draw at p = 0 or p = 1)
+    got_rng, want_rng = substream(seed, "split"), substream(seed, "split")
+    assert random_split(items, p, got_rng) == _bernoulli_random_split(items, p, want_rng)
+    assert got_rng.random() == want_rng.random()
 
 
 def test_random_split_binomial_band():
