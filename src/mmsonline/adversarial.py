@@ -13,7 +13,8 @@ ascending-index bag filling, LIFO trimming, ascending type order when a bag
 is reserved for several claimants.  A seeded-random variant of those choices
 exists for robustness testing.
 ``serve`` is the one per-arrival loop: a dry pool raises on a strict state
-and gives the agent the empty bundle otherwise (the unknown-d stages).
+and otherwise gives that agent ``None``, which ``core.finish_run`` turns
+into the empty bundle (the unknown-d stages).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Callable, Iterable, Sequence
 from .core import (
     Allocation,
     Bundle,
-    EMPTY_BUNDLE,
     FailureReason,
     InputError,
     InvariantViolation,
@@ -39,6 +39,8 @@ from .core import (
     ValidationError,
     as_fraction,
     as_scaled,
+    check_arrivals,
+    fill_bag,
     finish_run,
     value,
 )
@@ -81,6 +83,8 @@ class TentativeState:
     rng: random.Random | None = None
     pool: list[int] = field(default_factory=list)
     pool_pos: int = 0
+    marked_pool: list[int] | None = None
+    marks: dict[int, int] = field(default_factory=dict)
     bundle_refs: Counter[Bundle] = field(default_factory=Counter)
     violations: list[str] = field(default_factory=list)
     trace: list[dict] | None = None
@@ -184,12 +188,18 @@ class TentativeState:
     # -- checks (quantified over demand-unsaturated positive-share types) --
 
     def _check_pool_purity(self, current_t: int) -> None:
+        # scan only for open types whose mark, the last pool position of an item at
+        # their claim level (kept until the pool is replaced), is not behind the cursor
+        if self.marked_pool is not self.pool:
+            self.marked_pool, self.marks = self.pool, {}
+        rows, claim, pool, marks = self.view.ints, self.claim, self.pool, self.marks
         open_types = [j for j in self.check_types if not self._demand_saturated(j, current_t)]
-        if not open_types:
-            return
-        rows, claim = self.view.ints, self.claim
-        for g in self.pool[self.pool_pos:]:
-            for j in open_types:
+        for j in open_types:
+            if j not in marks:
+                marks[j] = next((p for p in reversed(range(len(pool))) if rows[j][pool[p]] >= claim[j]), -1)
+        hot = [j for j in open_types if marks[j] >= self.pool_pos]
+        for g in pool[self.pool_pos:] if hot else ():
+            for j in hot:
                 if rows[j][g] >= claim[j]:
                     self._violate(f"pool purity: item {g} worth "
                                   f"{Fraction(rows[j][g], self.view.units[j])} to open type {j}")
@@ -217,24 +227,6 @@ class TentativeState:
             self.trace.append({"event": "invariantCheck", "agentsLeft": left, "ok": ok,
                                "reserveSizes": [len(dq) for dq in self.reserves],
                                "remainingValue": [str(v) for v in self.remaining_worth()]})
-
-    # -- the per-arrival step ----------------------------------------------
-
-    def _fill_bag(self) -> tuple[list[int], list[int], list[int]]:
-        rows, claim, pool = self.view.ints, self.claim, self.pool
-        open_types = sorted(self.unsaturated)
-        bag: list[int] = []
-        vals = [0] * self.k
-        while self.pool_pos < len(pool):
-            g = pool[self.pool_pos]
-            self.pool_pos += 1
-            bag.append(g)
-            for j in range(self.k):
-                vals[j] += rows[j][g]
-            claimants = [j for j in open_types if vals[j] >= claim[j]]
-            if claimants:
-                return bag, vals, claimants
-        return bag, vals, []
 
 
 def preprocess(
@@ -286,12 +278,14 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle:
                                 "remaining": len(state.remaining)})
     else:
         while True:
-            bag, bagvals, claimants = state._fill_bag()
-            if not claimants:
+            filled = fill_bag(state.view.ints, state.claim, state.pool, state.pool_pos,
+                              sorted(state.unsaturated))
+            if filled is None:
                 # put the partial bag back in play for later rebuilds
                 state._rebuild_pool()
                 raise PoolExhausted(
                     f"agent {t} of type {i}: pool exhausted before any claim")
+            bag, bagvals, claimants, state.pool_pos = filled
             if bagvals[i] >= state.claim[i]:
                 allocated = Bundle(tuple(bag))
                 state._allocate(allocated)
@@ -339,25 +333,22 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle:
     return allocated
 
 
-def serve(state: TentativeState, arrivals: Iterable[int]) -> tuple[list[Bundle], bool]:
-    """Serve each arriving type in turn; returns the bundles and whether the
-    pool ran dry for some agent.
+def serve(state: TentativeState, arrivals: Iterable[int]) -> list[Bundle | None]:
+    """Serve each arriving type in turn; returns one bundle per agent.
 
     On a strict state a dry pool raises :class:`PoolExhausted`; otherwise
-    that agent gets the empty bundle and the later agents are still served.
+    that agent gets ``None`` and the later agents are still served.
     """
-    bundles: list[Bundle] = []
-    dry = False
+    bundles: list[Bundle | None] = []
     for ti in arrivals:
         try:
             bundles.append(step_adversarial(state, ti))
         except PoolExhausted:
             if state.strict:
                 raise
-            bundles.append(EMPTY_BUNDLE)
+            bundles.append(None)
             state.arrived += 1
-            dry = True
-    return bundles, dry
+    return bundles
 
 
 def run_adversarial(
@@ -376,15 +367,13 @@ def run_adversarial(
     taken at ``alpha`` (default 1/k).  A non-strict run reports a dry pool
     as ``poolExhausted`` instead of raising.
     """
-    n, k = norm.n_agents, norm.k_types
-    seq = list(arrivals)
-    if len(seq) != n:
-        raise InputError(f"arrival sequence has {len(seq)} types, expected {n}")
+    k = norm.k_types
+    seq = check_arrivals(arrivals, norm.n_agents, k)
     alpha = as_fraction(alpha) if alpha is not None else Fraction(1, k)
     state = preprocess(norm, strict=strict, rng=rng, trace=trace)
     flags = ["k1Degenerate"] if k == 1 else []
-    bundles, dry = serve(state, seq)
-    reason = FailureReason.POOL_EXHAUSTED if dry else FailureReason.NONE
+    bundles = serve(state, seq)
+    reason = FailureReason.POOL_EXHAUSTED if None in bundles else FailureReason.NONE
     details = {"violations": list(state.violations)} if state.violations else None
     return finish_run(norm, seq, bundles, alpha, reason, flags, details, state.trace)
 

@@ -96,6 +96,8 @@ def _cmd_mms(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     if args.algorithm == "adversarial" and args.trials > 1:
         raise InputError("run adversarial serves one arrival sequence; "
                          "use mc --algorithm adversarial for repeated trials")

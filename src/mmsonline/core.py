@@ -179,6 +179,37 @@ def as_scaled(values) -> ScaledRows:
     return ScaledRows(tuple(ints for ints, _ in scaled), tuple(unit for _, unit in scaled))
 
 
+def fill_bag(rows: Sequence[Sequence[int]], claim: Sequence[int], scan: Sequence[int],
+             pos: int, open_types: Sequence[int]) -> tuple[list[int], list[int], list[int], int] | None:
+    """Grow one bag from ``scan[pos:]`` in order until some type of ``open_types``
+    (ascending) values it at its claim level, all in scaled ints.  Returns
+    ``(bag, per-type values, claimants, next pos)``, the claimants being the open
+    types at their claim level, ascending; ``None`` if the scan runs out first."""
+    k = len(rows)
+    vals = [0] * k
+    start, end = pos, len(scan)
+    while pos < end:
+        g = scan[pos]
+        pos += 1
+        for j in range(k):
+            vals[j] += rows[j][g]
+        for j in open_types:
+            if vals[j] >= claim[j]:
+                return scan[start:pos], vals, [c for c in open_types if vals[c] >= claim[c]], pos
+    return None
+
+
+def check_arrivals(arrivals: Iterable[int], n: int, k: int) -> list[int]:
+    """The arrival sequence as a list: exactly n type ids, each in range(k)."""
+    seq = list(arrivals)
+    if len(seq) != n:
+        raise InputError(f"arrival sequence has {len(seq)} types, expected {n}")
+    for t in seq:
+        if not 0 <= t < k:
+            raise InputError(f"type id {t} out of range")
+    return seq
+
+
 @dataclass(frozen=True)
 class MmsResult:
     """Maximin-share value of one valuation over ``n`` bundles, with the
@@ -408,9 +439,10 @@ def finish_run(
     """Assemble one online run's allocation and report from the bundle each
     arriving agent got.
 
-    A ``None`` bundle marks an agent whose reserve ran dry: she gets the
-    empty bundle, and the first such agent sets the emptyReserve failure
-    unless an earlier stage already set ``reason``.
+    A ``None`` bundle marks an agent whose reserve or pool ran dry: that agent
+    gets the empty bundle, and the first such agent sets the emptyReserve failure
+    unless an earlier stage already set ``reason``.  This is the one place
+    that turns "nothing" into the empty bundle.
     """
     entries = []
     for agent, (type_id, bundle) in enumerate(zip(arrivals, bundles)):

@@ -112,8 +112,9 @@ class McConfig:
             raise InputError("give exactly one of instance_obj or generator")
         if self.arrivals not in ("iid", "exhaustive"):
             raise InputError("arrivals must be 'iid' or 'exhaustive'")
-        if self.trials < 0:  # 0 is legal: exhaustive runs read it as "all k^n"
-            raise InputError(f"trials must be nonnegative, got {self.trials}")
+        if self.trials < 0 or self.trials == 0 and self.arrivals != "exhaustive":
+            # 0 is legal only for exhaustive runs, which read it as "all k^n"
+            raise InputError(f"trials must be positive, got {self.trials}")
         if self.generator is not None:
             if self.generator not in _GENERATOR_SIGNATURES:
                 raise InputError(f"unknown generator {self.generator!r}")

@@ -55,8 +55,7 @@ def instance_to_obj(instance: Instance, norm: NormalizedInstance | None = None) 
 
 def instance_from_obj(obj: dict) -> Instance:
     try:
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in obj["types"])
-        inst = Instance(int(obj["n"]), rows, tuple(obj["names"]) if "names" in obj else None)
+        inst = Instance(int(obj["n"]), obj["types"], tuple(obj["names"]) if "names" in obj else None)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed instance object: {exc}") from exc
     if "m" in obj and int(obj["m"]) != inst.m_items:

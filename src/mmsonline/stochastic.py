@@ -1,14 +1,15 @@
 """Known-distribution online allocation.
 
 Dispatch on the number of universally high-valued items C (worth >= alpha to
-every type).  With many of them, one share partition of the most frequent
-type is rearranged so every kept bundle carries exactly one C item and the
-C-free bundles are reserved for that type.  Otherwise C is handed out as
-singletons and the reduced instance runs the saturation pipeline: per-type
-reservation caps ``M_i = floor(mu_i + n'^eps * sqrt(mu_i))`` (mu_i = n' p_i),
-singleton reservation of each type's high-valued items in a computed order,
-then bag filling until every type is saturated, with arrivals simply
-draining their type's reserve queue.
+every type).  With many of them, the most frequent type's share partition,
+which the instance carries (no solver call), is cut to the served items and
+rearranged so every kept bundle carries exactly one C item and the C-free
+bundles are reserved for that type.  Otherwise C is handed out as singletons
+and the reduced instance runs the saturation pipeline: per-type reservation
+caps ``M_i = floor(mu_i + n'^eps * sqrt(mu_i))`` (mu_i = n' p_i), singleton
+reservation of each type's high-valued items in a computed order, then bag
+filling until every type is saturated, with arrivals simply draining their
+type's reserve queue.
 
 Type indices inside this module are ranks in the probability-sorted order;
 the public runner translates from and back to original type ids.
@@ -33,10 +34,11 @@ from .core import (
     TypeDistribution,
     as_fraction,
     as_scaled,
+    check_arrivals,
+    fill_bag,
     finish_run,
 )
 from .exactpow import floor_plus_pow_sqrt, pow_sqrt_le, pow_sqrt_sum_ge
-from .solver import mms_exact
 
 
 def claim_level(alpha, eta) -> Fraction:
@@ -177,30 +179,15 @@ def preprocess_low_c(
     over = view.at_most(2 * alpha)
     scan = sorted(remaining)
     pos = 0
-    while unsaturated and pos < len(scan):
-        bag: list[int] = []
-        vals = [0] * k
-        claimant = None
-        open_types = sorted(unsaturated)
-        while pos < len(scan):
-            g = scan[pos]
-            pos += 1
-            bag.append(g)
-            for j in range(k):
-                vals[j] += rows[j][g]
-            for j in open_types:
-                if vals[j] >= claim[j]:
-                    claimant = j
-                    break
-            if claimant is not None:
-                break
-        if claimant is None:
-            break  # remainder exhausted without a claim; bag items stay unallocated
-        bundle = Bundle(tuple(bag))
-        reserves[claimant].append(bundle)
+    while unsaturated:
+        filled = fill_bag(rows, claim, scan, pos, sorted(unsaturated))
+        if filled is None:
+            break  # remainder exhausted without a claim; those items stay unallocated
+        bag, vals, claimants, pos = filled
+        claimant = claimants[0]
+        reserves[claimant].append(Bundle(tuple(bag)))
         state.bag_count += 1
-        remaining.difference_update(bag)
-        for j in list(unsaturated):
+        for j in unsaturated:
             if vals[j] > over[j]:
                 violate(f"bag worth {Fraction(vals[j], view.units[j])} > 2*alpha to open type {j}")
         if len(reserves[claimant]) == caps[claimant]:
@@ -274,9 +261,6 @@ def run_high_c(
                 main.append(Bundle((g,)))
     if len(main) != len(c_items):
         raise InvariantViolation(f"kept {len(main)} bundles for {len(c_items)} universal items")
-    for b in main:
-        if sum(1 for g in b if g in c_set) != 1:
-            raise InvariantViolation("kept bundle without exactly one universal item")
 
     out: list[Bundle | None] = []
     for rank in arrival_ranks:
@@ -309,12 +293,14 @@ def known_d_engine(
     alpha: Fraction,
     epsilon: Fraction,
     arrival_ranks: Sequence[int],
+    partition: Sequence[Bundle],
 ) -> tuple[list[Bundle | None], dict]:
     """Dispatch between the two regimes; returns per-agent bundles (None for
     an agent whose reserve ran dry) plus run metadata.
 
     Valuations and arrivals are already in probability-sorted rank space
-    (see ``to_rank_space``); the high-C regime partitions rank 0's values.
+    (see ``to_rank_space``); ``partition`` is rank 0's share partition of
+    all the instance's items, which the high-C regime routes everyone through.
     """
     view = as_scaled(values)
     alpha = as_fraction(alpha)
@@ -323,12 +309,13 @@ def known_d_engine(
     k = len(view.ints)
     c_items = universal_items(view, items, alpha)
     if high_c_condition(len(c_items), n_agents, k, probs[0], epsilon):
-        # every bundle of a share partition restricted to the served items is
-        # worth >= alpha times the restricted share, for any alpha <= 1
-        items = list(items)
-        witness = mms_exact([Fraction(view.ints[0][g], view.units[0]) for g in items], n_agents).witness
-        partition = [Bundle(tuple(items[x] for x in b)) for b in witness]
-        return run_high_c(partition, n_agents, c_items, arrival_ranks)
+        # the bundles within the served items are each worth a full share; the
+        # served leftovers of the others join the first of them
+        served = set(items)
+        kept = [b for b in partition if served.issuperset(b)]
+        cut = [g for b in partition if not served.issuperset(b) for g in b if g in served]
+        kept[0] = Bundle(kept[0].items + tuple(cut))
+        return run_high_c(kept, n_agents, c_items, arrival_ranks)
 
     served = min(len(c_items), n_agents)
     out: list[Bundle | None] = [Bundle((c_items[t],)) for t in range(served)]
@@ -365,10 +352,8 @@ def run_known_d(
     if dist.k != norm.k_types:
         raise InputError("distribution arity mismatch")
     n = norm.n_agents
-    seq = list(arrivals)
-    if len(seq) != n:
-        raise InputError(f"arrival sequence has {len(seq)} types, expected {n}")
+    seq = check_arrivals(arrivals, n, norm.k_types)
     values_sorted, ranks = to_rank_space(norm, dist, seq)
-    bundles, info = known_d_engine(
-        values_sorted, list(range(norm.m_items)), n, dist.probs, alpha, epsilon, ranks)
+    bundles, info = known_d_engine(values_sorted, list(range(norm.m_items)), n, dist.probs,
+                                   alpha, epsilon, ranks, norm.witness_partitions[dist.order[0]])
     return finish_run(norm, seq, bundles, alpha, details=info)

@@ -31,6 +31,7 @@ from .core import (
     TrialReport,
     TypeDistribution,
     as_fraction,
+    check_arrivals,
     finish_run,
 )
 from .exactpow import ceil_pow, pow_le
@@ -100,15 +101,15 @@ def random_split(items: Sequence[int], p: Fraction, rng: random.Random) -> tuple
     return Bundle(tuple(b1)), Bundle(tuple(b2))
 
 
-def basket_value_ok(v: Fraction, n: int, k: int, window: int, params: UnknownParams) -> bool:
-    """Decide ``v >= (1 - delta) * 2k * window`` exactly, with
-    delta = n ** -((eps' - c)/2)."""
-    full = 2 * k * window
+def basket_value_ok(v: Fraction, k: int, params: UnknownParams) -> bool:
+    """Decide ``v >= (1 - delta) * 2k * window`` exactly, with the run's
+    learning window and delta = n ** -((eps' - c)/2)."""
+    full = 2 * k * params.learn_window
     shortfall = 1 - as_fraction(v) / full
     if shortfall <= 0:
         return True
     # v >= (1-delta)*full  <=>  delta >= shortfall  <=>  n^exp <= 1/shortfall
-    return pow_le(n, params.delta_exponent, 1 / shortfall)
+    return pow_le(params.n, params.delta_exponent, 1 / shortfall)
 
 
 def run_unknown_d(
@@ -119,7 +120,6 @@ def run_unknown_d(
     eta: Fraction | None = None,
     c,
     seed: int = 0,
-    precomputed_universal: Sequence[int] | None = None,
 ) -> tuple[Allocation, TrialReport]:
     """Serve n agents whose types stream in from an unknown distribution.
 
@@ -131,9 +131,7 @@ def run_unknown_d(
     if not 0 < alpha <= Fraction(1, 2):
         raise InputError("alpha must lie in (0, 1/2] for the split stage")
     n, k, m = norm.n_agents, norm.k_types, norm.m_items
-    seq = list(arrivals)
-    if len(seq) != n:
-        raise InputError(f"arrival sequence has {len(seq)} types, expected {n}")
+    seq = check_arrivals(arrivals, n, k)
     params = UnknownParams.for_instance(n, c)
     window = params.learn_window
     flags: list[str] = []
@@ -147,10 +145,7 @@ def run_unknown_d(
             details["violations"] = rep.details["violations"]
         return allocation, replace(rep, flags=("degenerateScale",), details=details)
 
-    if precomputed_universal is not None:
-        c_items = list(precomputed_universal)
-    else:
-        c_items = universal_items(norm.scaled, range(m), alpha)
+    c_items = universal_items(norm.scaled, range(m), alpha)
     zero = norm.zero_mms_types
     bundles: list[Bundle | None] = []
     reason = FailureReason.NONE
@@ -166,7 +161,7 @@ def run_unknown_d(
         values_sorted, ranks = to_rank_space(norm, learned, seq[window:])
         sub, info = known_d_engine(
             values_sorted, rest_items, n - window, learned.probs,
-            alpha, params.epsilon, ranks)
+            alpha, params.epsilon, ranks, norm.witness_partitions[learned.order[0]])
         details["dispatch"] = info
         bundles.extend(sub)
     else:
@@ -195,18 +190,15 @@ def run_unknown_d(
         basket1_values = state.remaining_worth()
         details["basket1Values"] = [str(v) for v in basket1_values]
         details["basket1ConcentrationOk"] = all(
-            basket_value_ok(v, n, k, window, params)
+            basket_value_ok(v, k, params)
             for i, v in enumerate(basket1_values) if i not in zero)
         learn_types = seq[served_c:served_c + learn_count]
-        learn_bundles, dry = serve(state, learn_types)
+        learn_bundles = serve(state, learn_types)
         bundles.extend(learn_bundles)
-        if dry:
+        if None in learn_bundles:
             reason = FailureReason.VALUE_BELOW_ALPHA
-        if learn_types:
-            learned = learn_distribution(learn_types, k)
-        else:
-            learned = TypeDistribution.from_probs([Fraction(1, k)] * k)
-            flags.append("noObservations")
+        # never empty: window < n here, and served_c < window
+        learned = learn_distribution(learn_types, k)
         details["learned"] = [str(p_) for p_ in learned.original_probs()]
 
         rest_agents = n - served_c - learn_count

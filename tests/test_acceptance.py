@@ -226,8 +226,7 @@ def test_acceptance_7_unknown_distribution_pipeline():
         seq = sample_arrivals(hidden, n, substream(MASTER, "c7-arr", trial))
         _, rep = run_unknown_d(
             norm, seq, eta=F(1, 2), c=F(1, 20),
-            seed=substream(MASTER, "c7-split", trial).randrange(2**32),
-            precomputed_universal=c_items)
+            seed=substream(MASTER, "c7-split", trial).randrange(2**32))
         assert rep.details["branch"] == "splitAndLearn"
         learned = [F(s) for s in rep.details["learned"]]
         frequencies = [F(seq[:window].count(t), window) for t in range(k)]

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from mmsonline import (
     Bundle,
-    EMPTY_BUNDLE,
     Instance,
     InvariantViolation,
     NormalizedInstance,
@@ -137,6 +136,18 @@ def test_presaturation_bundling_breaks_naive_reserving():
     assert (n + 1) // 2 < n
 
 
+def test_bag_claimed_by_two_types_is_reserved_for_both():
+    # items 0-1 make 1/2 for types 0 and 1 at once, and nothing for type 2,
+    # so the arriving type-2 agent fills on and takes items 2-3
+    quarter = (F(1, 4),) * 8
+    rows = (quarter, quarter, (F(0), F(0)) + quarter[2:])
+    state = TentativeState.create(rows, range(8), 3, threshold=F(1, 2), check=False)
+    assert step_adversarial(state, 2) == Bundle((2, 3))
+    shared = Bundle((0, 1))
+    assert [list(dq) for dq in state.reserves] == [[shared], [shared], []]
+    assert state.bundle_refs[shared] == 2
+
+
 def test_single_agent_always_served():
     norm = gen_normalized_random(1, 4, 3, seed=5)
     _, rep = run_adversarial(norm, [2])
@@ -167,9 +178,7 @@ def _dry_then_reserved_state(strict: bool) -> TentativeState:
 
 def test_serve_non_strict_gives_empty_bundle_and_goes_on():
     state = _dry_then_reserved_state(strict=False)
-    bundles, dry = serve(state, [0, 1])
-    assert dry is True
-    assert bundles == [EMPTY_BUNDLE, Bundle((0,))]
+    assert serve(state, [0, 1]) == [None, Bundle((0,))]
     assert state.arrived == 2
 
 
@@ -181,8 +190,8 @@ def test_serve_strict_raises_on_dry_pool():
 
 def test_serve_reports_no_dry_pool_on_a_normal_run():
     norm = gen_normalized_random(4, 10, 2, seed=0)
-    bundles, dry = serve(preprocess(norm), [0, 1, 1, 0])
-    assert dry is False
+    bundles = serve(preprocess(norm), [0, 1, 1, 0])
+    assert None not in bundles
     assert all(bundles)
 
 
@@ -222,10 +231,56 @@ def test_pool_cursor_never_passes_over_taken_items():
         for state in states:
             _assert_cursor_items_fillable(state)
             for t in seq:
-                _, dry = serve(state, [t])
-                dry_runs += dry
+                dry_runs += None in serve(state, [t])
                 _assert_cursor_items_fillable(state)
     assert dry_runs > 0
+
+
+def _assert_marks_recount(state):
+    # a mark is the last pool position of an item at the type's claim level
+    if state.marked_pool is not state.pool:
+        return 0  # the pool was replaced since the last check: marks are unset
+    rows, claim = state.view.ints, state.claim
+    for j, mark in state.marks.items():
+        assert mark == max((p for p, g in enumerate(state.pool) if rows[j][g] >= claim[j]),
+                           default=-1)
+    return len(state.marks)
+
+
+def test_pool_purity_marks_match_a_recount():
+    rng = random.Random(5)
+    compared = 0
+    for seed in range(12):
+        n, k = rng.randint(2, 6), rng.randint(2, 3)
+        norm = gen_normalized_random(n, n * rng.randint(2, 4), k, seed=seed)
+        seq = [rng.randrange(k) for _ in range(n)]
+        basket = sorted(rng.sample(range(norm.m_items), norm.m_items // 2))
+        states = [
+            preprocess(norm),                                  # FIFO
+            preprocess(norm, rng=substream(seed, "tiebreak")),  # seeded random picks
+            # half the items at claim level 1/2, checked: dry pools and violations
+            TentativeState.create(norm.scaled, basket, n, threshold=F(1, 2), strict=False),
+        ]
+        for state in states:
+            compared += _assert_marks_recount(state)
+            for t in seq:
+                serve(state, [t])
+                compared += _assert_marks_recount(state)
+    assert compared > 0
+
+
+def test_pool_purity_flags_high_items_in_a_new_pool():
+    # items 0-3 are worth 1/4 to both types, items 4-5 3/4 to type 0 only
+    rows = ((F(1, 4),) * 4 + (F(3, 4),) * 2, (F(1, 4),) * 4 + (F(0),) * 2)
+    state = TentativeState.create(rows, range(4), 2, threshold=F(1, 2), strict=False)
+    assert state.violations == [] and state.marks == {0: -1, 1: -1}
+    state.pool = state.pool + [4, 5]  # the pool is replaced, so the marks are redone
+    msg = "pool purity: item {} worth 3/4 to open type 0".format
+    for pos, want in [(0, [4, 5]), (4, [4, 5]), (5, [5]), (6, [])]:
+        state.violations.clear()
+        state.pool_pos = pos
+        state._check_pool_purity(current_t=0)
+        assert state.violations == [msg(g) for g in want]
 
 
 # -- the integer kernel against the Fraction implementation it replaced ----------

@@ -145,6 +145,10 @@ MC_ADV = ["mc", "--algorithm", "adversarial", "--trials", "2", "--dist", '["1/3"
     MC_ADV + ["--generator-params", '{"n": true, "m": 8, "k": 3}'],
     ["mc", "--algorithm", "adversarial", "--trials", "-3", "--dist", '["1/3", "1/3", "1/3"]',
      "--generator", "normalized-random", "--generator-params", '{"n": 3, "m": 8, "k": 3}'],
+    ["mc", "--algorithm", "adversarial", "--trials", "0", "--dist", '["1/3", "1/3", "1/3"]',
+     "--generator", "normalized-random", "--generator-params", '{"n": 3, "m": 8, "k": 3}'],
+    ["run", "known-d", "--trials", "0", "--eta", "1/2", "--instance", "INST", "--dist", "DIST"],
+    ["run", "known-d", "--trials", "-2", "--eta", "1/2", "--instance", "INST", "--dist", "DIST"],
 ])
 def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     inst, dist = _gen_instance_and_dist(tmp_path)

@@ -19,6 +19,7 @@ from mmsonline import (
     value,
     verify_allocation,
 )
+from mmsonline.core import fill_bag
 from mmsonline.solver import mms_brute_force
 
 fractions_pos = st.fractions(min_value=0, max_value=100, max_denominator=60)
@@ -215,3 +216,15 @@ def test_normalized_instance_rejects_what_fraction_checks_rejected(n, k, mult, s
         with pytest.raises(ValidationError) as err:
             NormalizedInstance(inst, mms, norm.witness_partitions, zero)
         assert str(err.value) == want
+
+
+def test_fill_bag_stops_at_the_first_claim_and_lists_every_claimant():
+    rows = ((1, 1, 1), (1, 2, 0))
+    # item 1 brings both types to their claim at once
+    assert fill_bag(rows, [2, 2], [0, 1, 2], 0, [0, 1]) == ([0, 1], [2, 3], [0, 1], 2)
+    # only open types claim; the scan starts at pos
+    assert fill_bag(rows, [2, 2], [0, 1, 2], 0, [1]) == ([0, 1], [2, 3], [1], 2)
+    assert fill_bag(rows, [2, 2], [0, 1, 2], 1, [0, 1]) == ([1], [1, 2], [1], 2)
+    # the scan runs out before any claim
+    assert fill_bag(rows, [9, 9], [0, 1, 2], 0, [0, 1]) is None
+    assert fill_bag(rows, [2, 2], [0, 1, 2], 0, []) is None

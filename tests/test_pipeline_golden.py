@@ -185,11 +185,11 @@ DIGESTS = {
     "mc-csv":
         "3fcd066d78757ce24358271b0885803f13b0e82880521e128d3cf46cdde1580f",
     "known-d-high-c":
-        "15dc8d74caf80dfa39396e3e2a660a563406dcc8b1ef31a58dd156b55701facb",
+        "c3937a61616476b0ccdb8ae42576b2f63005cbed5b993099b4ee1019673d8cfa",
     "unknown-degenerate":
         "11acba37891dcd187044a3a0c35d4cf2087b78111866a52cc578cc6c739a7e35",
     "unknown-learn-from-universal":
-        "e62ffbf95de1d14996d3d62256815cca76814cc86577e5bd1e73439dcdc872aa",
+        "1fcffd61d8616d186a5203d896de4de55cef6c9b98a682e93fe481b001d78b73",
     "degradation-adversarial":
         "9aedd21c2ad9f2292ff6d7cffbd7c7e790cda1cb86d9028bdc6aab86e66db51a",
     "degradation-known-d":

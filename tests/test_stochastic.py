@@ -19,6 +19,7 @@ from mmsonline import (
     run_known_d,
     sample_arrivals,
     value,
+    verify_allocation,
 )
 from mmsonline.exactpow import pow_sqrt_sum_ge
 from mmsonline.stochastic import (
@@ -460,13 +461,45 @@ def test_high_c_reserve_stays_empty_when_c_covers_everyone():
     assert out == [Bundle((0,)), Bundle((1,))]
 
 
+def test_run_known_d_high_c_past_the_solver_caps():
+    # n = m = 30: every item is a whole share and universal, so the high-C
+    # branch routes everyone through type 0's own share partition
+    dist = TypeDistribution.from_probs([F(1, 2), F(1, 2)])
+    norm = gen_normalized_random(30, 30, 2, seed=0)
+    alloc, rep = run_known_d(norm, dist, sample_arrivals(dist, 30, 1),
+                             eta=F(1, 2), epsilon=F(1, 10))
+    assert rep.details["branch"] == "highC"
+    assert rep.succeeded_at_alpha
+    assert verify_allocation(norm, alloc, rep.alpha).min_ratio == rep.min_ratio
+
+
+def test_high_c_with_a_zero_share_rank_0():
+    # type 0, the most frequent, values only items 0-8 among ten agents, so
+    # its share is 0; type 1 values every item at 1/2.  C = items 0-8.
+    n = 10
+    zero_row = tuple(F(1) if g < 9 else F(0) for g in range(2 * n))
+    witness = tuple(Bundle((b, n + b)) for b in range(n))
+    norm = NormalizedInstance(Instance(n, (zero_row, (F(1, 2),) * (2 * n))),
+                              (F(0), F(1)), (witness, witness), frozenset({0}))
+    dist = TypeDistribution.from_probs([F(3, 5), F(2, 5)])
+    seq = [0, 1, 0, 1, 1, 0, 1, 1, 0, 1]
+    alloc, rep = run_known_d(norm, dist, seq, eta=F(1, 2), epsilon=F(1, 10))
+    assert rep.details["branch"] == "highC"
+    assert rep.succeeded_at_alpha
+    # the C-free bundle {9, 19} goes to the first rank-0 agent: worth 0 to
+    # that agent, yet scored 1 under the zero-share convention
+    assert alloc.entries[0][2] == Bundle((9, 19))
+    assert [r for t, r in zip(seq, rep.per_agent_ratio) if t == 0] == [F(1)] * 4
+
+
 def test_tight_pk_dispatch_reduces_by_universal_prefix():
     from mmsonline.generators import gen_tightness_pk
     norm, dist = gen_tightness_pk(4, 20)
     values_sorted = tuple(norm.base.type_values[orig] for orig in dist.order)
     ranks = [dist.rank_of(t) for t in sample_arrivals(dist, 20, 5)]
     out, info = known_d_engine(values_sorted, list(range(norm.m_items)), 20,
-                               dist.probs, F(1, 3), F(1, 10), ranks)
+                               dist.probs, F(1, 3), F(1, 10), ranks,
+                               norm.witness_partitions[dist.order[0]])
     assert info["branch"] == "lowC"
     assert info["universal"] == 15           # the n - n/k universal prefix
     # first 15 agents got universal singletons; the pipeline saw n' = 5
@@ -478,7 +511,7 @@ def test_dispatch_all_c_serves_singletons():
     # every item universal, cond_high false (k=1... use k=2 with tiny n^eps term)
     rows = ((F(1),) * 2, (F(1),) * 2)
     out, info = known_d_engine(rows, [0, 1], 2, [F(1, 2), F(1, 2)], F(1, 2),
-                               F(1, 10), [1, 0])
+                               F(1, 10), [1, 0], [Bundle((0,)), Bundle((1,))])
     # here |C| = 2 >= 1 + 2^0.1 = 2.07... is false -> allC path
     assert info["branch"] == "allC"
     assert out == [Bundle((0,)), Bundle((1,))]

@@ -7,13 +7,18 @@ from mmsonline import (
     Bundle,
     FailureReason,
     InputError,
+    Instance,
+    NormalizedInstance,
     TypeDistribution,
     gen_normalized_random,
     learn_distribution,
     random_split,
+    run_adversarial,
+    run_known_d,
     run_unknown_d,
     sample_arrivals,
     value,
+    verify_allocation,
 )
 from mmsonline.exactpow import ceil_pow
 from mmsonline.rng import bernoulli, substream
@@ -121,9 +126,9 @@ def test_basket_value_check_exact():
     p = UnknownParams.for_instance(5000, F(1, 20))
     w = p.learn_window
     # delta = 5000^(-19/60) = 0.0674; threshold = (1-delta)*2kW
-    assert basket_value_ok(F(2 * 3 * w), 5000, 3, w, p)          # full expectation passes
-    assert not basket_value_ok(F(2 * 3 * w) * F(9, 10), 5000, 3, w, p)  # 10% short fails
-    assert basket_value_ok(F(2 * 3 * w) * F(95, 100), 5000, 3, w, p)    # 5% short is fine
+    assert basket_value_ok(F(2 * 3 * w), 3, p)                  # full expectation passes
+    assert not basket_value_ok(F(2 * 3 * w) * F(9, 10), 3, p)  # 10% short fails
+    assert basket_value_ok(F(2 * 3 * w) * F(95, 100), 3, p)    # 5% short is fine
 
 
 def test_run_unknown_tiny_c_formula():
@@ -174,6 +179,51 @@ def test_unknown_d_learn_from_universal_branch():
     for _, ti, b in alloc.entries[:window]:
         assert len(b) == 1
     assert rep.succeeded_at_alpha
+
+
+def test_learn_from_universal_high_c_past_the_solver_caps():
+    # m = 2n, every item universal at 1/3: the window's singletons cut into
+    # type partitions, and the 19 later agents take the high-C branch
+    n = 30
+    norm = gen_normalized_random(n, 2 * n, 2, seed=0)
+    hidden = TypeDistribution.from_probs([F(1, 2), F(1, 2)])
+    seq = sample_arrivals(hidden, n, 0)
+    alloc, rep = run_unknown_d(norm, seq, eta=F(1, 2), c=F(1, 20), seed=0)
+    assert rep.details["branch"] == "learnFromUniversal"
+    assert rep.details["dispatch"]["branch"] == "highC"
+    assert rep.succeeded_at_alpha
+    assert verify_allocation(norm, alloc, rep.alpha).min_ratio == rep.min_ratio
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_runners_reject_out_of_range_type_ids(bad):
+    # a negative id would read another type's row; one past k would fail the
+    # rank lookup after the window; both are input errors up front
+    norm = gen_normalized_random(30, 60, 2, seed=0)
+    seq = [0, 1] * 15
+    seq[0 if bad < 0 else -1] = bad
+    dist = TypeDistribution.from_probs([F(1, 2), F(1, 2)])
+    for run in (lambda: run_unknown_d(norm, seq, eta=F(1, 2), c=F(1, 20)),
+                lambda: run_known_d(norm, dist, seq, eta=F(1, 2), epsilon=F(1, 10)),
+                lambda: run_adversarial(norm, seq)):
+        with pytest.raises(InputError, match=f"type id {bad} out of range"):
+            run()
+
+
+def test_unknown_d_rejects_a_negative_id_served_a_universal_singleton():
+    # items 0, 2 and 4 are the only universal ones (1/2 and 3/4), fewer than
+    # the window of 6: agent 0 would take item 0 with a ratio read from the
+    # last type's row through the negative index
+    n = 12
+    row0, row1 = [], []
+    for j in range(n):
+        row0 += [F(1, 2), F(1, 2)] if j < 3 else [F(3, 4), F(1, 4)]
+        row1 += [F(3, 4), F(1, 4)] if j < 3 else [F(1, 4), F(3, 4)]
+    witness = tuple(Bundle((2 * j, 2 * j + 1)) for j in range(n))
+    norm = NormalizedInstance(Instance(n, (tuple(row0), tuple(row1))), (F(1), F(1)),
+                              (witness, witness))
+    with pytest.raises(InputError, match="type id -1 out of range"):
+        run_unknown_d(norm, [-1] + [0, 1] * 5 + [0], eta=F(1, 2), c=F(1, 20))
 
 
 def test_unknown_d_degenerate_window_flag():
