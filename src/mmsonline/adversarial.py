@@ -38,7 +38,6 @@ from .core import (
     TrialReport,
     ValidationError,
     as_fraction,
-    as_scaled,
     check_arrivals,
     fill_bag,
     finish_run,
@@ -94,7 +93,7 @@ class TentativeState:
     @classmethod
     def create(
         cls,
-        values: ScaledRows | Sequence[Sequence[Fraction]],
+        view: ScaledRows,
         items: Iterable[int],
         n: int,
         *,
@@ -112,10 +111,7 @@ class TentativeState:
         reserve of that type (the same singleton may serve several types),
         until the type holds n of them.  Only the given items are read.
         """
-        view = as_scaled(values)
         k = len(view.ints)
-        if k < 1:
-            raise InputError("need at least one type")
         item_list = sorted(set(map(int, items)))
         threshold = Fraction(1, k) if threshold is None else as_fraction(threshold)
         claim = view.at_least(threshold)
@@ -364,12 +360,14 @@ def run_adversarial(
 
     Every agent of a positive-share type is guaranteed a bundle worth at
     least 1/k of her (normalized) share; the report's success verdict is
-    taken at ``alpha`` (default 1/k).  A non-strict run reports a dry pool
-    as ``poolExhausted`` instead of raising.
+    taken at ``alpha`` in (0, 1] (default 1/k).  A non-strict run reports a
+    dry pool as ``poolExhausted`` instead of raising.
     """
     k = norm.k_types
     seq = check_arrivals(arrivals, norm.n_agents, k)
     alpha = as_fraction(alpha) if alpha is not None else Fraction(1, k)
+    if not 0 < alpha <= 1:
+        raise InputError("alpha must lie in (0, 1]")
     state = preprocess(norm, strict=strict, rng=rng, trace=trace)
     flags = ["k1Degenerate"] if k == 1 else []
     bundles = serve(state, seq)
@@ -392,11 +390,11 @@ def tentative_policy(construction) -> Callable[[int], Bundle]:
 def greedy_policy(construction) -> Callable[[int], Bundle]:
     """Baseline that grabs the best available items up to the arriving
     type's full share."""
-    inst = construction.instance
-    available = set(range(inst.m_items))
+    rows = construction.instance.type_values
+    available = set(range(construction.instance.m_items))
 
     def serve(type_id: int) -> Bundle:
-        vals = inst.type_values[type_id]
+        vals = rows[type_id]
         target = construction.declared_mms[type_id]
         picked: list[int] = []
         total = Fraction(0)
@@ -464,9 +462,8 @@ def adaptive_lower_bound_adversary(
     for _ in range(n - 1):
         receive(punished)
 
-    ratios = [
-        value(inst.type_values[ti], b) / cons.declared_mms[ti] for ti, b in entries
-    ]
+    rows = inst.type_values
+    ratios = [value(rows[ti], b) / cons.declared_mms[ti] for ti, b in entries]
     min_ratio = min(ratios)
     details = {
         "mu1": cons.mu1,

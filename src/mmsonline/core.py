@@ -1,18 +1,18 @@
 """Exact-arithmetic data model: instances, bundles, allocations, type
 distributions, normalization, and ex-post verification.
 
-Valuations are ``fractions.Fraction`` at the API and in reports.  Inside
-the allocators they are integers: each :class:`NormalizedInstance` builds,
-once, a :class:`ScaledRows` view of every type's row over its own unit L_i
-(the lcm of the row's denominators), so a claim level is one integer compare
-and a bag value an int sum.  Floats are confined to statistics aggregation
-in the harness.
+Valuations are ``fractions.Fraction`` at the API and in reports.  An
+:class:`Instance` holds them once, as the :class:`ScaledRows` view of every
+type's row over its own unit L_i (the lcm of the row's denominators), and
+derives the rational rows from it on demand; the allocators read the ints,
+so a claim level is one integer compare and a bag value an int sum.
+Floats are confined to statistics aggregation in the harness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -102,50 +102,51 @@ def value(valuation: Sequence[Fraction], bundle: Bundle) -> Fraction:
 @dataclass(frozen=True)
 class Instance:
     """``n_agents`` sequentially arriving agents, one of ``k`` known additive
-    valuation types each, over ``m_items`` indivisible items."""
+    valuation types each, over ``m_items`` indivisible items.
+
+    The rows are passed as rationals (ints, Fractions or ``"num/den"``
+    strings) and held once, as their integer view ``scaled``."""
 
     n_agents: int
-    type_values: tuple[Valuation, ...]
+    scaled: ScaledRows
     type_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n_agents < 1:
             raise InputError("need at least one agent")
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in self.type_values)
-        if not rows:
-            raise InputError("need at least one type")
-        m = len(rows[0])
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise InputError(f"type {i} has {len(row)} values, expected {m}")
-            if any(v < 0 for v in row):
-                raise InputError(f"type {i} has a negative value")
-        object.__setattr__(self, "type_values", rows)
+        object.__setattr__(self, "scaled", as_scaled(self.scaled))
         if self.type_names is not None:
             names = tuple(str(s) for s in self.type_names)
-            if len(names) != len(rows):
+            if len(names) != self.k_types:
                 raise InputError("type_names length mismatch")
             object.__setattr__(self, "type_names", names)
 
     @property
+    def type_values(self) -> tuple[Valuation, ...]:
+        """The rows as rationals, built afresh on every read."""
+        return tuple(tuple(Fraction(x, unit) for x in ints)
+                     for ints, unit in zip(self.scaled.ints, self.scaled.units))
+
+    @property
     def k_types(self) -> int:
-        return len(self.type_values)
+        return len(self.scaled.ints)
 
     @property
     def m_items(self) -> int:
-        return len(self.type_values[0])
+        return len(self.scaled.ints[0])
 
 
-def scale_row(row: Iterable) -> tuple[tuple[int, ...], int]:
+def scale_row(row: Iterable, negative: str = "negative value") -> tuple[tuple[int, ...], int]:
     """``(ints, L)`` with ``row[g] == ints[g] / L`` and L the lcm of the row's
     denominators; equal ints share one object, so a row of few distinct
-    values costs about a pointer per item."""
+    values costs about a pointer per item.  A negative value raises
+    ``InputError(negative)``."""
     vals = [as_fraction(v) for v in row]
     unit = math.lcm(*{v.denominator for v in vals})
     distinct: dict[int, int] = {}
     ints = tuple([distinct.setdefault(x, x) for x in [v.numerator * (unit // v.denominator) for v in vals]])
     if any(x < 0 for x in distinct):
-        raise InputError("negative value")
+        raise InputError(negative)
     return ints, unit
 
 
@@ -171,11 +172,15 @@ class ScaledRows:
         return sum(map(self.ints[i].__getitem__, items))
 
 
-def as_scaled(values) -> ScaledRows:
-    """The integer view of rational rows; a prebuilt view passes through."""
-    if isinstance(values, ScaledRows):
-        return values
-    scaled = [scale_row(row) for row in values]
+def as_scaled(rows: Iterable[Sequence]) -> ScaledRows:
+    """The integer view of k >= 1 equally long rows of nonnegative rationals."""
+    scaled = []
+    for i, row in enumerate(rows):
+        if scaled and len(row) != len(scaled[0][0]):
+            raise InputError(f"type {i} has {len(row)} values, expected {len(scaled[0][0])}")
+        scaled.append(scale_row(row, f"type {i} has a negative value"))
+    if not scaled:
+        raise InputError("need at least one type")
     return ScaledRows(tuple(ints for ints, _ in scaled), tuple(unit for _, unit in scaled))
 
 
@@ -226,13 +231,12 @@ class MmsResult:
 class NormalizedInstance:
     """An instance rescaled so every positive-share type has maximin share
     exactly 1 and total value exactly ``n``; zero-share types are recorded
-    and left unscaled.  ``scaled`` is the rows' integer view, built once."""
+    and left unscaled."""
 
     base: Instance
     original_mms: tuple[Fraction, ...]
     witness_partitions: tuple[tuple[Bundle, ...], ...]
     zero_mms_types: frozenset[int] = frozenset()
-    scaled: ScaledRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inst = self.base
@@ -241,8 +245,7 @@ class NormalizedInstance:
             raise ValidationError("per-type metadata length mismatch")
         object.__setattr__(self, "original_mms", tuple(as_fraction(v) for v in self.original_mms))
         object.__setattr__(self, "zero_mms_types", frozenset(self.zero_mms_types))
-        view = as_scaled(inst.type_values)
-        object.__setattr__(self, "scaled", view)
+        view = inst.scaled
         for i in range(k):
             part = self.witness_partitions[i]
             if len(part) != n:
@@ -263,6 +266,11 @@ class NormalizedInstance:
                 raise ValidationError(f"type {i}: witness bundle value != 1 after rescaling")
             if max(view.ints[i], default=0) > unit:
                 raise ValidationError(f"type {i}: item value above 1 after rescaling")
+
+    @property
+    def scaled(self) -> ScaledRows:
+        """The base instance's integer view of the normalized rows."""
+        return self.base.scaled
 
     @property
     def n_agents(self) -> int:

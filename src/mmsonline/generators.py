@@ -333,8 +333,8 @@ def gen_normalized_random(n: int, m: int, k: int, seed: int = 0,
     a share witness: its minimum is 1 and the total is n, so the share is
     pinched to exactly 1 with no solving.
     """
-    if m < n:
-        raise InputError("needs m >= n so every part is nonempty")
+    if not 1 <= n <= m:
+        raise InputError("needs 1 <= n <= m so every part is nonempty")
     if not 1 <= weight_lo <= weight_hi:
         raise InputError("bad weight range")
     rows: list[tuple[Fraction, ...]] = []

@@ -364,9 +364,9 @@ def degradation_trial(
         seed=seed)
 
     degraded_alpha = report.alpha / beta ** 2
-    shares = true_norm.original_mms
+    shares, rows = true_norm.original_mms, instance.type_values
     # a zero share gets ratio 1 by convention, since any bundle meets it
-    true_ratios = [value(instance.type_values[ti], bundle) / shares[ti] if shares[ti] else Fraction(1)
+    true_ratios = [value(rows[ti], bundle) / shares[ti] if shares[ti] else Fraction(1)
                    for _agent, ti, bundle in allocation.entries]
     degradation_ok = (not report.succeeded_at_alpha) or all(
         r >= degraded_alpha for r in true_ratios)

@@ -33,7 +33,6 @@ from .core import (
     TrialReport,
     TypeDistribution,
     as_fraction,
-    as_scaled,
     check_arrivals,
     fill_bag,
     finish_run,
@@ -59,10 +58,8 @@ def reservation_cap(nprime: int, p: Fraction, epsilon: Fraction) -> int:
     return floor_plus_pow_sqrt(mu, nprime, as_fraction(epsilon), mu)
 
 
-def universal_items(values, items: Iterable[int], alpha: Fraction) -> list[int]:
-    """The items worth at least alpha to every type of ``values`` (a
-    :class:`ScaledRows` or rational rows), ascending."""
-    view = as_scaled(values)
+def universal_items(view: ScaledRows, items: Iterable[int], alpha: Fraction) -> list[int]:
+    """The items worth at least alpha to every type of ``view``, ascending."""
     out = sorted(items)
     for row, level in zip(view.ints, view.at_least(as_fraction(alpha))):
         out = [g for g in out if row[g] >= level]
@@ -99,7 +96,7 @@ class LowCState:
 
 
 def preprocess_low_c(
-    values: ScaledRows | Sequence[Sequence[Fraction]],
+    view: ScaledRows,
     items: Iterable[int],
     nprime: int,
     probs: Sequence[Fraction],
@@ -120,7 +117,6 @@ def preprocess_low_c(
     An unsaturated outcome is a legal, reported state, not an error; so
     is a failed check, which lands in ``violations``.
     """
-    view = as_scaled(values)
     alpha = as_fraction(alpha)
     epsilon = as_fraction(epsilon)
     k = len(view.ints)
@@ -162,12 +158,7 @@ def preprocess_low_c(
     )
     violate = state.violations.append
 
-    # whoever is still open has exhausted its reachable high-valued items
-    for i in unsaturated:
-        left = next((g for g in high_sets[i] if g in remaining), None)
-        if left is not None:
-            violate(f"open type {i} left high-valued item {left} unreserved")
-    # and cannot hold too many high-valued items overall
+    # whoever is still open cannot hold too many high-valued items overall
     pk = probs[-1]
     mus = [nprime * p for p in probs]
     for i in unsaturated:
@@ -194,9 +185,6 @@ def preprocess_low_c(
             unsaturated.discard(claimant)
 
     state.unsaturated = unsaturated
-    for i in range(k):
-        if len(reserves[i]) > caps[i]:
-            violate(f"type {i} holds {len(reserves[i])} > cap {caps[i]}")
     return state
 
 
@@ -251,7 +239,7 @@ def run_high_c(
     for bundle in partition:
         cs = [g for g in bundle if g in c_set]
         if not cs:
-            if len(reserve0) <= n_agents - len(c_items):
+            if len(reserve0) < n_agents - len(c_items):
                 reserve0.append(bundle)
         elif len(cs) == 1:
             main.append(bundle)
@@ -261,6 +249,7 @@ def run_high_c(
                 main.append(Bundle((g,)))
     if len(main) != len(c_items):
         raise InvariantViolation(f"kept {len(main)} bundles for {len(c_items)} universal items")
+    info = {"branch": "highC", "mainBundles": len(c_items), "reserve0": len(reserve0)}
 
     out: list[Bundle | None] = []
     for rank in arrival_ranks:
@@ -270,7 +259,6 @@ def run_high_c(
             out.append(main.popleft())
         else:
             out.append(None)
-    info = {"branch": "highC", "mainBundles": len(c_items), "reserve0": len(reserve0)}
     return out, info
 
 
@@ -286,7 +274,7 @@ def to_rank_space(norm: NormalizedInstance, dist: TypeDistribution, arrivals: Se
 
 
 def known_d_engine(
-    values: ScaledRows | Sequence[Sequence[Fraction]],
+    view: ScaledRows,
     items: Sequence[int],
     n_agents: int,
     probs: Sequence[Fraction],
@@ -302,7 +290,6 @@ def known_d_engine(
     (see ``to_rank_space``); ``partition`` is rank 0's share partition of
     all the instance's items, which the high-C regime routes everyone through.
     """
-    view = as_scaled(values)
     alpha = as_fraction(alpha)
     if len(arrival_ranks) != n_agents:
         raise InputError(f"{len(arrival_ranks)} arrivals for {n_agents} agents")

@@ -188,7 +188,7 @@ def test_acceptance_5_known_distribution_success():
 
 def test_acceptance_6_tightness_of_one_half():
     norm = gen_tightness_half(3, 30, F(1, 10))
-    rows = norm.base.type_values
+    rows = norm.scaled
     uniform = [F(1, 3)] * 3
     fail_all = True
     sat_all = True
@@ -209,7 +209,7 @@ def test_acceptance_7_unknown_distribution_pipeline():
     hidden = TypeDistribution.from_probs([F(1, 2), F(3, 10), F(1, 5)])
     norm = gen_normalized_random(n, 8 * n, k, seed=substream(MASTER, "c7-inst").randrange(2**32),
                                  weight_lo=2, weight_hi=4)
-    c_items = universal_items(norm.base.type_values, range(norm.m_items), F(1, 3))
+    c_items = universal_items(norm.scaled, range(norm.m_items), F(1, 3))
     assert c_items == []  # the family has no universally high-valued items
     seeds = 200
     learn_hits = 0

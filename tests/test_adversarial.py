@@ -23,6 +23,7 @@ from mmsonline import (
     value,
 )
 from mmsonline.adversarial import TentativeState, preprocess, serve
+from mmsonline.core import as_scaled
 from mmsonline.generators import presaturation_bundles
 from mmsonline.rng import substream
 
@@ -74,7 +75,7 @@ def test_step_serves_reserve_first_and_removes_everywhere():
 def test_bag_filling_ascending_prefix():
     # twelve items each worth 1/6 to the arriving type: bag closes at {0,1,2}
     norm = _flat_norm(2, F(1, 6), 12)
-    state = TentativeState.create(norm.base.type_values, range(12), 2,
+    state = TentativeState.create(norm.scaled, range(12), 2,
                                   threshold=F(1, 2))
     b = step_adversarial(state, 0)
     assert b == Bundle((0, 1, 2))
@@ -141,7 +142,7 @@ def test_bag_claimed_by_two_types_is_reserved_for_both():
     # so the arriving type-2 agent fills on and takes items 2-3
     quarter = (F(1, 4),) * 8
     rows = (quarter, quarter, (F(0), F(0)) + quarter[2:])
-    state = TentativeState.create(rows, range(8), 3, threshold=F(1, 2), check=False)
+    state = TentativeState.create(as_scaled(rows), range(8), 3, threshold=F(1, 2), check=False)
     assert step_adversarial(state, 2) == Bundle((2, 3))
     shared = Bundle((0, 1))
     assert [list(dq) for dq in state.reserves] == [[shared], [shared], []]
@@ -163,7 +164,7 @@ def test_k1_degenerate_flagged():
 
 def test_pool_exhaustion_raises():
     # item subset too poor for the claim level: no type ever claims
-    state = TentativeState.create(((F(1, 4),) * 4,), [0, 1], 2,
+    state = TentativeState.create(as_scaled(((F(1, 4),) * 4,)), [0, 1], 2,
                                   threshold=F(3, 4), check=False)
     with pytest.raises(PoolExhausted):
         step_adversarial(state, 0)
@@ -173,7 +174,7 @@ def _dry_then_reserved_state(strict: bool) -> TentativeState:
     # type 0 can never claim (item 1 alone is worth 1/4 < 1/2); type 1 holds
     # item 0 as a preprocessed singleton reserve
     rows = ((F(0), F(1, 4)), (F(1), F(0)))
-    return TentativeState.create(rows, [0, 1], 2, check=False, strict=strict)
+    return TentativeState.create(as_scaled(rows), [0, 1], 2, check=False, strict=strict)
 
 
 def test_serve_non_strict_gives_empty_bundle_and_goes_on():
@@ -219,13 +220,12 @@ def test_pool_cursor_never_passes_over_taken_items():
         n, k = rng.randint(2, 6), rng.randint(2, 3)
         norm = gen_normalized_random(n, n * rng.randint(2, 4), k, seed=seed)
         seq = [rng.randrange(k) for _ in range(n)]
-        rows = norm.base.type_values
         basket = sorted(rng.sample(range(norm.m_items), norm.m_items // 2))
         states = [
             preprocess(norm),                                  # FIFO
             preprocess(norm, rng=substream(seed, "tiebreak")),  # seeded random picks
             # half the items at claim level 1/2: the pool may run dry
-            TentativeState.create(rows, basket, n, threshold=F(1, 2),
+            TentativeState.create(norm.scaled, basket, n, threshold=F(1, 2),
                                   check=False, strict=False),
         ]
         for state in states:
@@ -272,7 +272,7 @@ def test_pool_purity_marks_match_a_recount():
 def test_pool_purity_flags_high_items_in_a_new_pool():
     # items 0-3 are worth 1/4 to both types, items 4-5 3/4 to type 0 only
     rows = ((F(1, 4),) * 4 + (F(3, 4),) * 2, (F(1, 4),) * 4 + (F(0),) * 2)
-    state = TentativeState.create(rows, range(4), 2, threshold=F(1, 2), strict=False)
+    state = TentativeState.create(as_scaled(rows), range(4), 2, threshold=F(1, 2), strict=False)
     assert state.violations == [] and state.marks == {0: -1, 1: -1}
     state.pool = state.pool + [4, 5]  # the pool is replaced, so the marks are redone
     msg = "pool purity: item {} worth 3/4 to open type 0".format
@@ -476,7 +476,7 @@ def test_reserved_bound_check_flags_exactly_the_bags_above_scale():
     # 8/3 units, no integer, so a bag of 2 units passes and one of 3 does not
     rows = ((F(1, 2),) * 4, (F(1, 2),) * 4)
     for x in range(6):
-        state = TentativeState.create(rows, [], 2, threshold=F(2, 3), check=False, strict=False)
+        state = TentativeState.create(as_scaled(rows), [], 2, threshold=F(2, 3), check=False, strict=False)
         state._check_reserved_bound([x, x], current_t=0)
         want = [f"reserved bundle worth {F(x, 2)} > 4/3 to open type {j}" for j in (0, 1)]
         assert state.violations == (want if F(x, 2) > F(4, 3) else [])

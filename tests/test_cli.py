@@ -122,8 +122,9 @@ MC_ADV = ["mc", "--algorithm", "adversarial", "--trials", "2", "--dist", '["1/3"
           "--generator", "normalized-random"]
 
 
-# INST, DIST and BAD_WITNESS stand for files the test writes; INST is an
-# instance, not an aggregate report, so ``report`` must reject it.
+# INST, SMALL, DIST and BAD_WITNESS stand for files the test writes; INST is an
+# instance, not an aggregate report, so ``report`` must reject it.  SMALL has
+# 2^3 arrival orders, so an unchecked enumeration ends quickly.
 @pytest.mark.parametrize("case", [
     ["mc", "--algorithm", "known-d", "--eta", "1/2", "--dist", '["1/3", "1/3", "1/3"]',
      "--trials", "2", "--instance", "INST"],
@@ -149,6 +150,11 @@ MC_ADV = ["mc", "--algorithm", "adversarial", "--trials", "2", "--dist", '["1/3"
      "--generator", "normalized-random", "--generator-params", '{"n": 3, "m": 8, "k": 3}'],
     ["run", "known-d", "--trials", "0", "--eta", "1/2", "--instance", "INST", "--dist", "DIST"],
     ["run", "known-d", "--trials", "-2", "--eta", "1/2", "--instance", "INST", "--dist", "DIST"],
+    MC_ADV + ["--generator-params", '{"n": 0, "m": 8, "k": 3}'],
+    ["gen", "normalized-random", "--n", "0", "--m", "8", "--k", "2"],
+    ["run", "adversarial", "--enumerate", "--alpha=-1/2", "--instance", "SMALL"],
+    ["run", "adversarial", "--enumerate", "--alpha", "0", "--instance", "SMALL"],
+    ["run", "adversarial", "--enumerate", "--alpha", "5", "--instance", "SMALL"],
 ])
 def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     inst, dist = _gen_instance_and_dist(tmp_path)
@@ -156,7 +162,9 @@ def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     obj["witnesses"][0][0] = 5  # a bare item where a bundle belongs
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
-    files = {"INST": inst, "DIST": dist, "BAD_WITNESS": str(bad)}
+    small = tmp_path / "small.json"
+    run_cli(["gen", "normalized-random", "--n", "3", "--m", "8", "--k", "2", "--out", str(small)])
+    files = {"INST": inst, "SMALL": str(small), "DIST": dist, "BAD_WITNESS": str(bad)}
     args = [files.get(a, a) for a in case]
     capsys.readouterr()
     assert run_cli(args) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,7 @@ from mmsonline import (
     value,
     verify_allocation,
 )
-from mmsonline.core import fill_bag
+from mmsonline.core import ScaledRows, as_scaled, fill_bag
 from mmsonline.solver import mms_brute_force
 
 fractions_pos = st.fractions(min_value=0, max_value=100, max_denominator=60)
@@ -62,6 +63,52 @@ def test_instance_validation():
         Instance(1, ((0.5,),))  # floats refused
 
 
+@pytest.mark.parametrize("rows, msg", [
+    ((), "need at least one type"),
+    ([[1, 2], [1]], "type 1 has 1 values, expected 2"),
+    ([[1, 2], [-1]], "type 1 has 1 values, expected 2"),  # the length is checked first
+    ([[1, 2], ["1/2", -1]], "type 1 has a negative value"),
+])
+def test_instance_input_messages(rows, msg):
+    with pytest.raises(InputError) as err:
+        Instance(2, rows)
+    assert str(err.value) == msg
+
+
+def _holds_fraction(x):
+    if isinstance(x, F):
+        return True
+    if isinstance(x, ScaledRows):
+        return _holds_fraction(x.ints) or _holds_fraction(x.units)
+    return isinstance(x, tuple) and any(map(_holds_fraction, x))
+
+
+def test_instance_holds_its_rows_once_as_scaled_ints():
+    from mmsonline import gen_normalized_random
+
+    norm = gen_normalized_random(4, 12, 3, seed=2)
+    inst = norm.base
+    assert not any(_holds_fraction(getattr(inst, f.name)) for f in dataclasses.fields(inst))
+    assert all(type(x) is int for row in inst.scaled.ints for x in row)
+    assert all(type(unit) is int for unit in inst.scaled.units)
+    assert "scaled" not in {f.name for f in dataclasses.fields(norm)}
+    assert norm.scaled is inst.scaled
+    # the rational view is derived: each value over its type's unit
+    assert inst.type_values == tuple(tuple(F(x, unit) for x in ints)
+                                     for ints, unit in zip(inst.scaled.ints, inst.scaled.units))
+
+
+def test_instance_rebuilt_from_its_rational_view_is_equal():
+    from mmsonline import gen_normalized_random
+    from mmsonline.jsonio import instance_from_obj, instance_to_obj
+
+    inst = gen_normalized_random(5, 15, 3, seed=7).base
+    parsed = instance_from_obj(instance_to_obj(inst))
+    for one in (inst, parsed):
+        assert Instance(one.n_agents, one.type_values) == one
+    assert parsed == inst
+
+
 def test_normalize_symmetric():
     inst = Instance(2, ((F(2), F(2), F(2), F(2)),))
     norm = normalize(inst, mms_brute_force)
@@ -101,11 +148,11 @@ def test_rescaling_soundness_on_random_bundles(n, m, data):
 
 
 def _universal(norm, alpha):
-    return universal_items(norm.base.type_values, range(norm.m_items), alpha)
+    return universal_items(norm.scaled, range(norm.m_items), alpha)
 
 
 def test_universally_high_valued():
-    values = ((F(3, 5), F(2, 5)), (F(7, 10), F(9, 10)))
+    values = as_scaled(((F(3, 5), F(2, 5)), (F(7, 10), F(9, 10))))
     assert universal_items(values, range(2), F(1, 2)) == [0]
     assert universal_items(values, range(2), F(0)) == [0, 1]
     norm = _tiny_norm()

@@ -120,7 +120,7 @@ def test_tightness_pk_structure():
     norm, dist = gen_tightness_pk(4, 20)
     inst = norm.base
     nprime = 5
-    c = universal_items(inst.type_values, range(inst.m_items), F(1, 3))
+    c = universal_items(inst.scaled, range(inst.m_items), F(1, 3))
     assert len(c) == 20 - nprime  # first n - n/k items are universal
     assert c == list(range(15))
     reduced = [g for g in range(inst.m_items) if g not in set(c)]

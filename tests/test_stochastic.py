@@ -21,6 +21,7 @@ from mmsonline import (
     value,
     verify_allocation,
 )
+from mmsonline.core import as_scaled
 from mmsonline.exactpow import pow_sqrt_sum_ge
 from mmsonline.stochastic import (
     LowCState,
@@ -79,7 +80,7 @@ def _ordering_fixture():
     rows = []
     for high in ({*range(10)}, {*range(5, 15)}, {15}):
         rows.append(tuple(F(1, 2) if g in high else F(1, 100) for g in range(m)))
-    return rows
+    return as_scaled(rows)
 
 
 def test_ordering_qualifying_pair():
@@ -93,7 +94,7 @@ def test_ordering_qualifying_pair():
 
 def test_ordering_fallback_least_frequent_last():
     # identical high sets: no qualifying pair, lowest-probability rank is last
-    rows = tuple((F(1, 2),) * 6 for _ in range(3))
+    rows = as_scaled((F(1, 2),) * 6 for _ in range(3))
     state = preprocess_low_c(rows, range(6), 4, [F(1, 2), F(3, 10), F(1, 5)],
                              F(1, 2), F(1, 10))
     assert state.order == [0, 1, 2]
@@ -218,12 +219,26 @@ def _low_c_cases():
 
 def test_turn_phase_matches_rescanning_reference():
     for case in _low_c_cases():
-        got, want = preprocess_low_c(*case), _rescanning_preprocess_low_c(*case)
+        values, *rest = case
+        got, want = preprocess_low_c(as_scaled(values), *rest), _rescanning_preprocess_low_c(*case)
         assert [list(dq) for dq in got.reserves] == [list(dq) for dq in want.reserves]
         assert got.singleton_counts == want.singleton_counts
         assert got.unsaturated == want.unsaturated
         assert got.violations == want.violations
         assert (got.order, got.bag_count) == (want.order, want.bag_count)
+
+
+def test_open_types_leave_no_high_item_and_reserves_stay_within_caps():
+    for values, items, nprime, probs, alpha, epsilon in _low_c_cases():
+        state = preprocess_low_c(as_scaled(values), items, nprime, probs, alpha, epsilon)
+        # a type still open after its turn took every high-valued item left to it,
+        # so each of its high items is some type's turn-phase singleton
+        singles = {g for dq, count in zip(state.reserves, state.singleton_counts)
+                   for b in islice(dq, count) for g in b}
+        for i, (count, cap) in enumerate(zip(state.singleton_counts, state.caps)):
+            if count < cap:
+                assert set(state.high_sets[i]) <= singles
+        assert all(len(dq) <= cap for dq, cap in zip(state.reserves, state.caps))
 
 
 # -- the integer kernel against the Fraction implementation it replaced ----------
@@ -330,7 +345,7 @@ def test_universal_items_matches_fraction_reference(case):
     norm, items, _, _, alpha, _ = case
     want = _fraction_universal_items(norm.base.type_values, items, alpha)
     assert universal_items(norm.scaled, items, alpha) == want
-    assert universal_items(norm.base.type_values, items, alpha) == want
+    assert universal_items(as_scaled(norm.base.type_values), items, alpha) == want
 
 
 def _assert_same_low_c(got, want):
@@ -354,13 +369,13 @@ def test_preprocess_low_c_matches_fraction_reference_on_violations():
     case = (((F(1, 2),) * 100,) * 2, range(100), 100, [F(1, 2)] * 2, F(1, 2), F(1, 10))
     want = _fraction_preprocess_low_c(*case)
     assert want.violations
-    _assert_same_low_c(preprocess_low_c(*case), want)
+    _assert_same_low_c(preprocess_low_c(as_scaled(case[0]), *case[1:]), want)
 
 
 def test_empty_high_sets_pure_bag_filling():
     norm = gen_normalized_random(6, 30, 2, seed=4, weight_lo=2, weight_hi=3)
     rows = norm.base.type_values
-    state = preprocess_low_c(rows, range(30), 6, [F(1, 2), F(1, 2)], F(1, 3), F(1, 10))
+    state = preprocess_low_c(norm.scaled, range(30), 6, [F(1, 2), F(1, 2)], F(1, 3), F(1, 10))
     assert all(not t for t in state.high_sets)
     assert state.singleton_counts == [0, 0]
     assert state.bag_count == sum(len(dq) for dq in state.reserves)
@@ -372,7 +387,7 @@ def test_empty_high_sets_pure_bag_filling():
 
 def test_caps_respected_and_saturation_flags():
     norm = gen_normalized_random(12, 60, 3, seed=9, weight_lo=2, weight_hi=4)
-    state = preprocess_low_c(norm.base.type_values, range(60), 12, UNIFORM3,
+    state = preprocess_low_c(norm.scaled, range(60), 12, UNIFORM3,
                              F(1, 3), F(1, 10))
     for rank in range(3):
         assert len(state.reserves[rank]) <= state.caps[rank]
@@ -388,7 +403,7 @@ def test_caps_respected_and_saturation_flags():
 
 
 def test_run_low_c_drains_fifo_and_reports_empty():
-    rows = ((F(1, 2), F(1, 2)),)
+    rows = as_scaled(((F(1, 2), F(1, 2)),))
     inst_items = [0, 1]
     state = preprocess_low_c(rows, inst_items, 2, [F(1)], F(1, 2), F(1, 10))
     out = run_low_c(state, [0, 0, 0][:2])
@@ -400,7 +415,7 @@ def test_run_low_c_drains_fifo_and_reports_empty():
 
 def test_tightness_half_saturation_flip():
     norm = gen_tightness_half(3, 30, F(1, 10))
-    rows = norm.base.type_values
+    rows = norm.scaled
     st_fail = preprocess_low_c(rows, range(60), 30, UNIFORM3, F(3, 5), F(1, 10))
     assert not st_fail.all_saturated
     # two-item bags only: never more than n bags in total
@@ -429,7 +444,7 @@ def _high_c_fixture():
 def test_high_c_mechanics_and_drain_order():
     norm = _high_c_fixture()
     rows = norm.base.type_values
-    c_items = universal_items(rows, range(6), F(1, 2))
+    c_items = universal_items(norm.scaled, range(6), F(1, 2))
     assert c_items == [1, 2]
     # rank 0 is instance type 0 here; reuse its stored witness.
     # two rank-0 agents first: they drain the C-free reserve, then A serves the rest
@@ -438,6 +453,18 @@ def test_high_c_mechanics_and_drain_order():
     assert out[0] == Bundle((3,)) and out[1] == Bundle((4, 5))
     assert out[2] == Bundle((0, 1)) and out[3] == Bundle((2,))
     assert all(value(rows[1], b) >= F(1, 2) for b in out[2:])
+
+
+def test_high_c_reserve0_holds_at_most_n_minus_c_bundles():
+    # n - |C| = 1: only the first C-free bundle is set aside, and the report
+    # counts what was set aside, not what serving left
+    out, info = run_high_c([Bundle((0, 1)), Bundle((2,)), Bundle((3,))], 3, [0, 1], [0, 0, 0])
+    assert out == [Bundle((2,)), Bundle((0,)), Bundle((1,))]
+    assert info == {"branch": "highC", "mainBundles": 2, "reserve0": 1}
+    # n = |C| = 2: no C-free bundle is set aside
+    out, info = run_high_c([Bundle((0,)), Bundle((1,)), Bundle((2,))], 2, [0, 1], [0, 0])
+    assert out == [Bundle((0,)), Bundle((1,))]
+    assert info["reserve0"] == 0
 
 
 def test_high_c_records_failure_when_type0_scarce():
@@ -495,7 +522,8 @@ def test_high_c_with_a_zero_share_rank_0():
 def test_tight_pk_dispatch_reduces_by_universal_prefix():
     from mmsonline.generators import gen_tightness_pk
     norm, dist = gen_tightness_pk(4, 20)
-    values_sorted = tuple(norm.base.type_values[orig] for orig in dist.order)
+    rows = norm.base.type_values
+    values_sorted = as_scaled(rows[orig] for orig in dist.order)
     ranks = [dist.rank_of(t) for t in sample_arrivals(dist, 20, 5)]
     out, info = known_d_engine(values_sorted, list(range(norm.m_items)), 20,
                                dist.probs, F(1, 3), F(1, 10), ranks,
@@ -509,7 +537,7 @@ def test_tight_pk_dispatch_reduces_by_universal_prefix():
 
 def test_dispatch_all_c_serves_singletons():
     # every item universal, cond_high false (k=1... use k=2 with tiny n^eps term)
-    rows = ((F(1),) * 2, (F(1),) * 2)
+    rows = as_scaled(((F(1),) * 2, (F(1),) * 2))
     out, info = known_d_engine(rows, [0, 1], 2, [F(1, 2), F(1, 2)], F(1, 2),
                                F(1, 10), [1, 0], [Bundle((0,)), Bundle((1,))])
     # here |C| = 2 >= 1 + 2^0.1 = 2.07... is false -> allC path
