@@ -12,9 +12,10 @@ All "arbitrary" choices of the procedure are pinned: FIFO reserve pick,
 ascending-index bag filling, LIFO trimming, ascending type order when a bag
 is reserved for several claimants.  A seeded-random variant of those choices
 exists for robustness testing.
-``serve`` is the one per-arrival loop: a dry pool raises on a strict state
-and otherwise gives that agent ``None``, which ``core.finish_run`` turns
-into the empty bundle (the unknown-d stages).
+``step_adversarial`` is the one per-arrival unit.  If bag filling runs dry
+before any claim, a strict state raises ``PoolExhausted``; a non-strict one
+counts the agent as arrived and returns ``None``, which ``core.finish_run``
+turns into the empty bundle (the unknown-d stages).
 """
 
 from __future__ import annotations
@@ -58,16 +59,16 @@ class TentativeState:
     the cursor (a served reserve was never in the pool), so every item from
     the cursor on is fillable.
 
-    ``threshold`` is every type's claim level and ``scale = k * threshold``
-    the share unit used by the bookkeeping checks; on a normalized instance
-    these are 1/k and 1.  ``claim``, ``bound`` and ``remaining_value`` are
-    the threshold, the scale and the unspent value in units of each L_i.
+    Every type claims at the ``threshold`` given to ``create``, and ``scale =
+    k * threshold`` is the share unit of the checks, which cover
+    ``check_types`` only; on a normalized instance these are 1/k and 1.
+    ``claim``, ``bound`` and ``remaining_value`` are the threshold, the scale
+    and the unspent value in units of each L_i.
     """
 
     view: ScaledRows
     n: int
     k: int
-    threshold: Fraction
     scale: Fraction
     claim: list[int]
     bound: list[int]
@@ -77,7 +78,6 @@ class TentativeState:
     remaining_value: list[int]
     unsaturated: set[int]
     arrived: int = 0
-    check: bool = True
     strict: bool = True
     rng: random.Random | None = None
     pool: list[int] = field(default_factory=list)
@@ -99,7 +99,6 @@ class TentativeState:
         *,
         threshold: Fraction | None = None,
         check_types: Sequence[int] | None = None,
-        check: bool = True,
         strict: bool = True,
         rng: random.Random | None = None,
         trace: bool = False,
@@ -128,7 +127,6 @@ class TentativeState:
             view=view,
             n=n,
             k=k,
-            threshold=threshold,
             scale=k * threshold,
             claim=claim,
             bound=view.at_most(k * threshold),
@@ -137,7 +135,6 @@ class TentativeState:
             remaining=set(item_list),
             remaining_value=[view.total(i, item_list) for i in range(k)],
             unsaturated={i for i in range(k) if len(reserves[i]) < n},
-            check=check,
             strict=strict,
             rng=rng,
             pool=[g for g in item_list if g not in reserved],
@@ -150,8 +147,7 @@ class TentativeState:
                 "reserveSizes": [len(dq) for dq in reserves],
                 "unsaturated": sorted(state.unsaturated),
             })
-        if check:
-            state._check_pool_purity(current_t=0)
+        state._check_pool_purity(current_t=0)
         return state
 
     # -- bookkeeping helpers ----------------------------------------------
@@ -245,12 +241,14 @@ def preprocess(
     )
 
 
-def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle:
+def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
     """Serve one arriving agent of the given type; returns her bundle.
 
-    Raises :class:`PoolExhausted` if bag filling runs dry before any type
-    still marked unsaturated claims a bag, which the maintained invariant
-    rules out on conforming inputs.
+    Bag filling may run dry before any type still marked unsaturated claims
+    a bag, which the maintained invariant rules out on conforming inputs.
+    Then a strict state raises :class:`PoolExhausted`; a non-strict one
+    counts the agent as arrived and returns ``None`` at once, with no
+    trimming and no checks.
     """
     if state.arrived >= state.n:
         raise InputError("all agents already arrived")
@@ -277,10 +275,11 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle:
             filled = fill_bag(state.view.ints, state.claim, state.pool, state.pool_pos,
                               sorted(state.unsaturated))
             if filled is None:
-                # put the partial bag back in play for later rebuilds
-                state._rebuild_pool()
-                raise PoolExhausted(
-                    f"agent {t} of type {i}: pool exhausted before any claim")
+                if state.strict:
+                    raise PoolExhausted(
+                        f"agent {t} of type {i}: pool exhausted before any claim")
+                state.arrived = t
+                return None
             bag, bagvals, claimants, state.pool_pos = filled
             if bagvals[i] >= state.claim[i]:
                 allocated = Bundle(tuple(bag))
@@ -302,9 +301,8 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle:
                                     "items": list(bundle.items),
                                     "reserveSizes": [len(dq) for dq in state.reserves],
                                     "unsaturated": sorted(state.unsaturated)})
-            if state.check:
-                state._check_pool_purity(current_t=t)
-                state._check_reserved_bound(bagvals, current_t=t)
+            state._check_pool_purity(current_t=t)
+            state._check_reserved_bound(bagvals, current_t=t)
 
     state.arrived = t
     dirty = False
@@ -324,27 +322,8 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle:
                 state.trace.append({"event": "release", "type": j, "items": list(dropped.items)})
     if dirty:
         state._rebuild_pool()
-    if state.check:
-        state._check_invariant()
+    state._check_invariant()
     return allocated
-
-
-def serve(state: TentativeState, arrivals: Iterable[int]) -> list[Bundle | None]:
-    """Serve each arriving type in turn; returns one bundle per agent.
-
-    On a strict state a dry pool raises :class:`PoolExhausted`; otherwise
-    that agent gets ``None`` and the later agents are still served.
-    """
-    bundles: list[Bundle | None] = []
-    for ti in arrivals:
-        try:
-            bundles.append(step_adversarial(state, ti))
-        except PoolExhausted:
-            if state.strict:
-                raise
-            bundles.append(None)
-            state.arrived += 1
-    return bundles
 
 
 def run_adversarial(
@@ -370,7 +349,7 @@ def run_adversarial(
         raise InputError("alpha must lie in (0, 1]")
     state = preprocess(norm, strict=strict, rng=rng, trace=trace)
     flags = ["k1Degenerate"] if k == 1 else []
-    bundles = serve(state, seq)
+    bundles = [step_adversarial(state, t) for t in seq]
     reason = FailureReason.POOL_EXHAUSTED if None in bundles else FailureReason.NONE
     details = {"violations": list(state.violations)} if state.violations else None
     return finish_run(norm, seq, bundles, alpha, reason, flags, details, state.trace)

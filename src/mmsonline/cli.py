@@ -18,7 +18,7 @@ from .core import (
     TypeDistribution,
     as_fraction,
 )
-from .generators import all_sequences, sample_arrivals
+from .generators import enumeration_size, nth_sequence, sample_arrivals
 from .solver import mms_brute_force, mms_exact
 
 
@@ -121,8 +121,9 @@ def _cmd_run(args) -> int:
     params = dict(alpha=args.alpha or None, eta=args.eta or None, epsilon=args.epsilon, c=args.c)
     if args.algorithm == "adversarial":
         if args.enumerate:
-            reports = (harness.run_algorithm("adversarial", norm, seq, **params)[1]
-                       for seq in all_sequences(norm.k_types, norm.n_agents))
+            k, n = norm.k_types, norm.n_agents
+            reports = (harness.run_algorithm("adversarial", norm, nth_sequence(k, n, t), **params)[1]
+                       for t in range(enumeration_size(k, n)))
             _emit(jsonio.report_to_obj(min(reports, key=lambda rep: rep.min_ratio)), args.out)
             return 0
         if not args.arrivals:

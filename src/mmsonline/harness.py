@@ -31,7 +31,7 @@ from .core import (
     normalize,
     value,
 )
-from .generators import nth_sequence, sample_arrivals
+from .generators import enumeration_size, nth_sequence, sample_arrivals
 from .rng import substream, uniform_fraction
 from .stochastic import run_known_d
 from .unknown import run_unknown_d
@@ -263,7 +263,7 @@ def monte_carlo(config: McConfig) -> AggregateReport:
         if config.instance_obj is None and config.fresh_instance_per_trial:
             raise InputError("exhaustive arrivals need a fixed instance")
         probe = _resolve_instance(config, 0)
-        expected = probe.k_types ** probe.n_agents
+        expected = enumeration_size(probe.k_types, probe.n_agents)
         if trials not in (0, expected):
             raise InputError(f"exhaustive enumeration has {expected} sequences")
         trials = expected

@@ -37,6 +37,13 @@ def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _json_int(x, what: str) -> int:
+    """``x`` if it is a JSON integer; a float, string or true/false is an input error."""
+    if type(x) is not int:
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def instance_to_obj(instance: Instance, norm: NormalizedInstance | None = None) -> dict:
     obj: dict[str, Any] = {
         "n": instance.n_agents,
@@ -55,10 +62,10 @@ def instance_to_obj(instance: Instance, norm: NormalizedInstance | None = None) 
 
 def instance_from_obj(obj: dict) -> Instance:
     try:
-        inst = Instance(int(obj["n"]), obj["types"], tuple(obj["names"]) if "names" in obj else None)
+        inst = Instance(_json_int(obj["n"], "n"), obj["types"], tuple(obj["names"]) if "names" in obj else None)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed instance object: {exc}") from exc
-    if "m" in obj and int(obj["m"]) != inst.m_items:
+    if "m" in obj and _json_int(obj["m"], "m") != inst.m_items:
         raise InputError("declared m disagrees with the value rows")
     return inst
 
@@ -70,10 +77,11 @@ def normalized_from_obj(obj: dict) -> NormalizedInstance | None:
     inst = instance_from_obj(obj)
     try:
         witnesses = tuple(
-            tuple(Bundle(tuple(b)) for b in part) for part in obj["witnesses"]
+            tuple(Bundle(tuple(_json_int(g, "witness item") for g in b)) for b in part)
+            for part in obj["witnesses"]
         )
         mms = tuple(as_fraction(v) for v in obj["mms"])
-        zero = frozenset(obj.get("zeroMmsTypes", ()))
+        zero = frozenset(_json_int(i, "zeroMmsTypes entry") for i in obj.get("zeroMmsTypes", ()))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed share partitions: {exc}") from exc
     return NormalizedInstance(inst, mms, witnesses, zero)
@@ -103,7 +111,7 @@ def sequence_to_obj(seq) -> dict:
 
 def sequence_from_obj(obj: dict) -> list[int]:
     try:
-        return [int(t) for t in obj["sequence"]]
+        return [_json_int(t, "arrival type id") for t in obj["sequence"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed arrival sequence object: {exc}") from exc
 

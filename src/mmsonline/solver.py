@@ -24,11 +24,11 @@ BRUTE_BUNDLE_CAP = 5
 _MEMO_LIMIT = 2_000_000
 
 
-def lpt_partition(valuation: Sequence[Fraction], n: int) -> list[list[int]]:
-    """Greedy longest-processing-time split into n bundles (item ids)."""
+def lpt_partition(ints: Sequence[int], n: int) -> list[list[int]]:
+    """Greedy longest-processing-time split of a row scaled to integers
+    (``core.scale_row``) into n bundles (item ids)."""
     if n < 1:
         raise InputError("need at least one bundle")
-    ints, _ = scale_row(valuation)
     order = sorted(range(len(ints)), key=lambda g: (-ints[g], g))
     loads = [0] * n
     bundles: list[list[int]] = [[] for _ in range(n)]
@@ -41,9 +41,14 @@ def lpt_partition(valuation: Sequence[Fraction], n: int) -> list[list[int]]:
 
 def mms_bounds(valuation: Sequence[Fraction], n: int) -> tuple[Fraction, Fraction]:
     """[LPT min-bundle, v(M)/n] bracket around the true share."""
-    ints, den = scale_row(valuation)
-    lower = min(sum(ints[g] for g in b) for b in lpt_partition(valuation, n))
-    return Fraction(lower, den), Fraction(sum(ints), den * n)
+    return _lpt_bracket(*scale_row(valuation), n)[:2]
+
+
+def _lpt_bracket(ints: Sequence[int], den: int, n: int) -> tuple[Fraction, Fraction, list[list[int]]]:
+    """``mms_bounds`` of the row ``ints / den``, and the LPT split behind its lower end."""
+    lpt = lpt_partition(ints, n)
+    lower = min(sum(ints[g] for g in b) for b in lpt)
+    return Fraction(lower, den), Fraction(sum(ints), den * n), lpt
 
 
 def mms_brute_force(valuation: Sequence[Fraction], n: int) -> MmsResult:
@@ -115,8 +120,8 @@ def mms_exact(
     m = len(valuation)
     if m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP:
         if on_overflow == "bounds":
-            lower, upper = mms_bounds(valuation, n)
-            witness = tuple(Bundle(tuple(b)) for b in lpt_partition(valuation, n))
+            lower, upper, lpt = _lpt_bracket(*scale_row(valuation), n)
+            witness = tuple(Bundle(tuple(b)) for b in lpt)
             return MmsResult(lower, witness, exact=False, upper_bound=upper, nodes=0)
         raise CapacityError(
             f"exact solver capped at m<={DEFAULT_ITEM_CAP}, n<={DEFAULT_BUNDLE_CAP} "
@@ -138,7 +143,7 @@ def mms_exact(
     ub_global = total // n
 
     # LPT incumbent (zero-valued items stripped; they are re-attached at the end)
-    lpt = lpt_partition(valuation, n)
+    lpt = lpt_partition(ints, n)
     best = min(sum(ints[g] for g in b) for b in lpt)
     best_bundles = [[g for g in b if ints[g] > 0] for b in lpt]
     nodes = 1

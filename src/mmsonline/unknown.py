@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .adversarial import TentativeState, run_adversarial, serve
+from .adversarial import TentativeState, run_adversarial, step_adversarial
 from .core import (
     Allocation,
     Bundle,
@@ -185,7 +185,7 @@ def run_unknown_d(
         # learning stage: reservation allocator on basket 1 at claim level 1/2
         state = TentativeState.create(
             norm.scaled, basket1.items, learn_count,
-            threshold=Fraction(1, 2), check=False, strict=False)
+            threshold=Fraction(1, 2), check_types=(), strict=False)
         # basket 1's value to each type, before serving spends any of it
         basket1_values = state.remaining_worth()
         details["basket1Values"] = [str(v) for v in basket1_values]
@@ -193,7 +193,7 @@ def run_unknown_d(
             basket_value_ok(v, k, params)
             for i, v in enumerate(basket1_values) if i not in zero)
         learn_types = seq[served_c:served_c + learn_count]
-        learn_bundles = serve(state, learn_types)
+        learn_bundles = [step_adversarial(state, t) for t in learn_types]
         bundles.extend(learn_bundles)
         if None in learn_bundles:
             reason = FailureReason.VALUE_BELOW_ALPHA

@@ -22,7 +22,7 @@ from mmsonline import (
     tentative_policy,
     value,
 )
-from mmsonline.adversarial import TentativeState, preprocess, serve
+from mmsonline.adversarial import TentativeState, preprocess
 from mmsonline.core import as_scaled
 from mmsonline.generators import presaturation_bundles
 from mmsonline.rng import substream
@@ -142,7 +142,7 @@ def test_bag_claimed_by_two_types_is_reserved_for_both():
     # so the arriving type-2 agent fills on and takes items 2-3
     quarter = (F(1, 4),) * 8
     rows = (quarter, quarter, (F(0), F(0)) + quarter[2:])
-    state = TentativeState.create(as_scaled(rows), range(8), 3, threshold=F(1, 2), check=False)
+    state = TentativeState.create(as_scaled(rows), range(8), 3, threshold=F(1, 2), check_types=())
     assert step_adversarial(state, 2) == Bundle((2, 3))
     shared = Bundle((0, 1))
     assert [list(dq) for dq in state.reserves] == [[shared], [shared], []]
@@ -165,7 +165,7 @@ def test_k1_degenerate_flagged():
 def test_pool_exhaustion_raises():
     # item subset too poor for the claim level: no type ever claims
     state = TentativeState.create(as_scaled(((F(1, 4),) * 4,)), [0, 1], 2,
-                                  threshold=F(3, 4), check=False)
+                                  threshold=F(3, 4), check_types=())
     with pytest.raises(PoolExhausted):
         step_adversarial(state, 0)
 
@@ -174,24 +174,27 @@ def _dry_then_reserved_state(strict: bool) -> TentativeState:
     # type 0 can never claim (item 1 alone is worth 1/4 < 1/2); type 1 holds
     # item 0 as a preprocessed singleton reserve
     rows = ((F(0), F(1, 4)), (F(1), F(0)))
-    return TentativeState.create(as_scaled(rows), [0, 1], 2, check=False, strict=strict)
+    return TentativeState.create(as_scaled(rows), [0, 1], 2, check_types=(), strict=strict)
 
 
 def test_serve_non_strict_gives_empty_bundle_and_goes_on():
     state = _dry_then_reserved_state(strict=False)
-    assert serve(state, [0, 1]) == [None, Bundle((0,))]
+    assert step_adversarial(state, 0) is None  # the dry step still counts the agent
+    assert state.arrived == 1
+    assert step_adversarial(state, 1) == Bundle((0,))
     assert state.arrived == 2
 
 
 def test_serve_strict_raises_on_dry_pool():
     state = _dry_then_reserved_state(strict=True)
     with pytest.raises(PoolExhausted):
-        serve(state, [0, 1])
+        step_adversarial(state, 0)
 
 
 def test_serve_reports_no_dry_pool_on_a_normal_run():
     norm = gen_normalized_random(4, 10, 2, seed=0)
-    bundles = serve(preprocess(norm), [0, 1, 1, 0])
+    state = preprocess(norm)
+    bundles = [step_adversarial(state, t) for t in [0, 1, 1, 0]]
     assert None not in bundles
     assert all(bundles)
 
@@ -226,12 +229,12 @@ def test_pool_cursor_never_passes_over_taken_items():
             preprocess(norm, rng=substream(seed, "tiebreak")),  # seeded random picks
             # half the items at claim level 1/2: the pool may run dry
             TentativeState.create(norm.scaled, basket, n, threshold=F(1, 2),
-                                  check=False, strict=False),
+                                  check_types=(), strict=False),
         ]
         for state in states:
             _assert_cursor_items_fillable(state)
             for t in seq:
-                dry_runs += None in serve(state, [t])
+                dry_runs += step_adversarial(state, t) is None
                 _assert_cursor_items_fillable(state)
     assert dry_runs > 0
 
@@ -264,7 +267,7 @@ def test_pool_purity_marks_match_a_recount():
         for state in states:
             compared += _assert_marks_recount(state)
             for t in seq:
-                serve(state, [t])
+                step_adversarial(state, t)
                 compared += _assert_marks_recount(state)
     assert compared > 0
 
@@ -425,7 +428,7 @@ def _outcome(fn):
 
 
 def _snapshot(state, remaining_value):
-    return ([list(dq) for dq in state.reserves], sorted(state.unsaturated),
+    return (state.arrived, [list(dq) for dq in state.reserves], sorted(state.unsaturated),
             remaining_value, list(state.violations), state.pool[state.pool_pos:])
 
 
@@ -435,7 +438,8 @@ def _snapshot(state, remaining_value):
 def test_tentative_state_matches_fraction_reference(n, k, mult, seed, mode, data):
     # FIFO and seeded-rng runs on every item at 1/k; "dry" runs on a random
     # basket at a drawn claim level, non-strict, with or without the checks
-    # (checked runs record violations instead of raising)
+    # (checked runs record violations instead of raising; unchecked states
+    # check no types)
     norm = gen_normalized_random(n, n * mult, k, seed=seed)
     rows = norm.base.type_values
     items, opts = range(norm.m_items), {}
@@ -444,7 +448,8 @@ def test_tentative_state_matches_fraction_reference(n, k, mult, seed, mode, data
     elif mode.startswith("dry"):
         items = data.draw(st.sets(st.integers(0, norm.m_items - 1)))
         opts = {"threshold": data.draw(st.sampled_from([F(1, k), F(1, 2), F(1, 3), F(2, 3)])),
-                "check": mode == "dry-checked", "strict": False}
+                "strict": False}
+    unchecked = {"check_types": ()} if mode == "dry" else {}
     arrivals = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
 
     def build(cls_create):
@@ -453,8 +458,8 @@ def test_tentative_state_matches_fraction_reference(n, k, mult, seed, mode, data
             kw["rng"] = substream(seed, kw["rng"])
         return _outcome(lambda: cls_create(kw))
 
-    got = build(lambda kw: TentativeState.create(norm.scaled, items, n, **kw))
-    want = build(lambda kw: _FractionState(rows, items, n, **kw))
+    got = build(lambda kw: TentativeState.create(norm.scaled, items, n, **kw, **unchecked))
+    want = build(lambda kw: _FractionState(rows, items, n, **kw, check=not unchecked))
     if isinstance(want, tuple):
         assert got == want
         return
@@ -462,12 +467,15 @@ def test_tentative_state_matches_fraction_reference(n, k, mult, seed, mode, data
     for ti in arrivals:
         b_got = _outcome(lambda: step_adversarial(got, ti))
         b_want = _outcome(lambda: want.step(ti))
-        assert b_got == b_want
-        if isinstance(b_want, tuple):
-            if want.strict:
-                return
-            got.arrived += 1  # as ``serve`` does for a dry non-strict step
+        if isinstance(b_want, tuple) and b_want[0] is PoolExhausted and not want.strict:
+            # a dry non-strict step: the reference raises, the state counts
+            # the agent and gives her None
+            assert b_got is None
             want.arrived += 1
+        else:
+            assert b_got == b_want
+            if isinstance(b_want, tuple):
+                return
         assert _snapshot(got, got.remaining_worth()) == _snapshot(want, want.remaining_value)
 
 
@@ -476,7 +484,7 @@ def test_reserved_bound_check_flags_exactly_the_bags_above_scale():
     # 8/3 units, no integer, so a bag of 2 units passes and one of 3 does not
     rows = ((F(1, 2),) * 4, (F(1, 2),) * 4)
     for x in range(6):
-        state = TentativeState.create(as_scaled(rows), [], 2, threshold=F(2, 3), check=False, strict=False)
+        state = TentativeState.create(as_scaled(rows), [], 2, threshold=F(2, 3), strict=False)
         state._check_reserved_bound([x, x], current_t=0)
         want = [f"reserved bundle worth {F(x, 2)} > 4/3 to open type {j}" for j in (0, 1)]
         assert state.violations == (want if F(x, 2) > F(4, 3) else [])

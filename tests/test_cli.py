@@ -124,7 +124,23 @@ MC_ADV = ["mc", "--algorithm", "adversarial", "--trials", "2", "--dist", '["1/3"
 
 # INST, SMALL, DIST and BAD_WITNESS stand for files the test writes; INST is an
 # instance, not an aggregate report, so ``report`` must reject it.  SMALL has
-# 2^3 arrival orders, so an unchecked enumeration ends quickly.
+# 2^3 arrival orders, so an unchecked enumeration ends quickly; INST has 3^12,
+# above the enumeration cap.  Each key of MISTYPED names a copy of INST, RAW (INST
+# without its share partitions) or SEQ (INST's arrivals) with one integer field
+# replaced by a value that is not a JSON integer.
+MISTYPED = {
+    "RAW_N_FRACTIONAL": ("RAW", lambda o: o.update(n=3.7)),
+    "RAW_N_STRING": ("RAW", lambda o: o.update(n="abc")),
+    "RAW_M_STRING": ("RAW", lambda o: o.update(m="x")),
+    "INST_N_FLOAT": ("INST", lambda o: o.update(n=12.0)),
+    "INST_WITNESS_ITEM_STRING": ("INST", lambda o: o["witnesses"][0][0].__setitem__(0, "x")),
+    "INST_WITNESS_ITEM_FLOAT": ("INST", lambda o: o["witnesses"][0][0].__setitem__(
+        0, float(o["witnesses"][0][0][0]))),
+    "INST_ZERO_TYPE_STRING": ("INST", lambda o: o.update(zeroMmsTypes=["x"])),
+    "INST_ZERO_TYPE_FRACTIONAL": ("INST", lambda o: o.update(zeroMmsTypes=[0.5])),
+    "SEQ_FRACTIONAL": ("SEQ", lambda o: o["sequence"].__setitem__(slice(0, 2), [0.9, 1.2])),
+    "SEQ_STRING": ("SEQ", lambda o: o["sequence"].__setitem__(0, "x")),
+}
 @pytest.mark.parametrize("case", [
     ["mc", "--algorithm", "known-d", "--eta", "1/2", "--dist", '["1/3", "1/3", "1/3"]',
      "--trials", "2", "--instance", "INST"],
@@ -155,6 +171,19 @@ MC_ADV = ["mc", "--algorithm", "adversarial", "--trials", "2", "--dist", '["1/3"
     ["run", "adversarial", "--enumerate", "--alpha=-1/2", "--instance", "SMALL"],
     ["run", "adversarial", "--enumerate", "--alpha", "0", "--instance", "SMALL"],
     ["run", "adversarial", "--enumerate", "--alpha", "5", "--instance", "SMALL"],
+    ["run", "adversarial", "--enumerate", "--instance", "INST"],
+    ["mc", "--algorithm", "adversarial", "--trials", "0", "--arrivals", "exhaustive",
+     "--instance", "INST"],
+    ["perturb", "--instance", "RAW_N_FRACTIONAL", "--beta", "6/5"],
+    ["mms", "solve", "--instance", "RAW_N_STRING", "--type", "0", "--bundles", "2"],
+    ["perturb", "--instance", "RAW_M_STRING", "--beta", "6/5"],
+    ["run", "adversarial", "--instance", "INST_N_FLOAT", "--arrivals", "SEQ"],
+    ["run", "adversarial", "--instance", "INST_WITNESS_ITEM_STRING", "--arrivals", "SEQ"],
+    ["run", "adversarial", "--instance", "INST_WITNESS_ITEM_FLOAT", "--arrivals", "SEQ"],
+    ["run", "adversarial", "--instance", "INST_ZERO_TYPE_STRING", "--arrivals", "SEQ"],
+    ["run", "adversarial", "--instance", "INST_ZERO_TYPE_FRACTIONAL", "--arrivals", "SEQ"],
+    ["run", "adversarial", "--instance", "INST", "--arrivals", "SEQ_FRACTIONAL"],
+    ["run", "adversarial", "--instance", "INST", "--arrivals", "SEQ_STRING"],
 ])
 def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     inst, dist = _gen_instance_and_dist(tmp_path)
@@ -165,6 +194,16 @@ def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     small = tmp_path / "small.json"
     run_cli(["gen", "normalized-random", "--n", "3", "--m", "8", "--k", "2", "--out", str(small)])
     files = {"INST": inst, "SMALL": str(small), "DIST": dist, "BAD_WITNESS": str(bad)}
+    obj = json.loads(Path(inst).read_text())
+    originals = {"INST": obj, "RAW": {key: obj[key] for key in ("n", "m", "types")},
+                 "SEQ": {"sequence": [0, 1, 2] * 4}}
+    files["SEQ"] = str(tmp_path / "seq.json")
+    Path(files["SEQ"]).write_text(json.dumps(originals["SEQ"]))
+    for name, (base, mistype) in MISTYPED.items():
+        copy = json.loads(json.dumps(originals[base]))
+        mistype(copy)
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(copy))
     args = [files.get(a, a) for a in case]
     capsys.readouterr()
     assert run_cli(args) == 1

@@ -1,9 +1,12 @@
-"""Byte-identity oracle for every run path, and the benchmark's contract.
+"""Byte-identity oracle for every run path and CLI subcommand, and the
+benchmark's contract.
 
 Each case renders the canonical output of one run path (a CLI subcommand,
 ``run_unknown_d`` on a pinned branch, or ``degradation_trial``) and compares
-its sha256 with a digest pinned from the code before the run pipeline was
-unified.  Any change to a report's bytes fails here.
+its sha256 with a pinned digest: the run paths' from the code before the run
+pipeline was unified, the other subcommands' (gen, mms solve, perturb,
+report) from the code before the adversarial step took over its dry pools.
+Any change to a report's bytes fails here.
 """
 
 import hashlib
@@ -95,6 +98,16 @@ def _cases(tmp: Path, capsys) -> dict[str, callable]:
     unknown = ["run", "unknown-d", "--instance", f["mid"], "--dist", f["dist3"], "--seed", "4"]
     gen = ["--generator", "normalized-random", "--generator-params", '{"n": 12, "m": 40, "k": 3}']
     dist2 = TypeDistribution.from_probs([F(1, 2)] * 2)
+    mms = ["mms", "solve", "--instance", f["raw"], "--type", "1", "--bundles", "3"]
+    mc_adversarial = [
+        "mc", "--algorithm", "adversarial", "--trials", "6", "--seed", "3",
+        "--generator", "normalized-random", "--generator-params", '{"n": 3, "m": 8, "k": 2}',
+        "--dist", '["1/2", "1/2"]']
+
+    def report_csv() -> str:
+        _cli_file(capsys, mc_adversarial, tmp / "agg.json")
+        return _cli_stdout(capsys, ["report", "--aggregate", str(tmp / "agg.json"), "--format", "csv"])
+
     return {
         "run-adversarial-arrivals": cli(
             "run", "adversarial", "--instance", f["small"], "--arrivals", f["seq"]),
@@ -143,6 +156,15 @@ def _cases(tmp: Path, capsys) -> dict[str, callable]:
             "known-d", dist=dist2, eta=F(1, 2), epsilon=F(1, 10)),
         "degradation-unknown-d": lambda: _degradation_text(
             "unknown-d", dist=dist2, alpha=F(1, 3), c=F(1, 20)),
+        "gen-normalized-random": cli(
+            "gen", "normalized-random", "--n", "4", "--m", "12", "--k", "3", "--seed", "7"),
+        "gen-random": cli(
+            "gen", "random", "--n", "3", "--m", "9", "--k", "2", "--model", "binary", "--seed", "6"),
+        "gen-lower-bound": cli("gen", "lower-bound", "--k", "16", "--n", "4"),
+        "mms-solve": cli(*mms),
+        "mms-solve-brute-force": cli(*mms, "--brute-force"),
+        "perturb": cli("perturb", "--instance", f["raw"], "--beta", "6/5", "--seed", "1"),
+        "report-csv": report_csv,
     }
 
 
@@ -196,6 +218,22 @@ DIGESTS = {
         "6a5e3aeebe5c04f7cc903dd77940f6c7ef0fdbdadc41548ec86adb8791996ad3",
     "degradation-unknown-d":
         "08a236f41694f549922552a04418c3e011fc44e0f36438dfe75856c07a685246",
+    # the subcommands no run path covers, pinned before the adversarial step
+    # took over its dry pools
+    "gen-normalized-random":
+        "ee5642e91c78e70f07a820824133948b5d65895f2ea35a3eb4845fdd598ada05",
+    "gen-random":
+        "3231ffb275dbeb3a5a94a722356361967ead795bd03f51c714cac6873b99fa73",
+    "gen-lower-bound":
+        "adc8eb84ef7d829f93275e9e92c67887365b52298ab4c5f051f40645db022335",
+    "mms-solve":
+        "a6165d7dc10a0f222f6f1bc5394ccef09ffae0f0006a52123d61378f65707b8c",
+    "mms-solve-brute-force":
+        "93737936f7324dd45863ff34ed0ed34e924fdc171dc4ca58f439ef018ba47f8a",
+    "perturb":
+        "e22f8aa878036a0d6042804023e7d2510a84d643fd1b50e77c327ad96a92eee4",
+    "report-csv":
+        "7a5d1553b330ab75e5b544f775c30fe5423d1692b302979280986e86371424a0",
 }
 
 

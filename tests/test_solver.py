@@ -110,8 +110,9 @@ def test_alpha_partition_on_counterexample_bags():
 
 
 def test_lpt_partition_shape():
-    part = lpt_partition([F(4), F(3), F(2), F(2)], 2)
+    part = lpt_partition([4, 3, 2, 2], 2)  # a row already scaled to integers
     assert sorted(g for b in part for g in b) == [0, 1, 2, 3]
+    assert part == [[0, 3], [1, 2]]  # 4 | 3, then 2 onto the lighter 3, then 2 onto 4
 
 
 def test_zero_items_and_determinism():

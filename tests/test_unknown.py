@@ -235,24 +235,25 @@ def test_unknown_d_degenerate_window_flag():
 def test_learning_stage_claims_at_half_with_scale_k_over_2(monkeypatch):
     import mmsonline.unknown as unknown
 
-    real_serve = unknown.serve
+    real_step = unknown.step_adversarial
     seen = []
 
-    def spy(state, arrivals):
+    def spy(state, type_id):
         seen.append(state)
-        return real_serve(state, arrivals)
+        return real_step(state, type_id)
 
-    monkeypatch.setattr(unknown, "serve", spy)
+    monkeypatch.setattr(unknown, "step_adversarial", spy)
     k = 2
     norm = gen_normalized_random(6, 24, k, seed=13, weight_lo=3, weight_hi=4)
     seq = sample_arrivals(TypeDistribution.from_probs([F(1, 2), F(1, 2)]), 6,
                           substream(5, "ukd3"))
     _, rep = run_unknown_d(norm, seq, eta=F(1, 2), c=F(1, 20), seed=9)
     assert rep.details["branch"] == "splitAndLearn"
-    (state,) = seen
-    assert state.threshold == F(1, 2)
-    assert state.scale == k * state.threshold == F(k, 2)
-    assert not state.check and not state.strict
+    assert seen and all(state is seen[0] for state in seen)  # one state, stepped per agent
+    state = seen[0]
+    assert state.claim == state.view.at_least(F(1, 2))
+    assert state.scale == k * F(1, 2) == F(k, 2)
+    assert state.check_types == () and not state.strict
 
 
 def test_restricted_share_layering_desk_scale():
