@@ -172,8 +172,23 @@ class ScaledRows:
         return sum(map(self.ints[i].__getitem__, items))
 
 
-def as_scaled(rows: Iterable[Sequence]) -> ScaledRows:
-    """The integer view of k >= 1 equally long rows of nonnegative rationals."""
+def as_scaled(rows: Iterable[Sequence] | ScaledRows) -> ScaledRows:
+    """The integer view of k >= 1 equally long rows of nonnegative rationals.
+    A ``ScaledRows`` is checked as built: every x >= 0 and each unit L >= 1
+    the least common denominator, gcd(L, *row) == 1, so equal rows compare equal."""
+    if isinstance(rows, ScaledRows):
+        if not rows.ints:
+            raise InputError("need at least one type")
+        if len(rows.units) != len(rows.ints):
+            raise InputError(f"{len(rows.units)} units for {len(rows.ints)} types")
+        for i, (ints, unit) in enumerate(zip(rows.ints, rows.units)):
+            if len(ints) != len(rows.ints[0]):
+                raise InputError(f"type {i} has {len(ints)} values, expected {len(rows.ints[0])}")
+            if min(ints, default=0) < 0:
+                raise InputError(f"type {i} has a negative value")
+            if unit < 1 or math.gcd(unit, *ints) != 1:
+                raise InputError(f"type {i}: unit {unit} is not the row's least common denominator")
+        return rows
     scaled = []
     for i, row in enumerate(rows):
         if scaled and len(row) != len(scaled[0][0]):
@@ -245,6 +260,9 @@ class NormalizedInstance:
             raise ValidationError("per-type metadata length mismatch")
         object.__setattr__(self, "original_mms", tuple(as_fraction(v) for v in self.original_mms))
         object.__setattr__(self, "zero_mms_types", frozenset(self.zero_mms_types))
+        if any(not 0 <= i < k for i in self.zero_mms_types):
+            raise ValidationError(f"zero-share type ids must lie in 0..{k - 1}, "
+                                  f"got {sorted(self.zero_mms_types)}")
         view = inst.scaled
         for i in range(k):
             part = self.witness_partitions[i]

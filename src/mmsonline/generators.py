@@ -19,6 +19,7 @@ from .core import (
     InputError,
     Instance,
     NormalizedInstance,
+    ScaledRows,
     TypeDistribution,
     as_fraction,
 )
@@ -326,33 +327,42 @@ def gen_normalized_random(n: int, m: int, k: int, seed: int = 0,
     [weight_lo, weight_hi] rescaled by the part sum).  The partition is then
     a share witness: its minimum is 1 and the total is n, so the share is
     pinched to exactly 1 with no solving.
+
+    Rows are built as scaled ints: an item of weight w in a part of total T
+    is worth w / T = x / L, where L is the lcm over the parts of T / gcd(the
+    part's weights), the row's least common denominator.
     """
     if not 1 <= n <= m:
         raise InputError("needs 1 <= n <= m so every part is nonempty")
     if not 1 <= weight_lo <= weight_hi:
         raise InputError("bad weight range")
-    rows: list[tuple[Fraction, ...]] = []
+    rows: list[tuple[int, ...]] = []
+    units: list[int] = []
     witnesses: list[tuple[Bundle, ...]] = []
     base, extra = divmod(m, n)
     for i in range(k):
         rng = substream(seed, "pinched", i, n, m, k)
         perm = list(range(m))
         rng.shuffle(perm)
-        row = [Fraction(0)] * m
-        parts: list[Bundle] = []
+        weighted: list[tuple[list[int], list[int], int]] = []
         pos = 0
         for j in range(n):
             size = base + (1 if j < extra else 0)
             part = perm[pos:pos + size]
             pos += size
             weights = [rng.randint(weight_lo, weight_hi) for _ in part]
-            total = sum(weights)
+            weighted.append((part, weights, sum(weights)))
+        unit = math.lcm(*(total // math.gcd(*weights) for _, weights, total in weighted))
+        row = [0] * m
+        distinct: dict[int, int] = {}  # equal values share one int, as in scale_row
+        for part, weights, total in weighted:
             for g, w in zip(part, weights):
-                row[g] = Fraction(w, total)
-            parts.append(Bundle(tuple(part)))
+                x = w * unit // total
+                row[g] = distinct.setdefault(x, x)
         rows.append(tuple(row))
-        witnesses.append(tuple(parts))
-    inst = Instance(n, tuple(rows))
+        units.append(unit)
+        witnesses.append(tuple(Bundle(tuple(part)) for part, _, _ in weighted))
+    inst = Instance(n, ScaledRows(tuple(rows), tuple(units)))
     return NormalizedInstance(inst, tuple(Fraction(1) for _ in range(k)), tuple(witnesses))
 
 

@@ -15,6 +15,7 @@ import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from . import generators, jsonio
@@ -129,19 +130,27 @@ class McConfig:
                     raise InputError(f"generator_params for {self.generator!r}: "
                                      f"{name} must be an integer, got {given!r}")
 
+    @cached_property
+    def fixed_instance(self) -> NormalizedInstance | None:
+        """The one instance every trial runs on, or ``None`` when each trial
+        generates its own.  Kept in the instance's ``__dict__`` after the
+        first read, so it is pickled along to worker processes."""
+        if self.instance_obj is not None:
+            return jsonio.load_normalized(self.instance_obj)
+        return None if self.fresh_instance_per_trial else _generate(self, 0)
+
     def to_obj(self) -> dict:
-        # parallelism is an execution detail, not experiment identity; the
-        # laws (dist, hidden_dist) are the tuple fields, written as lists
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in self.__dict__.items()
-                if v is not None and k != "parallelism"}
+        # the fields only, never a cached fixed_instance; parallelism is an
+        # execution detail, not experiment identity; the laws (dist,
+        # hidden_dist) are the tuple fields, written as lists
+        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "parallelism"}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in obj.items() if v is not None}
 
 
-def _resolve_instance(config: McConfig, trial: int) -> NormalizedInstance:
-    if config.instance_obj is not None:
-        return jsonio.load_normalized(config.instance_obj)
+def _generate(config: McConfig, seed_key: int) -> NormalizedInstance:
+    """The generator's instance, its seed drawn from the ``seed_key`` substream."""
     params = dict(config.generator_params or {})
     if "seed" in _GENERATOR_SIGNATURES[config.generator].parameters:
-        seed_key = trial if config.fresh_instance_per_trial else 0
         params.setdefault("seed", substream(config.master_seed, "instance", seed_key).randrange(2**48))
     gen = generators.GENERATORS[config.generator]
     out = gen(**params)
@@ -176,7 +185,9 @@ def _trial_arrivals(config: McConfig, norm: NormalizedInstance, trial: int,
 
 def run_trial(config: McConfig, trial: int) -> dict:
     """One seeded trial; returns a flat JSON-able row."""
-    norm = _resolve_instance(config, trial)
+    norm = config.fixed_instance
+    if norm is None:
+        norm = _generate(config, trial)
     dist = _law(config.dist)
     seq = _trial_arrivals(config, norm, trial, dist)
     try:
@@ -259,11 +270,11 @@ def monte_carlo(config: McConfig) -> AggregateReport:
     """Run the experiment; deterministic for a fixed master seed at any
     parallelism level.  Any invariant violation aborts with a reproducer."""
     trials = config.trials
+    norm = config.fixed_instance  # resolved here, so no trial or worker resolves it again
     if config.arrivals == "exhaustive":
-        if config.instance_obj is None and config.fresh_instance_per_trial:
+        if norm is None:
             raise InputError("exhaustive arrivals need a fixed instance")
-        probe = _resolve_instance(config, 0)
-        expected = enumeration_size(probe.k_types, probe.n_agents)
+        expected = enumeration_size(norm.k_types, norm.n_agents)
         if trials not in (0, expected):
             raise InputError(f"exhaustive enumeration has {expected} sequences")
         trials = expected

@@ -126,7 +126,9 @@ def allocation_to_obj(allocation: Allocation) -> dict:
 
 def allocation_from_obj(obj: dict) -> Allocation:
     entries = tuple(
-        (int(e["agent"]), int(e["type"]), Bundle(tuple(e["items"]))) for e in obj["entries"]
+        (_json_int(e["agent"], "agent"), _json_int(e["type"], "type id"),
+         Bundle(tuple(_json_int(g, "allocated item") for g in e["items"])))
+        for e in obj["entries"]
     )
     return Allocation(entries)
 

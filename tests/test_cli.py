@@ -127,7 +127,8 @@ MC_ADV = ["mc", "--algorithm", "adversarial", "--trials", "2", "--dist", '["1/3"
 # 2^3 arrival orders, so an unchecked enumeration ends quickly; INST has 3^12,
 # above the enumeration cap.  Each key of MISTYPED names a copy of INST, RAW (INST
 # without its share partitions) or SEQ (INST's arrivals) with one integer field
-# replaced by a value that is not a JSON integer.
+# replaced by a value that is not a JSON integer, or, in the out-of-range case,
+# by a type id outside 0..k-1.
 MISTYPED = {
     "RAW_N_FRACTIONAL": ("RAW", lambda o: o.update(n=3.7)),
     "RAW_N_STRING": ("RAW", lambda o: o.update(n="abc")),
@@ -138,6 +139,7 @@ MISTYPED = {
         0, float(o["witnesses"][0][0][0]))),
     "INST_ZERO_TYPE_STRING": ("INST", lambda o: o.update(zeroMmsTypes=["x"])),
     "INST_ZERO_TYPE_FRACTIONAL": ("INST", lambda o: o.update(zeroMmsTypes=[0.5])),
+    "INST_ZERO_TYPE_OUT_OF_RANGE": ("INST", lambda o: o.update(zeroMmsTypes=[7])),
     "SEQ_FRACTIONAL": ("SEQ", lambda o: o["sequence"].__setitem__(slice(0, 2), [0.9, 1.2])),
     "SEQ_STRING": ("SEQ", lambda o: o["sequence"].__setitem__(0, "x")),
 }
@@ -182,6 +184,7 @@ MISTYPED = {
     ["run", "adversarial", "--instance", "INST_WITNESS_ITEM_FLOAT", "--arrivals", "SEQ"],
     ["run", "adversarial", "--instance", "INST_ZERO_TYPE_STRING", "--arrivals", "SEQ"],
     ["run", "adversarial", "--instance", "INST_ZERO_TYPE_FRACTIONAL", "--arrivals", "SEQ"],
+    ["run", "adversarial", "--instance", "INST_ZERO_TYPE_OUT_OF_RANGE", "--arrivals", "SEQ"],
     ["run", "adversarial", "--instance", "INST", "--arrivals", "SEQ_FRACTIONAL"],
     ["run", "adversarial", "--instance", "INST", "--arrivals", "SEQ_STRING"],
 ])

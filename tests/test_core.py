@@ -75,6 +75,28 @@ def test_instance_input_messages(rows, msg):
     assert str(err.value) == msg
 
 
+@pytest.mark.parametrize("ints, units, msg", [
+    ((), (), "need at least one type"),
+    (((1, 2),), (3, 1), "2 units for 1 types"),
+    (((1, 2), (1,)), (3, 1), "type 1 has 1 values, expected 2"),
+    (((1, 2), (1, -1)), (3, 1), "type 1 has a negative value"),
+    (((1, 2),), (0,), "type 0: unit 0 is not the row's least common denominator"),
+    (((2, 4),), (6,), "type 0: unit 6 is not the row's least common denominator"),
+    (((0, 0),), (2,), "type 0: unit 2 is not the row's least common denominator"),
+])
+def test_instance_checks_given_scaled_rows_in_ints(ints, units, msg):
+    with pytest.raises(InputError) as err:
+        Instance(2, ScaledRows(ints, units))
+    assert str(err.value) == msg
+
+
+def test_instance_from_scaled_rows_equals_the_rational_one():
+    rows = ((F(1, 2), F(1, 3), F(0)), (F(2), F(4), F(6)), (F(0), F(0), F(0)))
+    scaled = ScaledRows(((3, 2, 0), (2, 4, 6), (0, 0, 0)), (6, 1, 1))
+    assert Instance(2, scaled) == Instance(2, rows)
+    assert Instance(2, scaled).scaled is scaled
+
+
 def _holds_fraction(x):
     if isinstance(x, F):
         return True
@@ -222,6 +244,14 @@ def test_normalized_instance_rejects_bad_witness():
     inst = Instance(2, ((F(1, 2),) * 4,))
     with pytest.raises(ValidationError):
         NormalizedInstance(inst, (F(1),), ((Bundle((0,)), Bundle((1, 2, 3))),))
+
+
+@pytest.mark.parametrize("zero", [{7}, {2}, {-1}, {0, 2}])
+def test_normalized_instance_rejects_zero_share_type_out_of_range(zero):
+    inst = Instance(2, ((F(1, 2),) * 4, (F(1, 2),) * 4))
+    pair = (Bundle((0, 1)), Bundle((2, 3)))
+    with pytest.raises(ValidationError, match=r"zero-share type ids must lie in 0\.\.1"):
+        NormalizedInstance(inst, (F(1), F(1)), (pair, pair), frozenset(zero))
 
 
 def _fraction_rescaling_error(inst, witnesses, zero_types):

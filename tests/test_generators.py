@@ -170,6 +170,42 @@ def test_gen_normalized_random_is_normalized():
     assert gen_normalized_random(6, 30, 3, seed=3) == norm
 
 
+def _fraction_normalized_random(n, m, k, seed, weight_lo, weight_hi):
+    """Reference: the rows as the generator built them in Fractions, w / T
+    per item of a part with weights summing to T, from the same draws."""
+    from mmsonline.rng import substream
+    rows, witnesses = [], []
+    base, extra = divmod(m, n)
+    for i in range(k):
+        rng = substream(seed, "pinched", i, n, m, k)
+        perm = list(range(m))
+        rng.shuffle(perm)
+        row, parts, pos = [F(0)] * m, [], 0
+        for j in range(n):
+            part = perm[pos:pos + base + (1 if j < extra else 0)]
+            pos += len(part)
+            weights = [rng.randint(weight_lo, weight_hi) for _ in part]
+            for g, w in zip(part, weights):
+                row[g] = F(w, sum(weights))
+            parts.append(Bundle(tuple(part)))
+        rows.append(tuple(row))
+        witnesses.append(tuple(parts))
+    return tuple(rows), tuple(witnesses)
+
+
+@pytest.mark.parametrize("n, m, k, seed, lo, hi", [
+    (1, 1, 1, 0, 3, 5), (3, 8, 2, 1, 3, 5), (12, 40, 3, 2, 2, 4), (7, 20, 3, 5, 1, 1),
+    (50, 51, 4, 3, 1, 9), (5, 5, 2, 8, 2, 2), (40, 400, 3, 9, 6, 12),
+])
+def test_gen_normalized_random_ints_match_fraction_rows(n, m, k, seed, lo, hi):
+    from mmsonline import Instance
+    rows, witnesses = _fraction_normalized_random(n, m, k, seed, lo, hi)
+    norm = gen_normalized_random(n, m, k, seed=seed, weight_lo=lo, weight_hi=hi)
+    assert norm.base == Instance(n, rows)
+    assert norm.base.type_values == rows
+    assert norm.witness_partitions == witnesses
+
+
 def test_sample_arrivals():
     d = TypeDistribution.from_probs([F(1), F(0)])
     assert sample_arrivals(d, 5, 0) == [0, 0, 0, 0, 0]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -90,7 +91,7 @@ def test_repeat_same_seed_byte_identical():
     a = monte_carlo(cfg).canonical_json()
     b = monte_carlo(cfg).canonical_json()
     assert a == b
-    assert monte_carlo(McConfig(**{**cfg.__dict__, "master_seed": 10})).canonical_json() != a
+    assert monte_carlo(dataclasses.replace(cfg, master_seed=10)).canonical_json() != a
 
 
 def test_perturb_identity_and_bounds():
@@ -181,3 +182,75 @@ def test_min_ratio_overall_by_exact_order(monkeypatch):
                     "failureReason": "none", "violations": 0}
         monkeypatch.setattr(harness, "run_trial", fake_trial)
         assert monte_carlo(cfg).min_ratio_overall == below
+
+
+# Fixed-instance configs: a witnessed instance file, a raw one (normalized by
+# the exact solver) and a generator held fixed, each with exhaustive and with
+# i.i.d. arrivals.
+FIXED_CONFIGS = {
+    "witnessed-exhaustive": dict(algorithm="adversarial", trials=0, arrivals="exhaustive",
+                                 instance_obj=_fixed_instance_obj(seed=4, n=4, m=10, k=2)),
+    "witnessed-iid": dict(algorithm="known-d", trials=10, dist=UNIFORM3, eta="1/2",
+                          epsilon="1/10", instance_obj=_fixed_instance_obj(seed=5, n=6, m=18, k=3)),
+    "raw-exhaustive": dict(algorithm="adversarial", trials=0, arrivals="exhaustive",
+                           instance_obj=instance_to_obj(gen_random(3, 7, 2, "uniform", seed=1))),
+    "raw-iid": dict(algorithm="unknown-d", trials=10, hidden_dist=UNIFORM2, alpha="1/3",
+                    c="1/20", instance_obj=instance_to_obj(gen_random(4, 9, 2, "uniform", seed=2))),
+    "generator-exhaustive": dict(algorithm="adversarial", trials=0, arrivals="exhaustive",
+                                 generator="normalized-random", fresh_instance_per_trial=False,
+                                 generator_params={"n": 4, "m": 10, "k": 3}),
+    "generator-iid": dict(algorithm="adversarial", trials=10, dist=UNIFORM3,
+                          generator="normalized-random", fresh_instance_per_trial=False,
+                          generator_params={"n": 5, "m": 12, "k": 3}),
+}
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("name", FIXED_CONFIGS)
+def test_fixed_instance_once_matches_per_trial_resolution(monkeypatch, name, parallelism):
+    config = McConfig(master_seed=6, parallelism=parallelism, **FIXED_CONFIGS[name])
+    got = monte_carlo(config).canonical_json()
+    # reference: every read of fixed_instance resolves the instance anew, so
+    # each trial parses (or normalizes, or generates) it again
+    resolve = McConfig.__dict__["fixed_instance"].func
+    reads = []
+    def resolve_every_read(self):
+        reads.append(self)
+        return resolve(self)
+    monkeypatch.setattr(McConfig, "fixed_instance", property(resolve_every_read))
+    reference = monte_carlo(dataclasses.replace(config, parallelism=1)).canonical_json()
+    assert len(reads) == len(json.loads(reference)["rows"]) + 1  # the probe, then every trial
+    assert got == reference
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("arrivals", ["iid", "exhaustive"])
+def test_fixed_instance_resolved_once_per_experiment(monkeypatch, tmp_path, arrivals, parallelism):
+    log = tmp_path / "resolved"
+    load = harness.jsonio.load_normalized
+    def counted(obj):
+        with open(log, "a") as f:  # a file, so a forked worker's resolution counts too
+            f.write("x")
+        return load(obj)
+    monkeypatch.setattr(harness.jsonio, "load_normalized", counted)
+    cfg = McConfig(algorithm="adversarial", trials=0 if arrivals == "exhaustive" else 20,
+                   master_seed=3, instance_obj=_fixed_instance_obj(), dist=UNIFORM2,
+                   arrivals=arrivals, parallelism=parallelism)
+    assert len(monte_carlo(cfg).rows) == (8 if arrivals == "exhaustive" else 20)
+    assert log.read_text() == "x"
+    assert "fixed_instance" not in cfg.to_obj() and cfg.fixed_instance is not None
+
+
+def test_raw_instance_exhaustive_normalizes_once(monkeypatch):
+    # k = 3, n = 6: one exact normalization (about a second), then 729 runs
+    normalized = []
+    normalize = harness.jsonio.normalize
+    def counted(inst):
+        normalized.append(inst)
+        return normalize(inst)
+    monkeypatch.setattr(harness.jsonio, "normalize", counted)
+    cfg = McConfig(algorithm="adversarial", trials=0, master_seed=0, arrivals="exhaustive",
+                   instance_obj=instance_to_obj(gen_random(6, 14, 3, "uniform", seed=0)))
+    agg = monte_carlo(cfg)
+    assert len(agg.rows) == 3 ** 6 and len(normalized) == 1
+    assert agg.success_rate == 1.0 and F(agg.min_ratio_overall) >= F(1, 3)

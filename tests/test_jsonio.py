@@ -72,6 +72,18 @@ def test_sequence_and_allocation_roundtrip():
     assert allocation_from_obj(allocation_to_obj(alloc)) == alloc
 
 
+@pytest.mark.parametrize("entry", [
+    {"agent": 0.5, "type": 1, "items": [2, 1]},
+    {"agent": 0, "type": "1", "items": [2, 1]},
+    {"agent": 0, "type": 1, "items": [2.7, 1]},
+    {"agent": 0, "type": 1, "items": [2, "1"]},
+    {"agent": True, "type": 1, "items": [2, 1]},
+])
+def test_allocation_from_obj_takes_integers_only(entry):
+    with pytest.raises(InputError, match="must be an integer"):
+        allocation_from_obj({"entries": [entry]})
+
+
 def test_report_obj_includes_required_fields():
     # a run of the opening two-agent trap: the second agent gets nothing
     inst, reveal = gen_example1(4)

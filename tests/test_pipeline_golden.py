@@ -5,8 +5,9 @@ Each case renders the canonical output of one run path (a CLI subcommand,
 ``run_unknown_d`` on a pinned branch, or ``degradation_trial``) and compares
 its sha256 with a pinned digest: the run paths' from the code before the run
 pipeline was unified, the other subcommands' (gen, mms solve, perturb,
-report) from the code before the adversarial step took over its dry pools.
-Any change to a report's bytes fails here.
+report) from the code before the adversarial step took over its dry pools,
+and the fixed-instance ``mc`` cases from the code that still resolved the
+instance on every trial.  Any change to a report's bytes fails here.
 """
 
 import hashlib
@@ -140,6 +141,12 @@ def _cases(tmp: Path, capsys) -> dict[str, callable]:
         "mc-exhaustive": cli(
             "mc", "--algorithm", "adversarial", "--trials", "0", "--seed", "1",
             "--instance", f["small"], "--arrivals", "exhaustive"),
+        "mc-fixed-instance": cli(
+            "mc", "--algorithm", "known-d", "--trials", "4", "--seed", "5", *gen, "--fixed-instance",
+            "--dist", f["dist3"], "--eta", "1/2", "--epsilon", "1/10"),
+        "mc-exhaustive-raw": cli(
+            "mc", "--algorithm", "adversarial", "--trials", "0", "--seed", "2",
+            "--instance", f["raw"], "--arrivals", "exhaustive"),
         "mc-csv": lambda: _cli_file(capsys, [
             "mc", "--algorithm", "known-d", "--trials", "5", "--seed", "11", *gen,
             "--dist", '["1/3", "1/3", "1/3"]', "--eta", "1/2", "--epsilon", "1/10",
@@ -234,6 +241,12 @@ DIGESTS = {
         "e22f8aa878036a0d6042804023e7d2510a84d643fd1b50e77c327ad96a92eee4",
     "report-csv":
         "7a5d1553b330ab75e5b544f775c30fe5423d1692b302979280986e86371424a0",
+    # a fixed generated instance and a raw instance file, pinned before a
+    # fixed instance was resolved once per experiment instead of per trial
+    "mc-fixed-instance":
+        "bd5cd5886d58bbf1d8a41041277c892849e0d2f52fc1600f92eb93a10accb9ce",
+    "mc-exhaustive-raw":
+        "f4f77e27a4508af9a50e0cd9e2cfc493b8f076556a0bffe2e6202634dc7a56c2",
 }
 
 
