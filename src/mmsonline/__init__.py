@@ -27,7 +27,7 @@ from .core import (
     value,
     verify_allocation,
 )
-from .solver import mms_bounds, mms_brute_force, mms_exact
+from .solver import mms_brute_force, mms_exact
 from .adversarial import (
     TentativeState,
     adaptive_lower_bound_adversary,
@@ -72,7 +72,6 @@ from .harness import (
     AggregateReport,
     McConfig,
     degradation_trial,
-    emit_report,
     monte_carlo,
     perturb,
     run_algorithm,

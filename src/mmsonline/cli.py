@@ -41,22 +41,27 @@ def _probs(spec: str | None) -> tuple[str, ...] | None:
     return tuple(jsonio.distribution_to_obj(_load_dist(spec))["probs"]) if spec else None
 
 
-def _emit(obj: dict, out: str | None) -> None:
+def _write(text: str, out: str | None) -> None:
+    """``text`` to the ``--out`` file, or to stdout."""
     if out:
-        jsonio.dump(obj, out)
+        Path(out).write_text(text)
     else:
-        print(jsonio.canonical_json(obj))
+        sys.stdout.write(text)
+
+
+def _emit(obj: dict, out: str | None) -> None:
+    _write(jsonio.canonical_json(obj) + "\n", out)
+
+
+def _emit_aggregate(agg: harness.AggregateReport, fmt: str, out: str | None) -> None:
+    """An aggregate report as CSV rows, or as canonical JSON."""
+    _write(harness.render_csv(agg) if fmt == "csv" else agg.canonical_json() + "\n", out)
 
 
 def _cmd_gen(args) -> int:
     kind, dist = args.kind, None
     if kind == "example1":
         obj = jsonio.instance_to_obj(generators.gen_example1(args.m)[0])
-    elif kind == "lower-bound":
-        cons = generators.gen_lower_bound(args.k, args.n)
-        obj = jsonio.instance_to_obj(cons.instance)
-        obj["mms"] = [jsonio.frac_to_str(v) for v in cons.declared_mms]
-        obj["witnesses"] = [[list(b.items) for b in part] for part in cons.witnesses]
     elif kind == "random":
         obj = jsonio.instance_to_obj(generators.gen_random(args.n, args.m, args.k, args.model, args.seed))
     else:  # the constructions that ship their share partitions
@@ -66,12 +71,14 @@ def _cmd_gen(args) -> int:
             norm = generators.gen_tightness_half(args.k, args.n, as_fraction(args.eps))
         elif kind == "tight-pk":
             norm, dist = generators.gen_tightness_pk(args.k, args.n)
+        elif kind == "lower-bound":
+            norm = generators.gen_lower_bound(args.k, args.n).normalized()
         else:
             norm = generators.gen_normalized_random(args.n, args.m, args.k, args.seed)
         obj = jsonio.instance_to_obj(norm.base, norm)
     _emit(obj, args.out)
     if dist is not None and args.dist_out:
-        jsonio.dump(jsonio.distribution_to_obj(dist), args.dist_out)
+        _emit(jsonio.distribution_to_obj(dist), args.dist_out)
     return 0
 
 
@@ -85,12 +92,10 @@ def _cmd_mms(args) -> int:
     res = solver(valuation, args.bundles)
     out = {
         "value": jsonio.frac_to_str(res.value),
-        "exact": res.exact,
+        "exact": True,
         "witness": [list(b.items) for b in res.witness],
         "nodes": res.nodes,
     }
-    if res.upper_bound is not None:
-        out["upperBound"] = jsonio.frac_to_str(res.upper_bound)
     _emit(out, args.out)
     return 0
 
@@ -113,7 +118,7 @@ def _cmd_run(args) -> int:
             alpha=args.alpha, eta=args.eta,
             epsilon=args.epsilon if args.algorithm == "known-d" else None,
             c=args.c if args.algorithm == "unknown-d" else None)
-        _emit(harness.monte_carlo(config).to_obj(), args.out)
+        _emit_aggregate(harness.monte_carlo(config), "json", args.out)
         return 0
 
     norm = jsonio.load_normalized(instance_obj)
@@ -160,11 +165,7 @@ def _cmd_mc(args) -> int:
         arrivals=args.arrivals,
         parallelism=args.parallelism,
     )
-    agg = harness.monte_carlo(config)
-    if args.out:
-        harness.emit_report(agg, args.format, args.out)
-    else:
-        print(agg.canonical_json())
+    _emit_aggregate(harness.monte_carlo(config), args.format, args.out)
     return 0
 
 
@@ -176,12 +177,7 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    agg = harness.AggregateReport.from_obj(jsonio.load(args.aggregate))
-    text = harness.render_csv(agg) if args.format == "csv" else agg.canonical_json() + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit_aggregate(harness.AggregateReport.from_obj(jsonio.load(args.aggregate)), args.format, args.out)
     return 0
 
 

@@ -233,12 +233,10 @@ def check_arrivals(arrivals: Iterable[int], n: int, k: int) -> list[int]:
 @dataclass(frozen=True)
 class MmsResult:
     """Maximin-share value of one valuation over ``n`` bundles, with the
-    partition attaining it.  ``exact=False`` marks a bound-only bracket."""
+    partition attaining it."""
 
     value: Fraction
     witness: tuple[Bundle, ...]
-    exact: bool = True
-    upper_bound: Fraction | None = None
     nodes: int = 0
 
 
@@ -324,8 +322,6 @@ def normalize(instance: Instance, mms_solver: Callable[[Sequence[Fraction], int]
     zero_types: set[int] = set()
     for i, row in enumerate(instance.type_values):
         res = mms_solver(row, n)
-        if not res.exact:
-            raise CapacityError(f"type {i}: solver returned a bound-only result")
         mms_values.append(res.value)
         witnesses.append(tuple(res.witness))
         if res.value == 0:

@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 
 from . import generators, jsonio
 from .adversarial import run_adversarial
@@ -395,15 +394,6 @@ def degradation_trial(
 
 CSV_COLUMNS = ("trial", "seed", "algorithm", "n", "m", "k", "alpha",
                "minRatio", "success", "failureReason")
-
-
-def emit_report(aggregate: AggregateReport, fmt: str, path: str | Path) -> None:
-    if fmt == "json":
-        jsonio.dump(aggregate.to_obj(), path)
-    elif fmt == "csv":
-        Path(path).write_text(render_csv(aggregate))
-    else:
-        raise InputError(f"unknown report format {fmt!r}")
 
 
 def render_csv(aggregate: AggregateReport) -> str:

@@ -9,7 +9,9 @@ instance schema is::
       "witnesses": [ [ [item, ...] x n ] x k ]  (optional: share partitions) }
 
 The optional mms/witnesses pair lets generated constructions ship their
-known share partitions, so runs on them never need the exact solver.
+known share partitions, so runs on them never need the exact solver.  With
+the pair, the ``types`` rows are the normalized rows: every witness bundle
+of a positive-share type is worth exactly 1.
 """
 
 from __future__ import annotations
@@ -105,10 +107,6 @@ def distribution_from_obj(obj: dict) -> TypeDistribution:
         raise InputError(f"malformed distribution object: {exc}") from exc
 
 
-def sequence_to_obj(seq) -> dict:
-    return {"sequence": [int(t) for t in seq]}
-
-
 def sequence_from_obj(obj: dict) -> list[int]:
     try:
         return [_json_int(t, "arrival type id") for t in obj["sequence"]]
@@ -122,15 +120,6 @@ def allocation_to_obj(allocation: Allocation) -> dict:
             {"agent": a, "type": t, "items": list(b.items)} for a, t, b in allocation.entries
         ]
     }
-
-
-def allocation_from_obj(obj: dict) -> Allocation:
-    entries = tuple(
-        (_json_int(e["agent"], "agent"), _json_int(e["type"], "type id"),
-         Bundle(tuple(_json_int(g, "allocated item") for g in e["items"])))
-        for e in obj["entries"]
-    )
-    return Allocation(entries)
 
 
 def report_to_obj(report: TrialReport) -> dict:
@@ -148,10 +137,6 @@ def report_to_obj(report: TrialReport) -> dict:
     if report.step_trace is not None:
         obj["trace"] = report.step_trace
     return obj
-
-
-def dump(obj: dict, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(obj) + "\n")
 
 
 def load(path: str | Path) -> dict:

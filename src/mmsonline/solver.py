@@ -39,18 +39,6 @@ def lpt_partition(ints: Sequence[int], n: int) -> list[list[int]]:
     return bundles
 
 
-def mms_bounds(valuation: Sequence[Fraction], n: int) -> tuple[Fraction, Fraction]:
-    """[LPT min-bundle, v(M)/n] bracket around the true share."""
-    return _lpt_bracket(*scale_row(valuation), n)[:2]
-
-
-def _lpt_bracket(ints: Sequence[int], den: int, n: int) -> tuple[Fraction, Fraction, list[list[int]]]:
-    """``mms_bounds`` of the row ``ints / den``, and the LPT split behind its lower end."""
-    lpt = lpt_partition(ints, n)
-    lower = min(sum(ints[g] for g in b) for b in lpt)
-    return Fraction(lower, den), Fraction(sum(ints), den * n), lpt
-
-
 def mms_brute_force(valuation: Sequence[Fraction], n: int) -> MmsResult:
     """Exhaustive oracle: try every assignment of items to n labeled bundles.
 
@@ -97,36 +85,24 @@ def mms_brute_force(valuation: Sequence[Fraction], n: int) -> MmsResult:
     return MmsResult(Fraction(best, den), witness, nodes=nodes)
 
 
-def mms_exact(
-    valuation: Sequence[Fraction],
-    n: int,
-    *,
-    on_overflow: str = "raise",
-) -> MmsResult:
+def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
     """Exact share via branch-and-bound.
 
     Items are branched in non-increasing value order (ties by index); bundles
     with equal current loads are interchangeable and only the first is tried.
     The incumbent starts from the LPT split, nodes are pruned against
     ``min(load) + remaining`` and the global ``total/n`` cap, and states are
-    memoized by (depth, sorted load profile).
-
-    Above the caps (m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP),
-    ``on_overflow="bounds"`` returns the exact=False [LPT, v(M)/n] bracket
-    instead of raising.
+    memoized by (depth, sorted load profile).  Above the caps
+    (m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP) it raises
+    :class:`CapacityError`.
     """
     if n < 1:
         raise InputError("need at least one bundle")
     m = len(valuation)
     if m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP:
-        if on_overflow == "bounds":
-            lower, upper, lpt = _lpt_bracket(*scale_row(valuation), n)
-            witness = tuple(Bundle(tuple(b)) for b in lpt)
-            return MmsResult(lower, witness, exact=False, upper_bound=upper, nodes=0)
         raise CapacityError(
             f"exact solver capped at m<={DEFAULT_ITEM_CAP}, n<={DEFAULT_BUNDLE_CAP} "
-            f"(got m={m}, n={n}); "
-            "pass on_overflow='bounds' for a bracket")
+            f"(got m={m}, n={n})")
     ints, den = scale_row(valuation)
     if m == 0:
         return MmsResult(Fraction(0), tuple(Bundle(()) for _ in range(n)), nodes=1)

@@ -27,7 +27,6 @@ from .core import (
     Allocation,
     Bundle,
     InputError,
-    InvariantViolation,
     NormalizedInstance,
     ScaledRows,
     TrialReport,
@@ -247,8 +246,6 @@ def run_high_c(
             main.append(Bundle(tuple(g for g in bundle if g not in cs[1:])))
             for g in cs[1:]:
                 main.append(Bundle((g,)))
-    if len(main) != len(c_items):
-        raise InvariantViolation(f"kept {len(main)} bundles for {len(c_items)} universal items")
     info = {"branch": "highC", "mainBundles": len(c_items), "reserve0": len(reserve0)}
 
     out: list[Bundle | None] = []

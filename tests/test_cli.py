@@ -250,6 +250,27 @@ def test_gen_lower_bound_and_tight_instances(tmp_path):
         assert json.loads(out.read_text())["n"] >= 2
 
 
+def test_gen_lower_bound_loads_for_a_run(tmp_path, capsys):
+    # the emitted share partitions match the emitted (normalized) rows
+    inst = tmp_path / "lb.json"
+    assert run_cli(["gen", "lower-bound", "--k", "16", "--n", "4", "--out", str(inst)]) == 0
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"sequence": [0, 1, 2, 3]}))
+    capsys.readouterr()
+    assert run_cli(["run", "adversarial", "--instance", str(inst), "--arrivals", str(seq)]) == 0
+    assert json.loads(capsys.readouterr().out)["minRatio"] == "1/2"
+
+
+def test_mc_csv_to_stdout(capsys):
+    capsys.readouterr()
+    assert run_cli(["mc", "--algorithm", "adversarial", "--trials", "2", "--seed", "3",
+                    "--generator", "normalized-random", "--generator-params",
+                    '{"n": 3, "m": 8, "k": 2}', "--dist", '["1/2", "1/2"]', "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "trial,seed,algorithm,n,m,k,alpha,minRatio,success,failureReason"
+    assert len(lines) == 3
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "mmsonline.cli", "--help"],
                           capture_output=True, text=True)

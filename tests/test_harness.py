@@ -17,7 +17,6 @@ from mmsonline.harness import (
     CSV_COLUMNS,
     McConfig,
     degradation_trial,
-    emit_report,
     monte_carlo,
     render_csv,
     run_trial,
@@ -141,17 +140,14 @@ def test_run_trial_missing_parameter_is_input_error(missing):
         run_trial(cfg, 0)
 
 
-def test_emit_report_roundtrip_and_csv(tmp_path):
+def test_emit_report_roundtrip_and_csv():
     cfg = McConfig(algorithm="adversarial", trials=3, master_seed=2,
                    instance_obj=_fixed_instance_obj(), dist=UNIFORM2)
     agg = monte_carlo(cfg)
-    jpath = tmp_path / "agg.json"
-    emit_report(agg, "json", jpath)
-    parsed = json.loads(jpath.read_text())
+    parsed = json.loads(agg.canonical_json())
     assert canonical_json(parsed) == agg.canonical_json()
-    cpath = tmp_path / "agg.csv"
-    emit_report(agg, "csv", cpath)
-    lines = cpath.read_text().strip().splitlines()
+    assert AggregateReport.from_obj(parsed) == agg
+    lines = render_csv(agg).strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 4  # header + 3 rows
 

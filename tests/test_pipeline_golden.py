@@ -10,6 +10,7 @@ and the fixed-instance ``mc`` cases from the code that still resolved the
 instance on every trial.  Any change to a report's bytes fails here.
 """
 
+import ast
 import hashlib
 import importlib
 import inspect
@@ -231,8 +232,11 @@ DIGESTS = {
         "ee5642e91c78e70f07a820824133948b5d65895f2ea35a3eb4845fdd598ada05",
     "gen-random":
         "3231ffb275dbeb3a5a94a722356361967ead795bd03f51c714cac6873b99fa73",
+    # re-pinned when `gen lower-bound` began to emit the construction's
+    # normalized rows beside its share partitions (the raw binary rows did not
+    # load: their witness bundles are not worth 1)
     "gen-lower-bound":
-        "adc8eb84ef7d829f93275e9e92c67887365b52298ab4c5f051f40645db022335",
+        "f8d9dcef9350fc97639e3eb9c96b2dc56e61bd6790ca805a2bfc6e7a8d4b5c63",
     "mms-solve":
         "a6165d7dc10a0f222f6f1bc5394ccef09ffae0f0006a52123d61378f65707b8c",
     "mms-solve-brute-force":
@@ -273,6 +277,53 @@ def test_traced_functions_resolve(tracing):
             assert hasattr(owner, attr), f"mmsonline.{module_name}.{path}"
             owner = getattr(owner, attr)
         assert callable(owner)
+
+
+def _dotted(node: ast.expr) -> list[str] | None:
+    """``a.b.c`` as ``["a", "b", "c"]``; None unless a pure name-and-attribute chain."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def _bench_references(script: str) -> set[str]:
+    """Each ``mmsonline.<module>.<name>...`` path a bench script imports, or
+    reaches by attribute from a module it imported with ``from mmsonline import``."""
+    tree = ast.parse((BENCH_DIR / script).read_text())
+    modules, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mmsonline"):
+            for a in node.names:
+                refs.add(f"{node.module}.{a.name}")
+                if node.module == "mmsonline":
+                    modules[a.asname or a.name] = f"mmsonline.{a.name}"
+    for node in ast.walk(tree):
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if chain and chain[0] in modules:
+            refs.add(".".join([modules[chain[0]], *chain[1:]]))
+    return refs
+
+
+def _resolves(path: str) -> bool:
+    _, module, *names = path.split(".")
+    try:
+        owner = importlib.import_module(f"mmsonline.{module}")
+    except ImportError:
+        return False
+    for name in names:
+        if not hasattr(owner, name):
+            return False
+        owner = getattr(owner, name)
+    return True
+
+
+@pytest.mark.parametrize("script", ["run.py", "pin.py"])
+def test_bench_references_resolve(script):
+    refs = _bench_references(script)
+    assert refs, f"bench/{script} reaches no mmsonline name"
+    assert sorted(ref for ref in refs if not _resolves(ref)) == []
 
 
 def test_run_trial_keeps_two_positional_parameters():

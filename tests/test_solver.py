@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmsonline import Bundle, CapacityError, value
+from mmsonline.core import scale_row
 from mmsonline.generators import gen_random
 from mmsonline.rng import substream
 from mmsonline.solver import (
     lpt_partition,
-    mms_bounds,
     mms_brute_force,
     mms_exact,
 )
@@ -52,14 +52,11 @@ def test_brute_force_caps():
 
 
 def test_exact_caps_and_bound_mode():
-    vals = [F(1)] * 30
-    with pytest.raises(CapacityError):
-        mms_exact(vals, 2)
-    res = mms_exact(vals, 2, on_overflow="bounds")
-    assert not res.exact
-    assert res.value <= 15 <= res.upper_bound
-    lo, hi = mms_bounds(vals, 2)
-    assert (lo, hi) == (res.value, res.upper_bound)
+    # past either cap the solver raises; it has no bound-only mode
+    with pytest.raises(CapacityError, match="got m=30, n=2"):
+        mms_exact([F(1)] * 30, 2)
+    with pytest.raises(CapacityError, match="got m=4, n=9"):
+        mms_exact([F(1)] * 4, 9)
 
 
 def test_lpt_bracket_and_monotonicity_on_seeded_instances():
@@ -69,8 +66,10 @@ def test_lpt_bracket_and_monotonicity_on_seeded_instances():
         n = rng.randint(1, 4)
         vals = [F(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in range(m)]
         res = mms_exact(vals, n)
-        lo, hi = mms_bounds(vals, n)
-        assert lo <= res.value <= hi
+        # the least LPT bundle and the average v(M)/n bracket the share
+        ints, den = scale_row(vals)
+        lpt_least = F(min(sum(ints[g] for g in b) for b in lpt_partition(ints, n)), den)
+        assert lpt_least <= res.value <= sum(vals, F(0)) / n
         # one more bundle never helps
         assert mms_exact(vals, n + 1).value <= res.value
         # removing an item never increases the share

@@ -488,6 +488,22 @@ def test_high_c_reserve_stays_empty_when_c_covers_everyone():
     assert out == [Bundle((0,)), Bundle((1,))]
 
 
+def test_high_c_main_queue_holds_one_bundle_per_universal_item():
+    # |C| + 1 arrivals of rank >= 1 draw only from the main queue: they get
+    # |C| bundles, each with exactly one universal item, and then nothing
+    cases = [
+        (_high_c_fixture().witness_partitions[0], 4, [1, 2]),
+        ([Bundle((0, 1)), Bundle((2,)), Bundle((3,))], 3, [0, 1]),
+        ([Bundle((0,)), Bundle((1,)), Bundle((2,))], 2, [0, 1]),
+        ([Bundle((0, 1)), Bundle((2, 3))], 2, [0, 1]),
+        ([Bundle((0,)), Bundle((1,))], 2, [0, 1]),
+    ]
+    for partition, n_agents, c_items in cases:
+        out, _ = run_high_c(partition, n_agents, c_items, [1] * (len(c_items) + 1))
+        assert out[-1] is None
+        assert sorted(len(set(b) & set(c_items)) for b in out[:-1]) == [1] * len(c_items)
+
+
 def test_run_known_d_high_c_past_the_solver_caps():
     # n = m = 30: every item is a whole share and universal, so the high-C
     # branch routes everyone through type 0's own share partition

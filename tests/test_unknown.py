@@ -261,7 +261,8 @@ def test_restricted_share_layering_desk_scale():
     # basket-restricted share of every type is at least the k/2 floor the
     # stage's claim level assumes, so each learning bundle (worth >= 1/2)
     # clears one k-th of the restricted share floor, hence alpha
-    from mmsonline.solver import mms_bounds
+    from mmsonline.core import scale_row
+    from mmsonline.solver import lpt_partition
 
     k, n, m = 2, 6, 24
     norm = gen_normalized_random(n, m, k, seed=13, weight_lo=3, weight_hi=4)
@@ -278,7 +279,9 @@ def test_restricted_share_layering_desk_scale():
     floor = F(k, 2)
     for ti in range(k):
         sub_vals = [norm.base.type_values[ti][g] for g in b1]
-        restricted_lower, _ = mms_bounds(sub_vals, window)
+        ints, den = scale_row(sub_vals)
+        # the least LPT bundle is a lower bound on the restricted share
+        restricted_lower = F(min(sum(ints[g] for g in b) for b in lpt_partition(ints, window)), den)
         assert restricted_lower >= floor  # the pseudo-share never overshoots
     for _, ti, bundle in alloc.entries[:window]:
         assert bundle
