@@ -12,6 +12,7 @@ Floats are confined to statistics aggregation in the harness.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -65,10 +66,21 @@ class Bundle:
     items: tuple[int, ...] = ()
 
     def __post_init__(self):
-        norm = tuple(sorted(set(map(int, self.items))))
+        try:
+            norm = tuple(sorted(set(map(operator.index, self.items))))
+        except TypeError as exc:
+            raise InputError(f"item indices must be integers, got {self.items!r}") from exc
         if norm and norm[0] < 0:
             raise InputError("negative item index")
         object.__setattr__(self, "items", norm)
+
+    @classmethod
+    def from_sorted(cls, items: Sequence[int]) -> "Bundle":
+        """Trusted constructor, no check and no sort: the caller guarantees
+        strictly increasing non-negative int items."""
+        bundle = object.__new__(cls)
+        object.__setattr__(bundle, "items", tuple(items))
+        return bundle
 
     def __iter__(self):
         return iter(self.items)
@@ -429,10 +441,13 @@ class TrialReport:
         flags: tuple[str, ...] = (),
         details: dict | None = None,
         step_trace: list | None = None,
+        min_ratio: Fraction | None = None,
     ) -> "TrialReport":
+        """The report of these ratios; pass ``min_ratio`` when it is already known."""
         ratios = tuple(ratios)
         alpha = as_fraction(alpha)
-        min_ratio = min(ratios) if ratios else Fraction(1)
+        if min_ratio is None:
+            min_ratio = min(ratios) if ratios else Fraction(1)
         ok = not ratios or min_ratio >= alpha
         if not ok and failure_reason is FailureReason.NONE:
             failure_reason = FailureReason.VALUE_BELOW_ALPHA
@@ -474,8 +489,19 @@ def finish_run(
                 reason = FailureReason.EMPTY_RESERVE
         entries.append((agent, type_id, bundle))
     allocation = Allocation(tuple(entries))
-    ratios = [agent_ratio(norm, type_id, bundle) for _, type_id, bundle in entries]
-    return allocation, TrialReport.build(ratios, alpha, reason, tuple(flags), details, trace)
+    # agent_ratio from ints: one Fraction per distinct (type, scaled total), a
+    # zero-share type keyed -1, and the least ratio from each type's least total
+    view, zero = norm.scaled, norm.zero_mms_types
+    known: list[dict[int, Fraction]] = [{} for _ in view.units]
+    ratios = []
+    for _, type_id, bundle in entries:
+        x = -1 if type_id in zero else view.total(type_id, bundle.items)
+        ratio = known[type_id].get(x)
+        if ratio is None:
+            ratio = known[type_id][x] = Fraction(1) if x < 0 else Fraction(x, view.units[type_id])
+        ratios.append(ratio)
+    min_ratio = min((totals[min(totals)] for totals in known if totals), default=Fraction(1))
+    return allocation, TrialReport.build(ratios, alpha, reason, tuple(flags), details, trace, min_ratio)
 
 
 def verify_allocation(norm: NormalizedInstance, allocation: Allocation, alpha: Fraction) -> TrialReport:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -23,7 +24,7 @@ from .core import (
     TypeDistribution,
     as_fraction,
 )
-from .rng import bernoulli, categorical, substream
+from .rng import bernoulli, randbelow, randints, shuffle, substream, thresholds
 
 
 # -- helpers ----------------------------------------------------------------
@@ -301,17 +302,19 @@ def gen_random(n: int, m: int, k: int, value_model: str = "uniform",
     if value_model == "uniform":
         dens = (1, 2, 3, 4, 6)
         for _ in range(k):
-            rows.append(tuple(Fraction(rng.randint(1, 48), rng.choice(dens)) for _ in range(m)))
+            # rng.randint(1, 48), then rng.choice(dens)
+            rows.append(tuple(Fraction(1 + randbelow(rng, 48), dens[randbelow(rng, 5)]) for _ in range(m)))
     elif value_model == "binary":
         q = as_fraction(q)
         for _ in range(k):
             rows.append(tuple(Fraction(1 if bernoulli(rng, q) else 0) for _ in range(m)))
     elif value_model == "clustered":
         groups = [g % k for g in range(m)]
-        rng.shuffle(groups)
+        shuffle(rng, groups)
         for i in range(k):
+            # rng.randint(8, 12) or rng.randint(0, 3)
             rows.append(tuple(
-                Fraction(rng.randint(8, 12)) if groups[g] == i else Fraction(rng.randint(0, 3))
+                Fraction(8 + randbelow(rng, 5)) if groups[g] == i else Fraction(randbelow(rng, 4))
                 for g in range(m)))
     else:
         raise InputError(f"unknown value model {value_model!r}")
@@ -343,14 +346,14 @@ def gen_normalized_random(n: int, m: int, k: int, seed: int = 0,
     for i in range(k):
         rng = substream(seed, "pinched", i, n, m, k)
         perm = list(range(m))
-        rng.shuffle(perm)
+        shuffle(rng, perm)
+        drawn = randints(rng, weight_lo, weight_hi, m)  # part by part, as the items
         weighted: list[tuple[list[int], list[int], int]] = []
         pos = 0
         for j in range(n):
             size = base + (1 if j < extra else 0)
-            part = perm[pos:pos + size]
+            part, weights = perm[pos:pos + size], drawn[pos:pos + size]
             pos += size
-            weights = [rng.randint(weight_lo, weight_hi) for _ in part]
             weighted.append((part, weights, sum(weights)))
         unit = math.lcm(*(total // math.gcd(*weights) for _, weights, total in weighted))
         row = [0] * m
@@ -361,7 +364,7 @@ def gen_normalized_random(n: int, m: int, k: int, seed: int = 0,
                 row[g] = distinct.setdefault(x, x)
         rows.append(tuple(row))
         units.append(unit)
-        witnesses.append(tuple(Bundle(tuple(part)) for part, _, _ in weighted))
+        witnesses.append(tuple(Bundle.from_sorted(sorted(part)) for part, _, _ in weighted))
     inst = Instance(n, ScaledRows(tuple(rows), tuple(units)))
     return NormalizedInstance(inst, tuple(Fraction(1) for _ in range(k)), tuple(witnesses))
 
@@ -370,9 +373,12 @@ def gen_normalized_random(n: int, m: int, k: int, seed: int = 0,
 
 
 def sample_arrivals(dist: TypeDistribution, n: int, seed_or_rng) -> list[int]:
-    """n i.i.d. draws of original type ids; deterministic per seed."""
+    """n i.i.d. draws of original type ids; deterministic per seed.  Each
+    draw equals ``rng.categorical`` over ``dist.probs``, from one threshold table."""
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else substream(seed_or_rng, "arrivals")
-    return [dist.order[categorical(rng, dist.probs)] for _ in range(n)]
+    den, cum = thresholds(dist.probs)
+    order = dist.order
+    return [order[bisect_right(cum, x)] for x in randints(rng, 0, den - 1, n)]
 
 
 def all_sequences(k: int, n: int) -> Iterable[tuple[int, ...]]:

@@ -32,7 +32,7 @@ from .core import (
     value,
 )
 from .generators import enumeration_size, nth_sequence, sample_arrivals
-from .rng import substream, uniform_fraction
+from .rng import randbelow, randints, substream, uniform_fraction
 from .stochastic import run_known_d
 from .unknown import run_unknown_d
 
@@ -150,7 +150,7 @@ def _generate(config: McConfig, seed_key: int) -> NormalizedInstance:
     """The generator's instance, its seed drawn from the ``seed_key`` substream."""
     params = dict(config.generator_params or {})
     if "seed" in _GENERATOR_SIGNATURES[config.generator].parameters:
-        params.setdefault("seed", substream(config.master_seed, "instance", seed_key).randrange(2**48))
+        params.setdefault("seed", randbelow(substream(config.master_seed, "instance", seed_key), 2**48))
     gen = generators.GENERATORS[config.generator]
     out = gen(**params)
     if isinstance(out, tuple):  # generators returning (instance, distribution)
@@ -194,7 +194,7 @@ def run_trial(config: McConfig, trial: int) -> dict:
             config.algorithm, norm, seq, dist=dist,
             alpha=config.alpha or None, eta=config.eta or None,
             epsilon=config.epsilon, c=config.c,
-            seed=substream(config.master_seed, "split", trial).randrange(2**48)
+            seed=randbelow(substream(config.master_seed, "split", trial), 2**48)
             if config.algorithm == "unknown-d" else 0)
     except InvariantViolation as exc:
         raise InvariantViolation(
@@ -367,8 +367,7 @@ def degradation_trial(
     if dist is not None:
         seq = sample_arrivals(dist, n, seed)
     else:
-        rng = substream(seed, "arrivals")
-        seq = [rng.randrange(k) for _ in range(n)]
+        seq = randints(substream(seed, "arrivals"), 0, k - 1, n)
     allocation, report = run_algorithm(
         algorithm, pert_norm, seq, dist=dist, alpha=alpha, eta=eta, epsilon=epsilon, c=c,
         seed=seed)

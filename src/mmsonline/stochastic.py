@@ -144,7 +144,7 @@ def preprocess_low_c(
         # group ascending (a stable sort on a boolean key)
         ranked = sorted(high_sets[i], key=high_lookup[last_type].__contains__)
         picks = list(islice((g for g in ranked if g in remaining), caps[i]))
-        reserves[i].extend(Bundle((g,)) for g in picks)
+        reserves[i].extend(Bundle.from_sorted((g,)) for g in picks)
         singleton_counts[i] = len(picks)
         remaining.difference_update(picks)
         if len(picks) == caps[i]:
@@ -175,7 +175,7 @@ def preprocess_low_c(
             break  # remainder exhausted without a claim; those items stay unallocated
         bag, vals, claimants, pos = filled
         claimant = claimants[0]
-        reserves[claimant].append(Bundle(tuple(bag)))
+        reserves[claimant].append(Bundle.from_sorted(bag))
         state.bag_count += 1
         for j in unsaturated:
             if vals[j] > over[j]:
@@ -302,7 +302,7 @@ def known_d_engine(
         return run_high_c(kept, n_agents, c_items, arrival_ranks)
 
     served = min(len(c_items), n_agents)
-    out: list[Bundle | None] = [Bundle((c_items[t],)) for t in range(served)]
+    out: list[Bundle | None] = [Bundle.from_sorted((c_items[t],)) for t in range(served)]
     info: dict = {"branch": "allC" if served == n_agents else "lowC", "universal": len(c_items)}
     if served < n_agents:
         c_set = set(c_items)

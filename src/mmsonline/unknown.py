@@ -93,12 +93,22 @@ def random_split(items: Sequence[int], p: Fraction, rng: random.Random) -> tuple
     p = as_fraction(p)
     if not 0 <= p <= 1:
         raise InputError("p must lie in [0, 1]")
-    num, den, draw = p.numerator, p.denominator, rng.randrange
-    b1: list[int] = []
-    b2: list[int] = []
-    for g in sorted(items):
-        (b1 if num == den or num and draw(den) < num else b2).append(g)
-    return Bundle(tuple(b1)), Bundle(tuple(b2))
+    order = sorted(items)
+    if p == 0 or p == 1:
+        b1, b2 = (order, []) if p else ([], order)
+    else:
+        # rng.randbelow(den) < num per item, inlined
+        num, den, getrandbits = p.numerator, p.denominator, rng.getrandbits
+        bits = den.bit_length()
+        b1, b2 = [], []
+        for g in order:
+            x = getrandbits(bits)
+            while x >= den:
+                x = getrandbits(bits)
+            (b1 if x < num else b2).append(g)
+    # a repeated item draws once per copy, and the checking constructor merges the copies
+    make = Bundle.from_sorted if order and order[0] >= 0 and len(set(order)) == len(order) else Bundle
+    return make(b1), make(b2)
 
 
 def basket_value_ok(v: Fraction, k: int, params: UnknownParams) -> bool:
@@ -152,7 +162,7 @@ def run_unknown_d(
 
     if len(c_items) >= window:
         details["branch"] = "learnFromUniversal"
-        bundles.extend(Bundle((c_items[t],)) for t in range(window))
+        bundles.extend(Bundle.from_sorted((c_items[t],)) for t in range(window))
         leftover_c = c_items[window:]
         learned = learn_distribution(seq[:window], k)
         details["learned"] = [str(p) for p in learned.original_probs()]
@@ -166,7 +176,7 @@ def run_unknown_d(
         bundles.extend(sub)
     else:
         details["branch"] = "splitAndLearn"
-        bundles.extend(Bundle((g,)) for g in c_items)
+        bundles.extend(Bundle.from_sorted((g,)) for g in c_items)
         served_c = len(c_items)
         p = Fraction(2 * k * window, n - served_c)
         if p > 1:

@@ -15,12 +15,20 @@ from mmsonline import (
     TrialReport,
     TypeDistribution,
     ValidationError,
+    gen_normalized_random,
     normalize,
+    random_split,
+    run_adversarial,
+    run_known_d,
+    run_unknown_d,
+    sample_arrivals,
     universal_items,
     value,
     verify_allocation,
 )
-from mmsonline.core import ScaledRows, as_scaled, fill_bag
+from mmsonline.core import ScaledRows, as_scaled, fill_bag, finish_run
+from mmsonline.rng import substream
+from mmsonline.stochastic import preprocess_low_c
 from mmsonline.solver import mms_brute_force
 
 fractions_pos = st.fractions(min_value=0, max_value=100, max_denominator=60)
@@ -41,6 +49,50 @@ def test_bundle_normalizes_and_validates():
     assert 2 in b and len(b) == 3
     with pytest.raises(InputError):
         Bundle((-1,))
+    assert Bundle.from_sorted([1, 2, 3]) == b and type(Bundle.from_sorted([1]).items) is tuple
+
+
+@pytest.mark.parametrize("items", [(2.7, 1), ("3", 1), (None,), (F(2), 0)])
+def test_bundle_rejects_non_integer_items(items):
+    # an item index is an int: 2.7 is not truncated and "3" is not parsed
+    with pytest.raises(InputError, match="integers"):
+        Bundle(items)
+
+
+def _assert_strictly_increasing(bundles, where):
+    for b in bundles:
+        items = b.items
+        assert type(items) is tuple and all(type(g) is int for g in items), (where, items)
+        assert all(a < c for a, c in zip(items, items[1:])) and min(items, default=0) >= 0, (where, items)
+
+
+def test_every_bundle_holds_strictly_increasing_items():
+    # the trusted Bundle.from_sorted call sites (reserved singletons and bags,
+    # universal singletons, random-split baskets) next to the checked ones
+    dist = TypeDistribution.from_probs([F(1, 2), F(3, 10), F(1, 5)])
+    known_branches, unknown_branches = set(), set()
+    for seed in range(3):
+        for n, m in [(12, 12), (30, 60), (40, 320), (60, 480)]:
+            norm = gen_normalized_random(n, m, 3, seed=seed)
+            for part in norm.witness_partitions:
+                _assert_strictly_increasing(part, "witness")
+            seq = sample_arrivals(dist, n, seed)
+            runs = {
+                "adversarial": run_adversarial(norm, seq),
+                "known-d": run_known_d(norm, dist, seq, eta=F(1, 2), epsilon=F(1, 10)),
+                "unknown-d": run_unknown_d(norm, seq, eta=F(1, 2), c=F(1, 20), seed=seed),
+            }
+            for name, (alloc, rep) in runs.items():
+                _assert_strictly_increasing([b for _, _, b in alloc.entries], name)
+                again = verify_allocation(norm, alloc, rep.alpha)
+                assert (again.per_agent_ratio, again.min_ratio) == (rep.per_agent_ratio, rep.min_ratio), name
+            known_branches.add(runs["known-d"][1].details["branch"])
+            unknown_branches.add(runs["unknown-d"][1].details["branch"])
+            state = preprocess_low_c(norm.scaled, range(m), n, dist.probs, F(1, 3), F(1, 10))
+            _assert_strictly_increasing([b for queue in state.reserves for b in queue], "reserves")
+            _assert_strictly_increasing(random_split(range(m), F(1, 3), substream(seed, "guard")), "split")
+    assert {"splitAndLearn", "learnFromUniversal"} <= unknown_branches
+    assert {"lowC", "highC"} <= known_branches, known_branches
 
 
 @given(st.lists(fractions_pos, min_size=1, max_size=8), st.lists(fractions_pos, min_size=1, max_size=8))
@@ -198,6 +250,20 @@ def test_allocation_disjointness_enforced():
 def _tiny_norm():
     inst = Instance(2, ((F(1, 2), F(1, 2), F(1, 2), F(1, 2)),))
     return NormalizedInstance(inst, (F(1),), ((Bundle((0, 1)), Bundle((2, 3))),))
+
+
+def test_finish_run_ratios_count_zero_share_agents():
+    # one type's items are worth 1/2 each; the other type has share 0, so
+    # its agent's ratio is 1 whatever it gets, below the first agent's 3/2
+    norm = normalize(Instance(2, ((1, 1, 1, 1), (0, 0, 0, 0))))
+    assert norm.zero_mms_types == {1}
+    for bundles, ratios in [((Bundle((0, 1, 2)), Bundle((3,))), (F(3, 2), F(1))),
+                            ((Bundle((0, 1, 2)), None), (F(3, 2), F(1))),
+                            ((None, Bundle((3,))), (F(0), F(1)))]:
+        alloc, rep = finish_run(norm, [0, 1], bundles, F(1, 2))
+        assert rep.per_agent_ratio == ratios and rep.min_ratio == min(ratios)
+        again = verify_allocation(norm, alloc, F(1, 2))
+        assert (again.per_agent_ratio, again.min_ratio) == (rep.per_agent_ratio, rep.min_ratio)
 
 
 def test_verify_allocation_boundary_inclusive():

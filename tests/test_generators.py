@@ -172,7 +172,8 @@ def test_gen_normalized_random_is_normalized():
 
 def _fraction_normalized_random(n, m, k, seed, weight_lo, weight_hi):
     """Reference: the rows as the generator built them in Fractions, w / T
-    per item of a part with weights summing to T, from the same draws."""
+    per item of a part with weights summing to T, from the stdlib's own
+    ``shuffle`` and ``randint`` draws."""
     from mmsonline.rng import substream
     rows, witnesses = [], []
     base, extra = divmod(m, n)
@@ -196,6 +197,7 @@ def _fraction_normalized_random(n, m, k, seed, weight_lo, weight_hi):
 @pytest.mark.parametrize("n, m, k, seed, lo, hi", [
     (1, 1, 1, 0, 3, 5), (3, 8, 2, 1, 3, 5), (12, 40, 3, 2, 2, 4), (7, 20, 3, 5, 1, 1),
     (50, 51, 4, 3, 1, 9), (5, 5, 2, 8, 2, 2), (40, 400, 3, 9, 6, 12),
+    (200, 1000, 3, 4, 3, 5), (64, 129, 2, 6, 1, 2**40),
 ])
 def test_gen_normalized_random_ints_match_fraction_rows(n, m, k, seed, lo, hi):
     from mmsonline import Instance
