@@ -10,8 +10,7 @@ each type's reserve list is trimmed to the number of agents still to come.
 
 All "arbitrary" choices of the procedure are pinned: FIFO reserve pick,
 ascending-index bag filling, LIFO trimming, ascending type order when a bag
-is reserved for several claimants.  A seeded-random variant of those choices
-exists for robustness testing.
+is reserved for several claimants.
 ``step_adversarial`` is the one per-arrival unit.  If bag filling runs dry
 before any claim, a strict state raises ``PoolExhausted``; a non-strict one
 counts the agent as arrived and returns ``None``, which ``core.finish_run``
@@ -20,7 +19,6 @@ turns into the empty bundle (the unknown-d stages).
 
 from __future__ import annotations
 
-import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,6 +38,7 @@ from .core import (
     ValidationError,
     as_fraction,
     check_arrivals,
+    check_items,
     fill_bag,
     finish_run,
     value,
@@ -79,7 +78,6 @@ class TentativeState:
     unsaturated: set[int]
     arrived: int = 0
     strict: bool = True
-    rng: random.Random | None = None
     pool: list[int] = field(default_factory=list)
     pool_pos: int = 0
     marked_pool: list[int] | None = None
@@ -100,7 +98,6 @@ class TentativeState:
         threshold: Fraction | None = None,
         check_types: Sequence[int] | None = None,
         strict: bool = True,
-        rng: random.Random | None = None,
         trace: bool = False,
     ) -> "TentativeState":
         """Preprocessing: reserve up to n high-valued singletons per type.
@@ -108,10 +105,11 @@ class TentativeState:
         Scanning types in ascending order and items in ascending order, every
         item worth at least the type's claim threshold becomes a singleton
         reserve of that type (the same singleton may serve several types),
-        until the type holds n of them.  Only the given items are read.
+        until the type holds n of them.  Only the given items are read; each
+        must be an item id of the view.
         """
         k = len(view.ints)
-        item_list = sorted(set(map(int, items)))
+        item_list = check_items(items, len(view.ints[0]))
         threshold = Fraction(1, k) if threshold is None else as_fraction(threshold)
         claim = view.at_least(threshold)
 
@@ -119,7 +117,7 @@ class TentativeState:
         reserves: list[deque[Bundle]] = [deque() for _ in range(k)]
         for i, row in enumerate(view.ints):
             high = (g for g in item_list if row[g] >= claim[i])
-            reserves[i].extend(singletons.setdefault(g, Bundle((g,))) for g in islice(high, n))
+            reserves[i].extend(singletons.setdefault(g, Bundle.from_sorted((g,))) for g in islice(high, n))
         refs = Counter(b for dq in reserves for b in dq)
         reserved = {g for b in refs for g in b}
 
@@ -136,7 +134,6 @@ class TentativeState:
             remaining_value=[view.total(i, item_list) for i in range(k)],
             unsaturated={i for i in range(k) if len(reserves[i]) < n},
             strict=strict,
-            rng=rng,
             pool=[g for g in item_list if g not in reserved],
             bundle_refs=refs,
             trace=[] if trace else None,
@@ -168,8 +165,6 @@ class TentativeState:
     def _rebuild_pool(self) -> None:
         reserved = {g for b in self.bundle_refs for g in b}
         self.pool = [g for g in sorted(self.remaining) if g not in reserved]
-        if self.rng is not None:
-            self.rng.shuffle(self.pool)
         self.pool_pos = 0
 
     def _allocate(self, bundle: Bundle) -> None:
@@ -225,7 +220,6 @@ def preprocess(
     norm: NormalizedInstance,
     *,
     strict: bool = True,
-    rng: random.Random | None = None,
     trace: bool = False,
 ) -> TentativeState:
     """High-valued-item preprocessing on a normalized instance, at claim
@@ -236,7 +230,6 @@ def preprocess(
         norm.n_agents,
         check_types=tuple(i for i in range(norm.k_types) if i not in norm.zero_mms_types),
         strict=strict,
-        rng=rng,
         trace=trace,
     )
 
@@ -259,8 +252,7 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
     allocated: Bundle
 
     if state.reserves[i]:
-        idx = state.rng.randrange(len(state.reserves[i])) if state.rng is not None else 0
-        allocated = state.reserves[i][idx]
+        allocated = state.reserves[i][0]
         for j in range(state.k):
             state.reserves[j] = deque(b for b in state.reserves[j] if b != allocated)
         del state.bundle_refs[allocated]
@@ -282,7 +274,7 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
                 return None
             bag, bagvals, claimants, state.pool_pos = filled
             if bagvals[i] >= state.claim[i]:
-                allocated = Bundle(tuple(bag))
+                allocated = Bundle.from_sorted(bag)
                 state._allocate(allocated)
                 if state.trace is not None:
                     state.trace.append({"event": "serveBag", "agent": t, "type": i,
@@ -290,7 +282,7 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
                                         "reserveSizes": [len(dq) for dq in state.reserves],
                                         "remaining": len(state.remaining)})
                 break
-            bundle = Bundle(tuple(bag))
+            bundle = Bundle.from_sorted(bag)
             state.bundle_refs[bundle] += len(claimants)
             for j in claimants:
                 state.reserves[j].append(bundle)
@@ -308,12 +300,7 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
     dirty = False
     for j in range(state.k):
         while len(state.reserves[j]) > state.n - t:
-            if state.rng is not None:
-                pick = state.rng.randrange(len(state.reserves[j]))
-                dropped = state.reserves[j][pick]
-                del state.reserves[j][pick]
-            else:
-                dropped = state.reserves[j].pop()  # most recently added
+            dropped = state.reserves[j].pop()  # most recently added
             state.bundle_refs[dropped] -= 1
             if not state.bundle_refs[dropped]:
                 del state.bundle_refs[dropped]
@@ -332,7 +319,6 @@ def run_adversarial(
     *,
     alpha: Fraction | None = None,
     strict: bool = True,
-    rng: random.Random | None = None,
     trace: bool = False,
 ) -> tuple[Allocation, TrialReport]:
     """Run the full online allocation for one arrival sequence.
@@ -347,7 +333,7 @@ def run_adversarial(
     alpha = as_fraction(alpha) if alpha is not None else Fraction(1, k)
     if not 0 < alpha <= 1:
         raise InputError("alpha must lie in (0, 1]")
-    state = preprocess(norm, strict=strict, rng=rng, trace=trace)
+    state = preprocess(norm, strict=strict, trace=trace)
     flags = ["k1Degenerate"] if k == 1 else []
     bundles = [step_adversarial(state, t) for t in seq]
     reason = FailureReason.POOL_EXHAUSTED if None in bundles else FailureReason.NONE

@@ -242,6 +242,17 @@ def check_arrivals(arrivals: Iterable[int], n: int, k: int) -> list[int]:
     return seq
 
 
+def check_items(items: Iterable[int], m: int | None = None) -> list[int]:
+    """The distinct item ids, ascending: integers from 0, and below m if given."""
+    try:
+        ids = sorted(set(map(operator.index, items)))
+    except TypeError as exc:
+        raise InputError(f"item ids must be integers: {exc}") from exc
+    if ids and (ids[0] < 0 or m is not None and ids[-1] >= m):
+        raise InputError(f"item id {ids[0] if ids[0] < 0 else ids[-1]} out of range")
+    return ids
+
+
 @dataclass(frozen=True)
 class MmsResult:
     """Maximin-share value of one valuation over ``n`` bundles, with the

@@ -33,6 +33,7 @@ from .core import (
     TypeDistribution,
     as_fraction,
     check_arrivals,
+    check_items,
     fill_bag,
     finish_run,
 )
@@ -122,7 +123,7 @@ def preprocess_low_c(
     probs = tuple(as_fraction(p) for p in probs)
     if len(probs) != k:
         raise InputError("probs length mismatch")
-    item_list = sorted(set(map(int, items)))
+    item_list = check_items(items, len(view.ints[0]))
 
     rows, claim = view.ints, view.at_least(alpha)
     high_sets = [[g for g in item_list if row[g] >= level] for row, level in zip(rows, claim)]

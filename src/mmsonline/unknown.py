@@ -32,6 +32,7 @@ from .core import (
     TypeDistribution,
     as_fraction,
     check_arrivals,
+    check_items,
     finish_run,
 )
 from .exactpow import ceil_pow, pow_le
@@ -89,11 +90,14 @@ def learn_distribution(observed_types: Sequence[int], k: int) -> TypeDistributio
 
 def random_split(items: Sequence[int], p: Fraction, rng: random.Random) -> tuple[Bundle, Bundle]:
     """Independent exact Bernoulli(p) per item, ascending: (kept, rest); as in
-    ``rng.bernoulli``, p = 1 and p = 0 take no draw."""
+    ``rng.bernoulli``, p = 1 and p = 0 take no draw.  The items must be
+    distinct non-negative integers."""
     p = as_fraction(p)
     if not 0 <= p <= 1:
         raise InputError("p must lie in [0, 1]")
-    order = sorted(items)
+    order = check_items(items)
+    if len(order) != len(items):
+        raise InputError("repeated item id")
     if p == 0 or p == 1:
         b1, b2 = (order, []) if p else ([], order)
     else:
@@ -106,9 +110,7 @@ def random_split(items: Sequence[int], p: Fraction, rng: random.Random) -> tuple
             while x >= den:
                 x = getrandbits(bits)
             (b1 if x < num else b2).append(g)
-    # a repeated item draws once per copy, and the checking constructor merges the copies
-    make = Bundle.from_sorted if order and order[0] >= 0 and len(set(order)) == len(order) else Bundle
-    return make(b1), make(b2)
+    return Bundle.from_sorted(b1), Bundle.from_sorted(b2)
 
 
 def basket_value_ok(v: Fraction, k: int, params: UnknownParams) -> bool:

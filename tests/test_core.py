@@ -26,6 +26,7 @@ from mmsonline import (
     value,
     verify_allocation,
 )
+from mmsonline.adversarial import TentativeState
 from mmsonline.core import ScaledRows, as_scaled, fill_bag, finish_run
 from mmsonline.rng import substream
 from mmsonline.stochastic import preprocess_low_c
@@ -57,6 +58,19 @@ def test_bundle_rejects_non_integer_items(items):
     # an item index is an int: 2.7 is not truncated and "3" is not parsed
     with pytest.raises(InputError, match="integers"):
         Bundle(items)
+
+
+@pytest.mark.parametrize("bad", [2.7, -1, 12, "3"], ids=["float", "negative", "m", "string"])
+@pytest.mark.parametrize("entry", [
+    lambda view, items: TentativeState.create(view, items, 4),
+    lambda view, items: preprocess_low_c(view, items, 4, [F(1, 2), F(1, 2)], F(1, 3), F(1, 10)),
+], ids=["TentativeState.create", "preprocess_low_c"])
+def test_allocators_reject_bad_items(entry, bad):
+    # m = 12: 2.7 is not truncated, -1 does not read the last item's value,
+    # 12 is not a bare IndexError and "3" is not parsed
+    norm = gen_normalized_random(4, 12, 2, seed=1)
+    with pytest.raises(InputError, match="item id"):
+        entry(norm.scaled, [0, 1, bad])
 
 
 def _assert_strictly_increasing(bundles, where):

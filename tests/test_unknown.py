@@ -103,7 +103,7 @@ def _bernoulli_random_split(items, p, rng):
 
 
 @settings(max_examples=100)
-@given(st.integers(0, 2**32), st.lists(st.integers(0, 200), max_size=60),
+@given(st.integers(0, 2**32), st.lists(st.integers(0, 200), max_size=60, unique=True),
        st.one_of(st.sampled_from([F(0), F(1), F(1, 2)]),
                  st.fractions(min_value=0, max_value=1, max_denominator=10**6)))
 def test_random_split_matches_bernoulli_reference(seed, items, p):
@@ -112,6 +112,13 @@ def test_random_split_matches_bernoulli_reference(seed, items, p):
     got_rng, want_rng = substream(seed, "split"), substream(seed, "split")
     assert random_split(items, p, got_rng) == _bernoulli_random_split(items, p, want_rng)
     assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("items", [[3, 3, 5], [2, -1], [2.7, 4], ["3"]])
+def test_random_split_rejects_repeated_negative_and_non_integer_items(items):
+    # a repeated item would land in both baskets when its copies drew apart
+    with pytest.raises(InputError):
+        random_split(items, F(1, 2), substream(1, "x"))
 
 
 def test_random_split_binomial_band():
@@ -143,6 +150,7 @@ def test_unknown_d_mechanics_mid_scale():
     # conservation, learning and concentration mechanics are what counts
     norm = gen_normalized_random(600, 4800, 3, seed=21, weight_lo=2, weight_hi=4)
     hidden = TypeDistribution.from_probs([F(1, 2), F(3, 10), F(1, 5)])
+    rows = norm.base.type_values  # rebuilt as Fractions on every read
     okc = 0
     for seed in range(5):
         seq = sample_arrivals(hidden, 600, substream(seed, "ukd-arr"))
@@ -155,7 +163,7 @@ def test_unknown_d_mechanics_mid_scale():
         window = rep.details["window"]
         if rep.failure_reason is not FailureReason.VALUE_BELOW_ALPHA:
             for _, ti, b in alloc.entries[:window]:
-                assert value(norm.base.type_values[ti], b) >= F(1, 2)
+                assert value(rows[ti], b) >= F(1, 2)
     assert okc == 5
 
 
