@@ -4,9 +4,10 @@ The allocator keeps, for every type, a collection of tentatively reserved
 bundles each worth at least 1/k to that type (bundles may be shared across
 types but never overlap in items).  An arriving agent takes her oldest
 reserve when one exists; otherwise bags are grown from the unreserved pool
-until some type still in the bookkeeping's unsaturated set claims one, with
-unclaimed-by-the-agent bags reserved for the claimants.  After every arrival
-each type's reserve list is trimmed to the number of agents still to come.
+until some open type claims one (the arriving type, or one holding fewer
+reserves than agents still to come), with unclaimed-by-the-agent bags
+reserved for the claimants.  After every arrival each type's reserve list is
+trimmed to the number of agents still to come.
 
 All "arbitrary" choices of the procedure are pinned: FIFO reserve pick,
 ascending-index bag filling, LIFO trimming, ascending type order when a bag
@@ -75,7 +76,6 @@ class TentativeState:
     reserves: list[deque[Bundle]]
     remaining: set[int]
     remaining_value: list[int]
-    unsaturated: set[int]
     arrived: int = 0
     strict: bool = True
     pool: list[int] = field(default_factory=list)
@@ -132,7 +132,6 @@ class TentativeState:
             reserves=reserves,
             remaining=set(item_list),
             remaining_value=[view.total(i, item_list) for i in range(k)],
-            unsaturated={i for i in range(k) if len(reserves[i]) < n},
             strict=strict,
             pool=[g for g in item_list if g not in reserved],
             bundle_refs=refs,
@@ -142,7 +141,7 @@ class TentativeState:
             state.trace.append({
                 "event": "preprocess",
                 "reserveSizes": [len(dq) for dq in reserves],
-                "unsaturated": sorted(state.unsaturated),
+                "unsaturated": state.open_types(0),
             })
         state._check_pool_purity(current_t=0)
         return state
@@ -158,9 +157,11 @@ class TentativeState:
             raise InvariantViolation(msg)
         self.violations.append(msg)
 
-    def _demand_saturated(self, j: int, current_t: int) -> bool:
-        # Enough reserves for every agent arriving after the current one.
-        return len(self.reserves[j]) >= self.n - current_t
+    def open_types(self, current_t: int, arriving: int | None = None) -> list[int]:
+        """Ascending, the types that may claim a bag while agent ``current_t``
+        is served: those with fewer reserves than the ``n - current_t`` agents
+        still to come, and ``arriving``."""
+        return [j for j, dq in enumerate(self.reserves) if len(dq) < self.n - current_t or j == arriving]
 
     def _rebuild_pool(self) -> None:
         reserved = {g for b in self.bundle_refs for g in b}
@@ -172,7 +173,7 @@ class TentativeState:
         for j in range(self.k):
             self.remaining_value[j] -= self.view.total(j, bundle.items)
 
-    # -- checks (quantified over demand-unsaturated positive-share types) --
+    # -- checks (quantified over the open types among check_types) --------
 
     def _check_pool_purity(self, current_t: int) -> None:
         # scan only for open types whose mark, the last pool position of an item at
@@ -180,7 +181,7 @@ class TentativeState:
         if self.marked_pool is not self.pool:
             self.marked_pool, self.marks = self.pool, {}
         rows, claim, pool, marks = self.view.ints, self.claim, self.pool, self.marks
-        open_types = [j for j in self.check_types if not self._demand_saturated(j, current_t)]
+        open_types = [j for j in self.open_types(current_t) if j in self.check_types]
         for j in open_types:
             if j not in marks:
                 marks[j] = next((p for p in reversed(range(len(pool))) if rows[j][pool[p]] >= claim[j]), -1)
@@ -192,8 +193,8 @@ class TentativeState:
                                   f"{Fraction(rows[j][g], self.view.units[j])} to open type {j}")
 
     def _check_reserved_bound(self, bagvals: list[int], current_t: int) -> None:
-        for j in self.check_types:
-            if not self._demand_saturated(j, current_t) and bagvals[j] > self.bound[j]:
+        for j in self.open_types(current_t):
+            if j in self.check_types and bagvals[j] > self.bound[j]:
                 self._violate(f"reserved bundle worth {Fraction(bagvals[j], self.view.units[j])} "
                               f"> {self.scale} to open type {j}")
 
@@ -237,8 +238,8 @@ def preprocess(
 def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
     """Serve one arriving agent of the given type; returns her bundle.
 
-    Bag filling may run dry before any type still marked unsaturated claims
-    a bag, which the maintained invariant rules out on conforming inputs.
+    Bag filling may run dry before any open type (``TentativeState.open_types``)
+    claims a bag, which the maintained invariant rules out on conforming inputs.
     Then a strict state raises :class:`PoolExhausted`; a non-strict one
     counts the agent as arrived and returns ``None`` at once, with no
     trimming and no checks.
@@ -252,20 +253,15 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
     allocated: Bundle
 
     if state.reserves[i]:
-        allocated = state.reserves[i][0]
+        event, allocated = "serveReserve", state.reserves[i][0]
         for j in range(state.k):
             state.reserves[j] = deque(b for b in state.reserves[j] if b != allocated)
         del state.bundle_refs[allocated]
-        state._allocate(allocated)
-        if state.trace is not None:
-            state.trace.append({"event": "serveReserve", "agent": t, "type": i,
-                                "items": list(allocated.items),
-                                "reserveSizes": [len(dq) for dq in state.reserves],
-                                "remaining": len(state.remaining)})
     else:
+        event = "serveBag"
         while True:
             filled = fill_bag(state.view.ints, state.claim, state.pool, state.pool_pos,
-                              sorted(state.unsaturated))
+                              state.open_types(t, i))
             if filled is None:
                 if state.strict:
                     raise PoolExhausted(
@@ -275,26 +271,23 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
             bag, bagvals, claimants, state.pool_pos = filled
             if bagvals[i] >= state.claim[i]:
                 allocated = Bundle.from_sorted(bag)
-                state._allocate(allocated)
-                if state.trace is not None:
-                    state.trace.append({"event": "serveBag", "agent": t, "type": i,
-                                        "items": list(allocated.items),
-                                        "reserveSizes": [len(dq) for dq in state.reserves],
-                                        "remaining": len(state.remaining)})
                 break
             bundle = Bundle.from_sorted(bag)
             state.bundle_refs[bundle] += len(claimants)
             for j in claimants:
                 state.reserves[j].append(bundle)
-                if len(state.reserves[j]) >= state.n - t:
-                    state.unsaturated.discard(j)
             if state.trace is not None:
                 state.trace.append({"event": "reserve", "agent": t, "for": claimants,
                                     "items": list(bundle.items),
                                     "reserveSizes": [len(dq) for dq in state.reserves],
-                                    "unsaturated": sorted(state.unsaturated)})
+                                    "unsaturated": state.open_types(t, i)})
             state._check_pool_purity(current_t=t)
             state._check_reserved_bound(bagvals, current_t=t)
+    state._allocate(allocated)
+    if state.trace is not None:
+        state.trace.append({"event": event, "agent": t, "type": i, "items": list(allocated.items),
+                            "reserveSizes": [len(dq) for dq in state.reserves],
+                            "remaining": len(state.remaining)})
 
     state.arrived = t
     dirty = False

@@ -231,9 +231,16 @@ def fill_bag(rows: Sequence[Sequence[int]], claim: Sequence[int], scan: Sequence
     return None
 
 
+def _int_ids(ids: Iterable[int], what: str) -> list[int]:
+    try:
+        return list(map(operator.index, ids))
+    except TypeError as exc:
+        raise InputError(f"{what} ids must be integers: {exc}") from exc
+
+
 def check_arrivals(arrivals: Iterable[int], n: int, k: int) -> list[int]:
-    """The arrival sequence as a list: exactly n type ids, each in range(k)."""
-    seq = list(arrivals)
+    """The arrival sequence as a list: exactly n integer type ids, each in range(k)."""
+    seq = _int_ids(arrivals, "type")
     if len(seq) != n:
         raise InputError(f"arrival sequence has {len(seq)} types, expected {n}")
     for t in seq:
@@ -244,10 +251,7 @@ def check_arrivals(arrivals: Iterable[int], n: int, k: int) -> list[int]:
 
 def check_items(items: Iterable[int], m: int | None = None) -> list[int]:
     """The distinct item ids, ascending: integers from 0, and below m if given."""
-    try:
-        ids = sorted(set(map(operator.index, items)))
-    except TypeError as exc:
-        raise InputError(f"item ids must be integers: {exc}") from exc
+    ids = sorted(set(_int_ids(items, "item")))
     if ids and (ids[0] < 0 or m is not None and ids[-1] >= m):
         raise InputError(f"item id {ids[0] if ids[0] < 0 else ids[-1]} out of range")
     return ids

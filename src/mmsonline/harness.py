@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import inspect
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -115,6 +116,8 @@ class McConfig:
         if self.trials < 0 or self.trials == 0 and self.arrivals != "exhaustive":
             # 0 is legal only for exhaustive runs, which read it as "all k^n"
             raise InputError(f"trials must be positive, got {self.trials}")
+        if self.parallelism < 1:
+            raise InputError(f"parallelism must be positive, got {self.parallelism}")
         if self.generator is not None:
             if self.generator not in _GENERATOR_SIGNATURES:
                 raise InputError(f"unknown generator {self.generator!r}")
@@ -277,8 +280,10 @@ def monte_carlo(config: McConfig) -> AggregateReport:
         if trials not in (0, expected):
             raise InputError(f"exhaustive enumeration has {expected} sequences")
         trials = expected
-    if config.parallelism > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+    # capped: a fork-started pool launches all its workers at the first submit
+    workers = min(config.parallelism, trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_mc_star, ((config, t) for t in range(trials)), chunksize=16))
     else:
         rows = [run_trial(config, t) for t in range(trials)]

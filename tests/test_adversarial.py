@@ -1,6 +1,7 @@
 import random
 from collections import Counter, deque
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,9 @@ from mmsonline import (
     below_sqrt_bound,
     gen_adv_counterexample,
     gen_normalized_random,
+    gen_random,
     greedy_policy,
+    normalize,
     run_adversarial,
     step_adversarial,
     tentative_policy,
@@ -98,7 +101,7 @@ def test_bag_reserved_for_other_type_then_agent_served():
     b = step_adversarial(state, 0)
     # the first two items formed a bag worth 5/6 to type 1, reserved for it
     assert [x.items for x in state.reserves[1]] == [(0, 1)]
-    assert 1 not in state.unsaturated  # one reserve covers the one later agent
+    assert 1 not in state.open_types(1)  # one reserve covers the one later agent
     assert b == Bundle((2, 3, 4))
     assert value(inst.type_values[0], b) == F(1, 2)
     # the reserved bag then serves the type-1 agent
@@ -120,6 +123,30 @@ def test_counterexample_instance_all_sequences():
     for seq in all_sequences(2, 4):
         _, rep = run_adversarial(norm, seq)
         assert rep.min_ratio >= F(1, 2)
+
+
+def test_run_guarantee_on_raw_positive_share_instances():
+    # strict runs over every arrival order of normalized raw instances: a type
+    # whose shared reserves were served to other agents claims bags again
+    runs = 0
+    for model, k, n, seed in product(("uniform", "binary", "clustered"), (2, 3), range(2, 6), (0, 1)):
+        for m in range(n + 1, 13):
+            norm = normalize(gen_random(n, m, k, model, seed=seed))
+            if norm.zero_mms_types:
+                continue
+            for seq in all_sequences(k, n):
+                _, rep = run_adversarial(norm, seq)
+                assert rep.min_ratio >= F(1, k), (model, n, m, k, seed, seq)
+                runs += 1
+    assert runs == 13_786  # on 331 instances
+
+
+def test_last_agent_reserves_nothing():
+    # at agent n no agent is left to come, so only the arriving type may claim
+    norm = gen_normalized_random(5, 16, 2, seed=3)
+    _, rep = run_adversarial(norm, [0, 0, 0, 0, 1], trace=True)
+    assert not [e for e in rep.step_trace if e["event"] == "reserve" and e["agent"] == 5]
+    assert rep.min_ratio == F(11, 20)
 
 
 def test_presaturation_bundling_breaks_naive_reserving():
@@ -279,8 +306,8 @@ def test_pool_purity_flags_high_items_in_a_new_pool():
 
 
 class _FractionState:
-    """Reference: ``TentativeState`` and its step as they were with Fraction
-    values, before the integer view (the step trace left out)."""
+    """Reference: ``TentativeState`` and its step computed with Fraction
+    values (the step trace left out)."""
 
     def __init__(self, values, items, n, threshold=None, check_types=None,
                  check=True, strict=True, rng=None):
@@ -303,7 +330,6 @@ class _FractionState:
         reserved = {g for b in self.bundle_refs for g in b}
         self.remaining = set(item_list)
         self.remaining_value = [sum((values[i][g] for g in item_list), F(0)) for i in range(k)]
-        self.unsaturated = {i for i in range(k) if len(self.reserves[i]) < n}
         self.arrived, self.violations = 0, []
         self.pool, self.pool_pos = [g for g in item_list if g not in reserved], 0
         if check:
@@ -316,6 +342,9 @@ class _FractionState:
 
     def saturated(self, j, current_t):
         return len(self.reserves[j]) >= self.n - current_t
+
+    def open_types(self, current_t, arriving=None):
+        return [j for j in range(self.k) if j == arriving or not self.saturated(j, current_t)]
 
     def rebuild_pool(self):
         reserved = {g for b in self.bundle_refs for g in b}
@@ -344,7 +373,8 @@ class _FractionState:
                     f"invariant: type {j} has {len(self.reserves[j])} reserves and remaining "
                     f"value {self.remaining_value[j]} with {left} agents left")
 
-    def fill_bag(self):
+    def fill_bag(self, current_t, arriving):
+        open_types = self.open_types(current_t, arriving)
         bag, vals = [], [F(0)] * self.k
         while self.pool_pos < len(self.pool):
             g = self.pool[self.pool_pos]
@@ -352,7 +382,7 @@ class _FractionState:
             bag.append(g)
             for j in range(self.k):
                 vals[j] += self.values[j][g]
-            claimants = [j for j in sorted(self.unsaturated) if vals[j] >= self.threshold]
+            claimants = [j for j in open_types if vals[j] >= self.threshold]
             if claimants:
                 return bag, vals, claimants
         return bag, vals, []
@@ -368,7 +398,7 @@ class _FractionState:
             self.allocate(allocated)
         else:
             while True:
-                bag, bagvals, claimants = self.fill_bag()
+                bag, bagvals, claimants = self.fill_bag(t, i)
                 if not claimants:
                     self.rebuild_pool()
                     raise PoolExhausted(f"agent {t} of type {i}: pool exhausted before any claim")
@@ -380,8 +410,6 @@ class _FractionState:
                 self.bundle_refs[bundle] += len(claimants)
                 for j in claimants:
                     self.reserves[j].append(bundle)
-                    if len(self.reserves[j]) >= self.n - t:
-                        self.unsaturated.discard(j)
                 if self.check:
                     self.check_pool_purity(t)
                     for j in self.check_types:
@@ -417,7 +445,7 @@ def _outcome(fn):
 
 
 def _snapshot(state, remaining_value):
-    return (state.arrived, [list(dq) for dq in state.reserves], sorted(state.unsaturated),
+    return (state.arrived, [list(dq) for dq in state.reserves], state.open_types(state.arrived),
             remaining_value, list(state.violations), state.pool[state.pool_pos:])
 
 

@@ -49,6 +49,18 @@ def test_run_adversarial_with_sequence_and_enumerate(tmp_path):
     assert int(num) * 2 >= int(den)  # worst case still >= 1/2
 
 
+def test_run_adversarial_enumerate_on_a_raw_instance(tmp_path):
+    # a raw k = 2 instance whose second agent once found the pool exhausted
+    inst = tmp_path / "inst.json"
+    assert run_cli(["gen", "random", "--n", "2", "--m", "6", "--k", "2", "--model", "uniform",
+                    "--seed", "971167", "--out", str(inst)]) == 0
+    rep = tmp_path / "worst.json"
+    assert run_cli(["run", "adversarial", "--instance", str(inst),
+                    "--enumerate", "--out", str(rep)]) == 0
+    num, den = json.loads(rep.read_text())["minRatio"].split("/")
+    assert int(num) * 2 >= int(den)
+
+
 def test_run_known_and_unknown(tmp_path):
     inst = tmp_path / "inst.json"
     run_cli(["gen", "normalized-random", "--n", "12", "--m", "40", "--k", "3",
@@ -187,6 +199,8 @@ MISTYPED = {
     ["run", "adversarial", "--instance", "INST_ZERO_TYPE_OUT_OF_RANGE", "--arrivals", "SEQ"],
     ["run", "adversarial", "--instance", "INST", "--arrivals", "SEQ_FRACTIONAL"],
     ["run", "adversarial", "--instance", "INST", "--arrivals", "SEQ_STRING"],
+    MC_ADV + ["--generator-params", '{"n": 3, "m": 8, "k": 3}', "--parallelism", "0"],
+    MC_ADV + ["--generator-params", '{"n": 3, "m": 8, "k": 3}', "--parallelism", "-2"],
 ])
 def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     inst, dist = _gen_instance_and_dist(tmp_path)

@@ -82,6 +82,36 @@ def test_determinism_across_parallelism():
     assert serial.canonical_json() == parallel.canonical_json()
 
 
+@pytest.mark.parametrize("parallelism, trials, cpus, workers", [
+    (100_000, 2, 8, [2]), (100_000, 20, 8, [8]), (3, 20, 8, [3]),
+    (100_000, 20, None, []), (4, 1, 8, []),
+])
+def test_monte_carlo_caps_its_worker_count(monkeypatch, parallelism, trials, cpus, workers):
+    # a fake pool records max_workers and maps in-process, so no process starts
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    base = dict(algorithm="adversarial", trials=trials, master_seed=4,
+                instance_obj=_fixed_instance_obj(), dist=UNIFORM2)
+    serial = monte_carlo(McConfig(**base)).canonical_json()
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    assert monte_carlo(McConfig(**base, parallelism=parallelism)).canonical_json() == serial
+    assert started == workers
+
+
 def test_repeat_same_seed_byte_identical():
     cfg = McConfig(algorithm="unknown-d", trials=4, master_seed=9,
                    generator="normalized-random",

@@ -21,6 +21,7 @@ from mmsonline import (
     verify_allocation,
 )
 from mmsonline.exactpow import ceil_pow
+from mmsonline.jsonio import allocation_to_obj
 from mmsonline.rng import bernoulli, substream
 from mmsonline.unknown import UnknownParams, basket_value_ok
 
@@ -203,19 +204,35 @@ def test_learn_from_universal_high_c_past_the_solver_caps():
     assert verify_allocation(norm, alloc, rep.alpha).min_ratio == rep.min_ratio
 
 
-@pytest.mark.parametrize("bad", [-1, 2])
+def _three_runners(norm, seq):
+    dist = TypeDistribution.from_probs([F(1, 2), F(1, 2)])
+    return (lambda: run_unknown_d(norm, seq, eta=F(1, 2), c=F(1, 20)),
+            lambda: run_known_d(norm, dist, seq, eta=F(1, 2), epsilon=F(1, 10)),
+            lambda: run_adversarial(norm, seq))
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 1.0, 0.5])
 def test_runners_reject_out_of_range_type_ids(bad):
     # a negative id would read another type's row; one past k would fail the
-    # rank lookup after the window; both are input errors up front
+    # rank lookup after the window; a float is no type id, even when whole;
+    # all are input errors up front
     norm = gen_normalized_random(30, 60, 2, seed=0)
     seq = [0, 1] * 15
     seq[0 if bad < 0 else -1] = bad
-    dist = TypeDistribution.from_probs([F(1, 2), F(1, 2)])
-    for run in (lambda: run_unknown_d(norm, seq, eta=F(1, 2), c=F(1, 20)),
-                lambda: run_known_d(norm, dist, seq, eta=F(1, 2), epsilon=F(1, 10)),
-                lambda: run_adversarial(norm, seq)):
-        with pytest.raises(InputError, match=f"type id {bad} out of range"):
+    match = "type ids must be integers" if isinstance(bad, float) else f"type id {bad} out of range"
+    for run in _three_runners(norm, seq):
+        with pytest.raises(InputError, match=match):
             run()
+
+
+def test_runners_read_a_bool_type_id_as_an_int():
+    # True is an integer type id, but the allocation JSON must say 1, not true
+    norm = gen_normalized_random(30, 60, 2, seed=0)
+    seq = [0, True] * 15
+    for run in _three_runners(norm, seq):
+        alloc, _ = run()
+        entries = allocation_to_obj(alloc)["entries"]
+        assert [(type(e["type"]), e["type"]) for e in entries] == [(int, 0), (int, 1)] * 15
 
 
 def test_unknown_d_rejects_a_negative_id_served_a_universal_singleton():
