@@ -20,6 +20,7 @@ turns into the empty bundle (the unknown-d stages).
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -246,7 +247,10 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
     """
     if state.arrived >= state.n:
         raise InputError("all agents already arrived")
-    i = arrived_type
+    try:
+        i = operator.index(arrived_type)
+    except TypeError as exc:
+        raise InputError(f"type ids must be integers: {exc}") from exc
     if not 0 <= i < state.k:
         raise InputError(f"type id {i} out of range")
     t = state.arrived + 1
@@ -319,19 +323,22 @@ def run_adversarial(
     Every agent of a positive-share type is guaranteed a bundle worth at
     least 1/k of her (normalized) share; the report's success verdict is
     taken at ``alpha`` in (0, 1] (default 1/k).  A non-strict run reports a
-    dry pool as ``poolExhausted`` instead of raising.
+    dry pool as ``poolExhausted`` instead of raising.  At k = 1 agent t gets
+    the share partition's bundle t, worth one share, and traces no step.
     """
     k = norm.k_types
     seq = check_arrivals(arrivals, norm.n_agents, k)
     alpha = as_fraction(alpha) if alpha is not None else Fraction(1, k)
     if not 0 < alpha <= 1:
         raise InputError("alpha must lie in (0, 1]")
+    if k == 1:  # the one type's share partition is an exact 1-MMS allocation
+        return finish_run(norm, seq, norm.witness_partitions[0], alpha, flags=["k1Degenerate"],
+                          trace=[] if trace else None)
     state = preprocess(norm, strict=strict, trace=trace)
-    flags = ["k1Degenerate"] if k == 1 else []
     bundles = [step_adversarial(state, t) for t in seq]
     reason = FailureReason.POOL_EXHAUSTED if None in bundles else FailureReason.NONE
     details = {"violations": list(state.violations)} if state.violations else None
-    return finish_run(norm, seq, bundles, alpha, reason, flags, details, state.trace)
+    return finish_run(norm, seq, bundles, alpha, reason, (), details, state.trace)
 
 
 # -- the adaptive lower-bound adversary ------------------------------------

@@ -15,6 +15,7 @@ from .core import (
     CapacityError,
     InputError,
     InvariantViolation,
+    NormalizedInstance,
     TypeDistribution,
     as_fraction,
 )
@@ -59,24 +60,11 @@ def _emit_aggregate(agg: harness.AggregateReport, fmt: str, out: str | None) -> 
 
 
 def _cmd_gen(args) -> int:
-    kind, dist = args.kind, None
-    if kind == "example1":
-        obj = jsonio.instance_to_obj(generators.gen_example1(args.m)[0])
-    elif kind == "random":
-        obj = jsonio.instance_to_obj(generators.gen_random(args.n, args.m, args.k, args.model, args.seed))
-    else:  # the constructions that ship their share partitions
-        if kind == "adv-counter":
-            norm = generators.gen_adv_counterexample(args.n, as_fraction(args.eps))
-        elif kind == "tight-half":
-            norm = generators.gen_tightness_half(args.k, args.n, as_fraction(args.eps))
-        elif kind == "tight-pk":
-            norm, dist = generators.gen_tightness_pk(args.k, args.n)
-        elif kind == "lower-bound":
-            norm = generators.gen_lower_bound(args.k, args.n).normalized()
-        else:
-            norm = generators.gen_normalized_random(args.n, args.m, args.k, args.seed)
-        obj = jsonio.instance_to_obj(norm.base, norm)
-    _emit(obj, args.out)
+    given = dict(n=args.n, m=args.m, k=args.k, seed=args.seed, epsilon=args.eps, value_model=args.model)
+    takes = generators.parameters(args.kind)
+    inst, dist = generators.generate(args.kind, {key: v for key, v in given.items() if key in takes})
+    _emit(jsonio.instance_to_obj(inst.base, inst) if isinstance(inst, NormalizedInstance)
+          else jsonio.instance_to_obj(inst), args.out)
     if dist is not None and args.dist_out:
         _emit(jsonio.distribution_to_obj(dist), args.dist_out)
     return 0

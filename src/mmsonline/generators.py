@@ -7,13 +7,14 @@ on them never need the exact solver regardless of size.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     Bundle,
@@ -416,3 +417,37 @@ GENERATORS: dict[str, Callable] = {
     "random": gen_random,
     "normalized-random": gen_normalized_random,
 }
+
+# Read once at import, so a registry entry that is later replaced by a
+# wrapper still reports its generator's parameters and their annotations.
+_SIGNATURES = {name: inspect.signature(gen, eval_str=True) for name, gen in GENERATORS.items()}
+
+
+def parameters(name: str) -> Mapping[str, inspect.Parameter]:
+    """The named generator's parameters; an unknown name is an input error."""
+    if name not in _SIGNATURES:
+        raise InputError(f"unknown generator {name!r}")
+    return _SIGNATURES[name].parameters
+
+
+def check_params(name: str, params) -> None:
+    """Reject parameters the generator does not take, and an ``int`` one given
+    anything but an int: a JSON true is a bool, which is not a count."""
+    declared = parameters(name)
+    try:  # a TypeError: not an object, or not the generator's parameters
+        bound = _SIGNATURES[name].bind(**params)
+    except TypeError as exc:
+        raise InputError(f"generator_params for {name!r}: {exc}") from exc
+    for key, given in bound.arguments.items():
+        if declared[key].annotation is int and type(given) is not int:
+            raise InputError(f"generator_params for {name!r}: {key} must be an integer, got {given!r}")
+
+
+def generate(name: str, params: dict) -> tuple[Instance | NormalizedInstance, TypeDistribution | None]:
+    """The instance of the registry's ``name`` on checked ``params`` (a construction's
+    normalized view), and the arrival law it ships (not example1's scripted arrival)."""
+    check_params(name, params)
+    out, law = GENERATORS[name](**params), None
+    if isinstance(out, tuple):
+        out, law = out[0], out[1] if isinstance(out[1], TypeDistribution) else None
+    return (out.normalized() if isinstance(out, LowerBoundConstruction) else out), law

@@ -10,7 +10,6 @@ the whole experiment with a reproducer.
 from __future__ import annotations
 
 import csv
-import inspect
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -38,11 +37,6 @@ from .stochastic import run_known_d
 from .unknown import run_unknown_d
 
 ALGORITHMS = ("adversarial", "known-d", "unknown-d")
-
-# Read once at import, so a registry entry that is later replaced by a
-# wrapper still reports its generator's parameters and their annotations.
-_GENERATOR_SIGNATURES = {name: inspect.signature(gen, eval_str=True)
-                        for name, gen in generators.GENERATORS.items()}
 
 
 def run_algorithm(
@@ -119,18 +113,7 @@ class McConfig:
         if self.parallelism < 1:
             raise InputError(f"parallelism must be positive, got {self.parallelism}")
         if self.generator is not None:
-            if self.generator not in _GENERATOR_SIGNATURES:
-                raise InputError(f"unknown generator {self.generator!r}")
-            signature = _GENERATOR_SIGNATURES[self.generator]
-            try:  # a TypeError: not an object, or not the generator's parameters
-                bound = signature.bind(**(self.generator_params or {}))
-            except TypeError as exc:
-                raise InputError(f"generator_params for {self.generator!r}: {exc}") from exc
-            for name, given in bound.arguments.items():
-                # exactly int: a JSON true/false is a bool, which is not a count
-                if signature.parameters[name].annotation is int and type(given) is not int:
-                    raise InputError(f"generator_params for {self.generator!r}: "
-                                     f"{name} must be an integer, got {given!r}")
+            generators.check_params(self.generator, self.generator_params or {})
 
     @cached_property
     def fixed_instance(self) -> NormalizedInstance | None:
@@ -152,17 +135,10 @@ class McConfig:
 def _generate(config: McConfig, seed_key: int) -> NormalizedInstance:
     """The generator's instance, its seed drawn from the ``seed_key`` substream."""
     params = dict(config.generator_params or {})
-    if "seed" in _GENERATOR_SIGNATURES[config.generator].parameters:
+    if "seed" in generators.parameters(config.generator):
         params.setdefault("seed", randbelow(substream(config.master_seed, "instance", seed_key), 2**48))
-    gen = generators.GENERATORS[config.generator]
-    out = gen(**params)
-    if isinstance(out, tuple):  # generators returning (instance, distribution)
-        out = out[0]
-    if isinstance(out, NormalizedInstance):
-        return out
-    if isinstance(out, Instance):
-        return normalize(out)
-    raise InputError(f"generator {config.generator!r} returned {type(out).__name__}")
+    inst, _ = generators.generate(config.generator, params)
+    return inst if isinstance(inst, NormalizedInstance) else normalize(inst)
 
 
 def _law(probs: tuple[str, ...] | None) -> TypeDistribution | None:

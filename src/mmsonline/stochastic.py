@@ -166,21 +166,20 @@ def preprocess_low_c(
         if not pow_sqrt_sum_ge(nprime, epsilon, mus, slack):
             violate(f"open type {i} holds {len(high_sets[i])} high-valued items")
 
-    # bag filling, in units of each type's L_i
-    over = view.at_most(2 * alpha)
+    # bag filling, in units of each type's L_i.  An open type took every high
+    # item left in its turn, so each scanned item is worth under its claim
+    # c = ceil(alpha L) to it, and a bag stops once some open type reaches its
+    # claim: no open type's bag is worth over 2c - 2 <= floor(2 alpha L)
     scan = sorted(remaining)
     pos = 0
     while unsaturated:
         filled = fill_bag(rows, claim, scan, pos, sorted(unsaturated))
         if filled is None:
             break  # remainder exhausted without a claim; those items stay unallocated
-        bag, vals, claimants, pos = filled
+        bag, _, claimants, pos = filled
         claimant = claimants[0]
         reserves[claimant].append(Bundle.from_sorted(bag))
         state.bag_count += 1
-        for j in unsaturated:
-            if vals[j] > over[j]:
-                violate(f"bag worth {Fraction(vals[j], view.units[j])} > 2*alpha to open type {j}")
         if len(reserves[claimant]) == caps[claimant]:
             unsaturated.discard(claimant)
 

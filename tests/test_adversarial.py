@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmsonline import (
     Bundle,
+    InputError,
     Instance,
     InvariantViolation,
     NormalizedInstance,
@@ -16,6 +17,7 @@ from mmsonline import (
     all_sequences,
     below_sqrt_bound,
     gen_adv_counterexample,
+    gen_lower_bound,
     gen_normalized_random,
     gen_random,
     greedy_policy,
@@ -139,6 +141,36 @@ def test_run_guarantee_on_raw_positive_share_instances():
                 assert rep.min_ratio >= F(1, k), (model, n, m, k, seed, seq)
                 runs += 1
     assert runs == 13_786  # on 331 instances
+
+
+def test_k1_runs_serve_the_witness_partition_on_raw_instances():
+    # at k = 1 agent t gets bundle t of the type's share partition, worth
+    # exactly one share (or ratio 1 by convention for a zero share)
+    runs = 0
+    for model, n, seed in product(("uniform", "binary", "clustered"), range(2, 6), (0, 1)):
+        for m in range(n + 1, 13):
+            norm = normalize(gen_random(n, m, 1, model, seed=seed))
+            alloc, rep = run_adversarial(norm, [0] * n, trace=True)
+            assert [b for _, _, b in alloc.entries] == list(norm.witness_partitions[0])
+            assert rep.per_agent_ratio == (1,) * n, (model, n, m, seed)
+            assert rep.flags == ("k1Degenerate",) and rep.step_trace == []
+            runs += 1
+    assert runs == 204
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5])
+def test_step_rejects_non_integer_type_ids(bad):
+    with pytest.raises(InputError, match="type ids must be integers"):
+        step_adversarial(preprocess(gen_normalized_random(3, 8, 2, seed=0)), bad)
+    with pytest.raises(InputError, match="type ids must be integers"):
+        tentative_policy(gen_lower_bound(16, 4))(bad)
+
+
+def test_step_reads_true_as_type_one():
+    norm = gen_normalized_random(3, 8, 2, seed=0)
+    assert step_adversarial(preprocess(norm), True) == step_adversarial(preprocess(norm), 1)
+    cons = gen_lower_bound(16, 4)
+    assert tentative_policy(cons)(True) == tentative_policy(cons)(1)
 
 
 def test_last_agent_reserves_nothing():

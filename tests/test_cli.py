@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mmsonline import McConfig, jsonio
 from mmsonline.cli import main
 
 
@@ -102,6 +103,39 @@ def test_mc_generator_without_seed_parameter(tmp_path):
                     "--dist", '["1/2", "1/2"]', "--out", str(agg)]) == 0
     rows = json.loads(agg.read_text())["rows"]
     assert [(r["n"], r["k"]) for r in rows] == [(4, 2), (4, 2)]
+
+
+# every registry kind at small parameters: the gen flags and the matching
+# generator_params, with an explicit seed where the kind takes one
+REGISTRY_CASES = {
+    "example1": (["--m", "6"], {"m": 6}),
+    "adv-counter": (["--n", "4", "--eps", "1/32"], {"n": 4, "epsilon": "1/32"}),
+    "lower-bound": (["--k", "16", "--n", "4"], {"k": 16, "n": 4}),
+    "tight-half": (["--k", "3", "--n", "5", "--eps", "1/8"], {"k": 3, "n": 5, "epsilon": "1/8"}),
+    "tight-pk": (["--k", "4", "--n", "20"], {"k": 4, "n": 20}),
+    "random": (["--n", "3", "--m", "7", "--k", "2", "--model", "binary", "--seed", "5"],
+               {"n": 3, "m": 7, "k": 2, "value_model": "binary", "seed": 5}),
+    "normalized-random": (["--n", "3", "--m", "8", "--k", "2", "--seed", "4"],
+                          {"n": 3, "m": 8, "k": 2, "seed": 4}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REGISTRY_CASES))
+def test_gen_and_mc_resolve_a_generator_alike(tmp_path, kind):
+    flags, params = REGISTRY_CASES[kind]
+    out = tmp_path / "g.json"
+    assert run_cli(["gen", kind, *flags, "--out", str(out)]) == 0
+    config = McConfig(algorithm="adversarial", trials=1, master_seed=0, generator=kind,
+                      generator_params=params, fresh_instance_per_trial=False)
+    assert config.fixed_instance == jsonio.load_normalized(json.loads(out.read_text()))
+
+
+def test_mc_runs_the_lower_bound_construction(tmp_path):
+    agg = tmp_path / "agg.json"
+    assert run_cli(["mc", "--algorithm", "adversarial", "--trials", "2",
+                    "--generator", "lower-bound", "--generator-params", '{"k": 16, "n": 4}',
+                    "--dist", json.dumps(["1/16"] * 16), "--out", str(agg)]) == 0
+    assert [(r["n"], r["k"]) for r in json.loads(agg.read_text())["rows"]] == [(4, 16), (4, 16)]
 
 
 def test_perturb_cli(tmp_path):
