@@ -52,13 +52,14 @@ from .exactpow import mul_sqrt_lt
 class TentativeState:
     """Full mutable state of one online run.
 
-    ``remaining`` is the set of never-allocated items; the pool of fillable
-    items (remaining minus the items of every bundle in ``bundle_refs``, which
-    counts each bundle's places in the reserve queues) is kept as an
-    ascending list with a cursor and rebuilt only when a trimmed reserve
-    returns items.  Items leave the fillable set only in bags cut from before
-    the cursor (a served reserve was never in the pool), so every item from
-    the cursor on is fillable.
+    Every never-allocated item sits in exactly one place: in the unscanned
+    pool tail ``pool[pool_pos:]`` (ascending), or in one reserved bundle,
+    each counted in ``bundle_refs`` once per place it holds in the reserve
+    queues.  Bags are cut from before the cursor, reserved bundles never
+    overlap, and a served bundle leaves every queue, so no item set is kept
+    beside them.  A trimmed bundle that loses its last queue place is merged
+    back into the tail (``_merge_into_pool``), the one place the pool is
+    replaced and its purity ``marks`` are reset.
 
     Every type claims at the ``threshold`` given to ``create``, and ``scale =
     k * threshold`` is the share unit of the checks, which cover
@@ -75,13 +76,11 @@ class TentativeState:
     bound: list[int]
     check_types: tuple[int, ...]
     reserves: list[deque[Bundle]]
-    remaining: set[int]
     remaining_value: list[int]
     arrived: int = 0
     strict: bool = True
     pool: list[int] = field(default_factory=list)
     pool_pos: int = 0
-    marked_pool: list[int] | None = None
     marks: dict[int, int] = field(default_factory=dict)
     bundle_refs: Counter[Bundle] = field(default_factory=Counter)
     violations: list[str] = field(default_factory=list)
@@ -131,7 +130,6 @@ class TentativeState:
             bound=view.at_most(k * threshold),
             check_types=tuple(range(k) if check_types is None else check_types),
             reserves=reserves,
-            remaining=set(item_list),
             remaining_value=[view.total(i, item_list) for i in range(k)],
             strict=strict,
             pool=[g for g in item_list if g not in reserved],
@@ -164,13 +162,13 @@ class TentativeState:
         still to come, and ``arriving``."""
         return [j for j, dq in enumerate(self.reserves) if len(dq) < self.n - current_t or j == arriving]
 
-    def _rebuild_pool(self) -> None:
-        reserved = {g for b in self.bundle_refs for g in b}
-        self.pool = [g for g in sorted(self.remaining) if g not in reserved]
+    def _merge_into_pool(self, released: list[int]) -> None:
+        # a new pool list: each purity mark, a position in the old one, is redone
+        self.pool = sorted(self.pool[self.pool_pos:] + released)
         self.pool_pos = 0
+        self.marks = {}
 
     def _allocate(self, bundle: Bundle) -> None:
-        self.remaining.difference_update(bundle)
         for j in range(self.k):
             self.remaining_value[j] -= self.view.total(j, bundle.items)
 
@@ -179,8 +177,6 @@ class TentativeState:
     def _check_pool_purity(self, current_t: int) -> None:
         # scan only for open types whose mark, the last pool position of an item at
         # their claim level (kept until the pool is replaced), is not behind the cursor
-        if self.marked_pool is not self.pool:
-            self.marked_pool, self.marks = self.pool, {}
         rows, claim, pool, marks = self.view.ints, self.claim, self.pool, self.marks
         open_types = [j for j in self.open_types(current_t) if j in self.check_types]
         for j in open_types:
@@ -291,21 +287,21 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
     if state.trace is not None:
         state.trace.append({"event": event, "agent": t, "type": i, "items": list(allocated.items),
                             "reserveSizes": [len(dq) for dq in state.reserves],
-                            "remaining": len(state.remaining)})
+                            "remaining": len(state.pool) - state.pool_pos + sum(map(len, state.bundle_refs))})
 
     state.arrived = t
-    dirty = False
+    released: list[int] = []
     for j in range(state.k):
         while len(state.reserves[j]) > state.n - t:
             dropped = state.reserves[j].pop()  # most recently added
             state.bundle_refs[dropped] -= 1
             if not state.bundle_refs[dropped]:
                 del state.bundle_refs[dropped]
-                dirty = True
+                released.extend(dropped.items)
             if state.trace is not None:
                 state.trace.append({"event": "release", "type": j, "items": list(dropped.items)})
-    if dirty:
-        state._rebuild_pool()
+    if released:
+        state._merge_into_pool(released)
     state._check_invariant()
     return allocated
 

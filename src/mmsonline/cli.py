@@ -60,9 +60,12 @@ def _emit_aggregate(agg: harness.AggregateReport, fmt: str, out: str | None) -> 
 
 
 def _cmd_gen(args) -> int:
-    given = dict(n=args.n, m=args.m, k=args.k, seed=args.seed, epsilon=args.eps, value_model=args.model)
-    takes = generators.parameters(args.kind)
-    inst, dist = generators.generate(args.kind, {key: v for key, v in given.items() if key in takes})
+    flags = dict(n=args.n, m=args.m, k=args.k, seed=args.seed, epsilon=args.eps, value_model=args.model)
+    given = {key: v for key, v in flags.items() if v is not None}
+    # an unset flag leaves the generator's default; a parameter without one takes n=4, m=12 or k=2
+    params = {key: given.get(key, dict(n=4, m=12, k=2).get(key))
+              for key, p in generators.parameters(args.kind).items() if key in given or p.default is p.empty}
+    inst, dist = generators.generate(args.kind, params)
     _emit(jsonio.instance_to_obj(inst.base, inst) if isinstance(inst, NormalizedInstance)
           else jsonio.instance_to_obj(inst), args.out)
     if dist is not None and args.dist_out:
@@ -176,12 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="emit a generated instance as JSON")
     g.add_argument("kind", choices=sorted(generators.GENERATORS))
-    g.add_argument("--n", type=int, default=4)
-    g.add_argument("--m", type=int, default=12)
-    g.add_argument("--k", type=int, default=2)
-    g.add_argument("--eps", default="1/10")
-    g.add_argument("--model", default="uniform", choices=("uniform", "binary", "clustered"))
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--n", type=int)
+    g.add_argument("--m", type=int)
+    g.add_argument("--k", type=int)
+    g.add_argument("--eps")
+    g.add_argument("--model", choices=("uniform", "binary", "clustered"))
+    g.add_argument("--seed", type=int)
     g.add_argument("--out")
     g.add_argument("--dist-out")
     g.set_defaults(fn=_cmd_gen)

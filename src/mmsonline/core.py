@@ -162,6 +162,23 @@ def scale_row(row: Iterable, negative: str = "negative value") -> tuple[tuple[in
     return ints, unit
 
 
+def scale_parts(parts: Iterable[tuple[Sequence[int], Sequence[int]]], m: int) -> tuple[tuple[int, ...], int]:
+    """``(ints, L)`` for the row over m items that makes each ``(items, weights)``
+    part, of nonnegative int weights with a positive sum, worth exactly 1: an
+    item of weight w in a part of total T is worth w / T = x / L, with L the lcm
+    over the parts of T / gcd(the part's weights), the row's least common
+    denominator.  Equal ints share one object, as in ``scale_row``."""
+    parts = [(items, weights, sum(weights)) for items, weights in parts]
+    unit = math.lcm(*(total // math.gcd(*weights) for _, weights, total in parts))
+    row = [0] * m
+    distinct: dict[int, int] = {}
+    for items, weights, total in parts:
+        for g, w in zip(items, weights):
+            x = w * unit // total
+            row[g] = distinct.setdefault(x, x)
+    return tuple(row), unit
+
+
 @dataclass(frozen=True)
 class ScaledRows:
     """Integer view of k rational rows: type i values item g at
@@ -342,27 +359,23 @@ def normalize(instance: Instance, mms_solver: Callable[[Sequence[Fraction], int]
     """
     if mms_solver is None:
         from .solver import mms_exact as mms_solver  # local import avoids a cycle
-    n = instance.n_agents
-    rows: list[Valuation] = []
-    mms_values: list[Fraction] = []
-    witnesses: list[tuple[Bundle, ...]] = []
-    zero_types: set[int] = set()
-    for i, row in enumerate(instance.type_values):
-        res = mms_solver(row, n)
-        mms_values.append(res.value)
-        witnesses.append(tuple(res.witness))
-        if res.value == 0:
-            zero_types.add(i)
-            rows.append(row)
-            continue
-        scaled = list(row)
-        for b in res.witness:
-            bv = value(row, b)
-            for g in b:
-                scaled[g] = row[g] / bv
-        rows.append(tuple(scaled))
-    base = Instance(n, tuple(rows), instance.type_names)
-    return NormalizedInstance(base, tuple(mms_values), tuple(witnesses), frozenset(zero_types))
+    results = [mms_solver(row, instance.n_agents) for row in instance.type_values]
+    witnesses = tuple(tuple(res.witness) for res in results)
+    zero_types = frozenset(i for i, res in enumerate(results) if res.value == 0)
+    return NormalizedInstance(rescale(instance, witnesses, zero_types), tuple(res.value for res in results),
+                              witnesses, zero_types)
+
+
+def rescale(instance: Instance, partitions: Sequence[Sequence[Bundle]],
+            unscaled: frozenset[int] = frozenset()) -> Instance:
+    """``instance`` with each type's row rescaled by ``scale_parts`` so every
+    bundle of the type's partition is worth exactly 1; the rows of the
+    ``unscaled`` types are kept as they are."""
+    view = instance.scaled
+    rows = [(ints, unit) if i in unscaled else scale_parts(((b.items, [ints[g] for g in b]) for b in part), len(ints))
+            for i, (ints, unit, part) in enumerate(zip(view.ints, view.units, partitions))]
+    return Instance(instance.n_agents, ScaledRows(tuple(ints for ints, _ in rows), tuple(unit for _, unit in rows)),
+                    instance.type_names)
 
 
 @dataclass(frozen=True)

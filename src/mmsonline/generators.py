@@ -24,6 +24,8 @@ from .core import (
     ScaledRows,
     TypeDistribution,
     as_fraction,
+    rescale,
+    scale_parts,
 )
 from .rng import bernoulli, randbelow, randints, shuffle, substream, thresholds
 
@@ -79,13 +81,14 @@ def gen_example1(m: int) -> tuple[Instance, Callable[[Bundle], tuple[Instance, l
 # -- pre-saturation counterexample -------------------------------------------
 
 
-def gen_adv_counterexample(n: int, epsilon: Fraction) -> NormalizedInstance:
+def gen_adv_counterexample(n: int, epsilon: Fraction | None = None) -> NormalizedInstance:
     """Two types over 3n items: the first values 2n items at 1/2 - eps and n
     items at 2*eps (share 1 via bags of two halves plus one tiny item); the
-    second values everything at 1/3.  Already normalized."""
-    epsilon = as_fraction(epsilon)
+    second values everything at 1/3.  Already normalized.  The default eps is
+    1/(8n), the middle of its legal range (0, 1/(4n))."""
     if n < 1:
         raise InputError("n must be positive")
+    epsilon = Fraction(1, 8 * n) if epsilon is None else as_fraction(epsilon)
     if not 0 < epsilon < Fraction(1, 4 * n):
         raise InputError("epsilon must lie strictly inside (0, 1/(4n))")
     half = Fraction(1, 2) - epsilon
@@ -137,15 +140,12 @@ class LowerBoundConstruction:
         return 0 if (g % self.n) < self.n // 2 else 1
 
     def normalized(self) -> NormalizedInstance:
-        rows = []
-        for i, row in enumerate(self.instance.type_values):
-            mms = self.declared_mms[i]
-            rows.append(tuple(v / mms for v in row))
-        base = Instance(self.instance.n_agents, tuple(rows), self.instance.type_names)
-        return NormalizedInstance(base, self.declared_mms, self.witnesses)
+        """Each type rescaled by its witness partition, every bundle of which
+        is worth the type's declared share."""
+        return NormalizedInstance(rescale(self.instance, self.witnesses), self.declared_mms, self.witnesses)
 
 
-def gen_lower_bound(k: int, n: int) -> LowerBoundConstruction:
+def gen_lower_bound(k: int = 16, n: int = 4) -> LowerBoundConstruction:
     if k < 16:
         raise InputError("construction needs k >= 16 (two blocks)")
     if n < 2 or n % 2:
@@ -328,13 +328,10 @@ def gen_normalized_random(n: int, m: int, k: int, seed: int = 0,
 
     Each type independently partitions the items into n parts and gives each
     part total value exactly 1 (random integer weights in
-    [weight_lo, weight_hi] rescaled by the part sum).  The partition is then
-    a share witness: its minimum is 1 and the total is n, so the share is
-    pinched to exactly 1 with no solving.
-
-    Rows are built as scaled ints: an item of weight w in a part of total T
-    is worth w / T = x / L, where L is the lcm over the parts of T / gcd(the
-    part's weights), the row's least common denominator.
+    [weight_lo, weight_hi] rescaled by the part sum, as scaled ints through
+    ``core.scale_parts``).  The partition is then a share witness: its
+    minimum is 1 and the total is n, so the share is pinched to exactly 1
+    with no solving.
     """
     if not 1 <= n <= m:
         raise InputError("needs 1 <= n <= m so every part is nonempty")
@@ -349,23 +346,16 @@ def gen_normalized_random(n: int, m: int, k: int, seed: int = 0,
         perm = list(range(m))
         shuffle(rng, perm)
         drawn = randints(rng, weight_lo, weight_hi, m)  # part by part, as the items
-        weighted: list[tuple[list[int], list[int], int]] = []
+        weighted: list[tuple[list[int], list[int]]] = []
         pos = 0
         for j in range(n):
             size = base + (1 if j < extra else 0)
-            part, weights = perm[pos:pos + size], drawn[pos:pos + size]
+            weighted.append((perm[pos:pos + size], drawn[pos:pos + size]))
             pos += size
-            weighted.append((part, weights, sum(weights)))
-        unit = math.lcm(*(total // math.gcd(*weights) for _, weights, total in weighted))
-        row = [0] * m
-        distinct: dict[int, int] = {}  # equal values share one int, as in scale_row
-        for part, weights, total in weighted:
-            for g, w in zip(part, weights):
-                x = w * unit // total
-                row[g] = distinct.setdefault(x, x)
-        rows.append(tuple(row))
+        row, unit = scale_parts(weighted, m)
+        rows.append(row)
         units.append(unit)
-        witnesses.append(tuple(Bundle.from_sorted(sorted(part)) for part, _, _ in weighted))
+        witnesses.append(tuple(Bundle.from_sorted(sorted(part)) for part, _ in weighted))
     inst = Instance(n, ScaledRows(tuple(rows), tuple(units)))
     return NormalizedInstance(inst, tuple(Fraction(1) for _ in range(k)), tuple(witnesses))
 

@@ -162,7 +162,8 @@ def _trial_arrivals(config: McConfig, norm: NormalizedInstance, trial: int,
 
 
 def run_trial(config: McConfig, trial: int) -> dict:
-    """One seeded trial; returns a flat JSON-able row."""
+    """One seeded trial; returns a flat JSON-able row.  An invariant violation,
+    raised or recorded in the report, aborts with a reproducer."""
     norm = config.fixed_instance
     if norm is None:
         norm = _generate(config, trial)
@@ -179,6 +180,9 @@ def run_trial(config: McConfig, trial: int) -> dict:
         raise InvariantViolation(
             f"{exc}; reproduce with master_seed={config.master_seed}, trial={trial}") from exc
     violations = _violation_count(report)
+    if violations:
+        raise InvariantViolation(f"trial {trial} broke {violations} invariant(s); "
+                                 f"reproduce with master_seed={config.master_seed}, trial={trial}")
     return {
         "trial": trial,
         "seed": config.master_seed,
@@ -265,11 +269,6 @@ def monte_carlo(config: McConfig) -> AggregateReport:
         rows = [run_trial(config, t) for t in range(trials)]
     rows.sort(key=lambda r: r["trial"])
 
-    for row in rows:
-        if row["violations"]:
-            raise InvariantViolation(
-                f"trial {row['trial']} broke {row['violations']} invariant(s); "
-                f"reproduce with master_seed={config.master_seed}, trial={row['trial']}")
     histogram: dict[str, int] = {}
     for row in rows:
         if not row["success"]:

@@ -85,7 +85,6 @@ class LowCState:
     caps: list[int]                     # M_i
     singleton_counts: list[int]         # reserved during the turn phase
     order: list[int]                    # the turn ordering L
-    last_type: int                      # L[-1]
     unsaturated: set[int]
     bag_count: int = 0
     violations: list[str] = field(default_factory=list)
@@ -134,7 +133,6 @@ def preprocess_low_c(
                  if i != j and 2 * len(high_lookup[i] - high_lookup[j]) >= nprime * probs[i]), None)
     # without a qualifying pair the least frequent type, the last rank, goes last
     order = list(range(k)) if pair is None else [pair[0], *(x for x in range(k) if x not in pair), pair[1]]
-    last_type = order[-1]
 
     reserves: list[deque[Bundle]] = [deque() for _ in range(k)]
     singleton_counts = [0] * k
@@ -143,7 +141,7 @@ def preprocess_low_c(
     for i in order:
         # one walk: items the last type does not value highly first, each
         # group ascending (a stable sort on a boolean key)
-        ranked = sorted(high_sets[i], key=high_lookup[last_type].__contains__)
+        ranked = sorted(high_sets[i], key=high_lookup[order[-1]].__contains__)
         picks = list(islice((g for g in ranked if g in remaining), caps[i]))
         reserves[i].extend(Bundle.from_sorted((g,)) for g in picks)
         singleton_counts[i] = len(picks)
@@ -151,27 +149,21 @@ def preprocess_low_c(
         if len(picks) == caps[i]:
             unsaturated.discard(i)
 
-    state = LowCState(
-        high_sets=high_sets, reserves=reserves, caps=caps,
-        singleton_counts=singleton_counts, order=order, last_type=last_type,
-        unsaturated=set(unsaturated),
-    )
-    violate = state.violations.append
-
     # whoever is still open cannot hold too many high-valued items overall
+    violations: list[str] = []
     pk = probs[-1]
     mus = [nprime * p for p in probs]
     for i in unsaturated:
         slack = Fraction(len(high_sets[i])) - nprime * (1 - pk / 2)
         if not pow_sqrt_sum_ge(nprime, epsilon, mus, slack):
-            violate(f"open type {i} holds {len(high_sets[i])} high-valued items")
+            violations.append(f"open type {i} holds {len(high_sets[i])} high-valued items")
 
     # bag filling, in units of each type's L_i.  An open type took every high
     # item left in its turn, so each scanned item is worth under its claim
     # c = ceil(alpha L) to it, and a bag stops once some open type reaches its
     # claim: no open type's bag is worth over 2c - 2 <= floor(2 alpha L)
     scan = sorted(remaining)
-    pos = 0
+    pos = bag_count = 0
     while unsaturated:
         filled = fill_bag(rows, claim, scan, pos, sorted(unsaturated))
         if filled is None:
@@ -179,12 +171,12 @@ def preprocess_low_c(
         bag, _, claimants, pos = filled
         claimant = claimants[0]
         reserves[claimant].append(Bundle.from_sorted(bag))
-        state.bag_count += 1
+        bag_count += 1
         if len(reserves[claimant]) == caps[claimant]:
             unsaturated.discard(claimant)
 
-    state.unsaturated = unsaturated
-    return state
+    return LowCState(high_sets=high_sets, reserves=reserves, caps=caps, singleton_counts=singleton_counts,
+                     order=order, unsaturated=unsaturated, bag_count=bag_count, violations=violations)
 
 
 def run_low_c(state: LowCState, arrival_ranks: Sequence[int]) -> list[Bundle | None]:

@@ -258,12 +258,15 @@ def test_serve_reports_no_dry_pool_on_a_normal_run():
     assert all(bundles)
 
 
-def _assert_cursor_items_fillable(state):
+def _assert_cursor_items_fillable(state, items, served):
+    # the pool tail, the reserved bundles and the bundles served so far are
+    # pairwise disjoint and together cover the state's items
     queued = [b for dq in state.reserves for b in dq]
     assert state.bundle_refs == Counter(queued)
-    reserved = {g for b in queued for g in b}
-    for g in state.pool[state.pool_pos:]:
-        assert g in state.remaining and g not in reserved
+    places = [state.pool[state.pool_pos:], *(b.items for b in state.bundle_refs), *(b.items for b in served)]
+    flat = [g for place in places for g in place]
+    assert len(flat) == len(set(flat))
+    assert set(flat) == set(items)
 
 
 def test_pool_cursor_never_passes_over_taken_items():
@@ -280,18 +283,21 @@ def test_pool_cursor_never_passes_over_taken_items():
             TentativeState.create(norm.scaled, basket, n, threshold=F(1, 2),
                                   check_types=(), strict=False),
         ]
-        for state in states:
-            _assert_cursor_items_fillable(state)
+        for state, items in zip(states, [range(norm.m_items), basket]):
+            served = []
+            _assert_cursor_items_fillable(state, items, served)
             for t in seq:
-                dry_runs += step_adversarial(state, t) is None
-                _assert_cursor_items_fillable(state)
+                bundle = step_adversarial(state, t)
+                if bundle is None:
+                    dry_runs += 1
+                else:
+                    served.append(bundle)
+                _assert_cursor_items_fillable(state, items, served)
     assert dry_runs > 0
 
 
 def _assert_marks_recount(state):
     # a mark is the last pool position of an item at the type's claim level
-    if state.marked_pool is not state.pool:
-        return 0  # the pool was replaced since the last check: marks are unset
     rows, claim = state.view.ints, state.claim
     for j, mark in state.marks.items():
         assert mark == max((p for p, g in enumerate(state.pool) if rows[j][g] >= claim[j]),
@@ -325,7 +331,8 @@ def test_pool_purity_flags_high_items_in_a_new_pool():
     rows = ((F(1, 4),) * 4 + (F(3, 4),) * 2, (F(1, 4),) * 4 + (F(0),) * 2)
     state = TentativeState.create(as_scaled(rows), range(4), 2, threshold=F(1, 2), strict=False)
     assert state.violations == [] and state.marks == {0: -1, 1: -1}
-    state.pool = state.pool + [4, 5]  # the pool is replaced, so the marks are redone
+    state._merge_into_pool([4, 5])  # the pool is replaced, so the marks are redone
+    assert state.pool == [0, 1, 2, 3, 4, 5] and state.marks == {}
     msg = "pool purity: item {} worth 3/4 to open type 0".format
     for pos, want in [(0, [4, 5]), (4, [4, 5]), (5, [5]), (6, [])]:
         state.violations.clear()

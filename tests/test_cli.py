@@ -130,6 +130,16 @@ def test_gen_and_mc_resolve_a_generator_alike(tmp_path, kind):
     assert config.fixed_instance == jsonio.load_normalized(json.loads(out.read_text()))
 
 
+@pytest.mark.parametrize("kind", sorted(REGISTRY_CASES))
+def test_gen_runs_every_kind_on_its_defaults(tmp_path, kind):
+    out = tmp_path / "defaults.json"
+    assert run_cli(["gen", kind, "--out", str(out)]) == 0
+    if kind in ("adv-counter", "lower-bound"):  # their defaults are their small cases
+        given = tmp_path / "given.json"
+        assert run_cli(["gen", kind, *REGISTRY_CASES[kind][0], "--out", str(given)]) == 0
+        assert out.read_text() == given.read_text()
+
+
 def test_mc_runs_the_lower_bound_construction(tmp_path):
     agg = tmp_path / "agg.json"
     assert run_cli(["mc", "--algorithm", "adversarial", "--trials", "2",

@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmsonline import (
     Allocation,
@@ -27,7 +27,7 @@ from mmsonline import (
     verify_allocation,
 )
 from mmsonline.adversarial import TentativeState
-from mmsonline.core import ScaledRows, as_scaled, fill_bag, finish_run
+from mmsonline.core import ScaledRows, as_scaled, fill_bag, finish_run, scale_parts, scale_row
 from mmsonline.rng import substream
 from mmsonline.stochastic import preprocess_low_c
 from mmsonline.solver import mms_brute_force
@@ -221,6 +221,24 @@ def test_normalize_zero_share_type_left_alone():
     assert 0 in norm.zero_mms_types and 1 in norm.zero_mms_types
     assert norm.base.type_values[0] == (F(0), F(0))
     assert norm.base.type_values[1] == (F(5), F(1))  # unscaled: its share is 0 too
+
+
+@settings(max_examples=100)
+@given(st.lists(st.lists(st.integers(0, 2**64), min_size=1, max_size=4).filter(any), min_size=1, max_size=5))
+@example([[0, 5], [7], [2**60, 2**60 + 3, 0]])
+def test_scale_parts_matches_a_fraction_reference(weight_lists):
+    # zero weights, single-item parts and weights far past 2^40, each part on scattered item ids
+    m = sum(map(len, weight_lists))
+    ids = sorted(range(m), key=lambda g: (g % 3, g))
+    parts, want = [], [F(0)] * m
+    for weights in weight_lists:
+        items, ids = ids[:len(weights)], ids[len(weights):]
+        parts.append((items, weights))
+        for g, w in zip(items, weights):
+            want[g] = F(w, sum(weights))
+    ints, unit = scale_parts(parts, m)
+    assert (ints, unit) == scale_row(want)
+    assert len({id(x) for x in ints}) == len(set(ints))  # equal ints are one object
 
 
 @settings(max_examples=60)

@@ -96,6 +96,10 @@ def test_lower_bound_normalized_view():
     norm = cons.normalized()
     assert norm.base.type_values[0][0] == F(1, 2)  # all-ones type split by mu1
     assert norm.original_mms[0] == 2
+    # rescaling by the witness partitions divides each row by its declared share
+    for cons in (cons, gen_lower_bound(36, 6)):
+        assert cons.normalized().base.type_values == tuple(
+            tuple(v / mms for v in row) for row, mms in zip(cons.instance.type_values, cons.declared_mms))
 
 
 def test_lower_bound_validation():

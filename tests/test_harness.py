@@ -210,6 +210,28 @@ def test_min_ratio_overall_by_exact_order(monkeypatch):
         assert monte_carlo(cfg).min_ratio_overall == below
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_recorded_violation_aborts_at_its_trial(monkeypatch, tmp_path, capsys, parallelism):
+    # of the 2^2 orders of a k = 2, n = 2 instance, trial 2's run reports one violation
+    from mmsonline.cli import main
+    inst = tmp_path / "inst.json"
+    inst.write_text(canonical_json(_fixed_instance_obj(n=2, m=5)))
+    run, served = harness.run_algorithm, []
+    def planted(algorithm, norm, seq, **kw):
+        served.append(seq)
+        alloc, report = run(algorithm, norm, seq, **kw)
+        if seq == [1, 0]:
+            report = dataclasses.replace(report, details={"violations": ["planted"]})
+        return alloc, report
+    monkeypatch.setattr(harness, "run_algorithm", planted)
+    assert main(["mc", "--algorithm", "adversarial", "--trials", "0", "--arrivals", "exhaustive",
+                 "--instance", str(inst), "--parallelism", str(parallelism)]) == 2
+    assert capsys.readouterr().err == ("invariant violation: trial 2 broke 1 invariant(s); "
+                                       "reproduce with master_seed=0, trial=2\n")
+    if parallelism == 1:
+        assert served == [[0, 0], [0, 1], [1, 0]]  # the experiment stops at the failing trial
+
+
 # Fixed-instance configs: a witnessed instance file, a raw one (normalized by
 # the exact solver) and a generator held fixed, each with exhaustive and with
 # i.i.d. arrivals.

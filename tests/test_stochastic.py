@@ -89,7 +89,6 @@ def test_ordering_qualifying_pair():
     state = preprocess_low_c(rows, range(20), 10, [F(1, 2), F(3, 10), F(1, 5)],
                              F(1, 2), F(1, 10))
     assert state.order == [0, 2, 1]
-    assert state.last_type == 1
 
 
 def test_ordering_fallback_least_frequent_last():
@@ -156,7 +155,7 @@ def _rescanning_preprocess_low_c(values, items, nprime, probs, alpha, epsilon):
             unsaturated.discard(i)
     state = LowCState(high_sets=high_sets, reserves=reserves, caps=caps,
                       singleton_counts=singleton_counts, order=order,
-                      last_type=last_type, unsaturated=set(unsaturated))
+                      unsaturated=set(unsaturated))
     violate = state.violations.append
     for i in unsaturated:
         for g in sorted(remaining):
@@ -281,7 +280,7 @@ def _fraction_preprocess_low_c(values, items, nprime, probs, alpha, epsilon):
             unsaturated.discard(i)
     state = LowCState(high_sets=high_sets, reserves=reserves, caps=caps,
                       singleton_counts=singleton_counts, order=order,
-                      last_type=last_type, unsaturated=set(unsaturated))
+                      unsaturated=set(unsaturated))
     violate = state.violations.append
     for i in unsaturated:
         left = next((g for g in high_sets[i] if g in remaining), None)
