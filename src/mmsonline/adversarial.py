@@ -12,10 +12,13 @@ trimmed to the number of agents still to come.
 All "arbitrary" choices of the procedure are pinned: FIFO reserve pick,
 ascending-index bag filling, LIFO trimming, ascending type order when a bag
 is reserved for several claimants.
-``step_adversarial`` is the one per-arrival unit.  If bag filling runs dry
-before any claim, a strict state raises ``PoolExhausted``; a non-strict one
-counts the agent as arrived and returns ``None``, which ``core.finish_run``
-turns into the empty bundle (the unknown-d stages).
+``step_adversarial`` is the one per-arrival unit.  Every failed check of
+the reservation state (pool purity, the reserved-bundle bound, the
+remaining-value invariant) raises ``InvariantViolation``; none is recorded.
+If bag filling runs dry before any claim, a strict state raises
+``PoolExhausted``; a non-strict one counts the agent as arrived and returns
+``None``, which ``core.finish_run`` turns into the empty bundle (the
+unknown-d stages).
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ class TentativeState:
     k * threshold`` is the share unit of the checks, which cover
     ``check_types`` only; on a normalized instance these are 1/k and 1.
     ``claim``, ``bound`` and ``remaining_value`` are the threshold, the scale
-    and the unspent value in units of each L_i.
+    and the unspent value in units of each L_i.  A failed check raises
+    ``InvariantViolation``; ``strict`` only chooses what a dry pool does
+    (``step_adversarial``).
     """
 
     view: ScaledRows
@@ -83,7 +88,6 @@ class TentativeState:
     pool_pos: int = 0
     marks: dict[int, int] = field(default_factory=dict)
     bundle_refs: Counter[Bundle] = field(default_factory=Counter)
-    violations: list[str] = field(default_factory=list)
     trace: list[dict] | None = None
 
     # -- construction -----------------------------------------------------
@@ -151,11 +155,6 @@ class TentativeState:
         """Each type's value of the never-allocated items, as rationals."""
         return [Fraction(x, unit) for x, unit in zip(self.remaining_value, self.view.units)]
 
-    def _violate(self, msg: str) -> None:
-        if self.strict:
-            raise InvariantViolation(msg)
-        self.violations.append(msg)
-
     def open_types(self, current_t: int, arriving: int | None = None) -> list[int]:
         """Ascending, the types that may claim a bag while agent ``current_t``
         is served: those with fewer reserves than the ``n - current_t`` agents
@@ -186,30 +185,26 @@ class TentativeState:
         for g in pool[self.pool_pos:] if hot else ():
             for j in hot:
                 if rows[j][g] >= claim[j]:
-                    self._violate(f"pool purity: item {g} worth "
-                                  f"{Fraction(rows[j][g], self.view.units[j])} to open type {j}")
+                    raise InvariantViolation(f"pool purity: item {g} worth "
+                                             f"{Fraction(rows[j][g], self.view.units[j])} to open type {j}")
 
     def _check_reserved_bound(self, bagvals: list[int], current_t: int) -> None:
         for j in self.open_types(current_t):
             if j in self.check_types and bagvals[j] > self.bound[j]:
-                self._violate(f"reserved bundle worth {Fraction(bagvals[j], self.view.units[j])} "
-                              f"> {self.scale} to open type {j}")
+                raise InvariantViolation(f"reserved bundle worth {Fraction(bagvals[j], self.view.units[j])} "
+                                         f"> {self.scale} to open type {j}")
 
     def _check_invariant(self) -> None:
         left = self.n - self.arrived
         a, b = self.scale.numerator, self.scale.denominator
-        ok = True
         for j in self.check_types:
-            if len(self.reserves[j]) == left:
-                continue
-            if self.remaining_value[j] * b >= left * a * self.view.units[j]:  # >= left * scale
-                continue
-            ok = False
-            self._violate(
-                f"invariant: type {j} has {len(self.reserves[j])} reserves and remaining "
-                f"value {Fraction(self.remaining_value[j], self.view.units[j])} with {left} agents left")
-        if self.trace is not None:
-            self.trace.append({"event": "invariantCheck", "agentsLeft": left, "ok": ok,
+            # a type short of reserves still holds left * scale of value
+            if len(self.reserves[j]) != left and self.remaining_value[j] * b < left * a * self.view.units[j]:
+                raise InvariantViolation(
+                    f"invariant: type {j} has {len(self.reserves[j])} reserves and remaining "
+                    f"value {Fraction(self.remaining_value[j], self.view.units[j])} with {left} agents left")
+        if self.trace is not None:  # "ok" is always true: a failed check raised above
+            self.trace.append({"event": "invariantCheck", "agentsLeft": left, "ok": True,
                                "reserveSizes": [len(dq) for dq in self.reserves],
                                "remainingValue": [str(v) for v in self.remaining_worth()]})
 
@@ -235,11 +230,12 @@ def preprocess(
 def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
     """Serve one arriving agent of the given type; returns her bundle.
 
-    Bag filling may run dry before any open type (``TentativeState.open_types``)
-    claims a bag, which the maintained invariant rules out on conforming inputs.
-    Then a strict state raises :class:`PoolExhausted`; a non-strict one
-    counts the agent as arrived and returns ``None`` at once, with no
-    trimming and no checks.
+    A failed check of the state raises :class:`InvariantViolation`, strict
+    or not.  Bag filling may run dry before any open type
+    (``TentativeState.open_types``) claims a bag, which the maintained
+    invariant rules out on conforming inputs.  Then a strict state raises
+    :class:`PoolExhausted`; a non-strict one counts the agent as arrived and
+    returns ``None`` at once, with no trimming and no checks.
     """
     if state.arrived >= state.n:
         raise InputError("all agents already arrived")
@@ -319,8 +315,9 @@ def run_adversarial(
     Every agent of a positive-share type is guaranteed a bundle worth at
     least 1/k of her (normalized) share; the report's success verdict is
     taken at ``alpha`` in (0, 1] (default 1/k).  A non-strict run reports a
-    dry pool as ``poolExhausted`` instead of raising.  At k = 1 agent t gets
-    the share partition's bundle t, worth one share, and traces no step.
+    dry pool as ``poolExhausted`` instead of raising; a failed check raises
+    either way.  At k = 1 agent t gets the share partition's bundle t, worth
+    one share, and traces no step.
     """
     k = norm.k_types
     seq = check_arrivals(arrivals, norm.n_agents, k)
@@ -333,8 +330,7 @@ def run_adversarial(
     state = preprocess(norm, strict=strict, trace=trace)
     bundles = [step_adversarial(state, t) for t in seq]
     reason = FailureReason.POOL_EXHAUSTED if None in bundles else FailureReason.NONE
-    details = {"violations": list(state.violations)} if state.violations else None
-    return finish_run(norm, seq, bundles, alpha, reason, (), details, state.trace)
+    return finish_run(norm, seq, bundles, alpha, reason, trace=state.trace)
 
 
 # -- the adaptive lower-bound adversary ------------------------------------

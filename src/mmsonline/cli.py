@@ -97,6 +97,9 @@ def _cmd_run(args) -> int:
     if args.algorithm == "adversarial" and args.trials > 1:
         raise InputError("run adversarial serves one arrival sequence; "
                          "use mc --algorithm adversarial for repeated trials")
+    if args.algorithm != "adversarial" and (args.arrivals or args.enumerate):
+        raise InputError(f"run {args.algorithm} draws its arrivals from --dist; "
+                         "--arrivals and --enumerate are for run adversarial")
     instance_obj = jsonio.load(args.instance)
     if args.trials > 1:
         # seeded repetition: route through the experiment runner

@@ -153,8 +153,6 @@ def run_unknown_d(
         # too few agents to learn anything; fall back to the 1/k guarantee
         allocation, rep = run_adversarial(norm, seq, alpha=alpha, strict=False)
         details["branch"] = "degenerate"
-        if rep.details and rep.details.get("violations"):
-            details["violations"] = rep.details["violations"]
         return allocation, replace(rep, flags=("degenerateScale",), details=details)
 
     c_items = universal_items(norm.scaled, range(m), alpha)

@@ -12,20 +12,20 @@ import pytest
 
 from mmsonline import (
     TypeDistribution,
-    adaptive_lower_bound_adversary,
-    all_sequences,
-    below_sqrt_bound,
-    gen_normalized_random,
     gen_random,
-    gen_tightness_half,
-    greedy_policy,
     normalize,
     run_adversarial,
     run_unknown_d,
     sample_arrivals,
-    tentative_policy,
-    value,
 )
+from mmsonline.adversarial import (
+    adaptive_lower_bound_adversary,
+    below_sqrt_bound,
+    greedy_policy,
+    tentative_policy,
+)
+from mmsonline.core import value
+from mmsonline.generators import all_sequences, gen_normalized_random, gen_tightness_half
 from mmsonline.harness import McConfig, degradation_trial, monte_carlo
 from mmsonline.rng import substream
 from mmsonline.solver import mms_brute_force, mms_exact

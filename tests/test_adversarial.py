@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter, deque
 from fractions import Fraction as F
 from itertools import product
@@ -7,29 +8,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmsonline import (
-    Bundle,
     InputError,
-    Instance,
     InvariantViolation,
-    NormalizedInstance,
     PoolExhausted,
+    gen_random,
+    normalize,
+    run_adversarial,
+)
+from mmsonline.adversarial import (
+    TentativeState,
     adaptive_lower_bound_adversary,
-    all_sequences,
     below_sqrt_bound,
+    greedy_policy,
+    preprocess,
+    step_adversarial,
+    tentative_policy,
+)
+from mmsonline.core import Bundle, Instance, NormalizedInstance, as_scaled, value
+from mmsonline.generators import (
+    all_sequences,
     gen_adv_counterexample,
     gen_lower_bound,
     gen_normalized_random,
-    gen_random,
-    greedy_policy,
-    normalize,
-    run_adversarial,
-    step_adversarial,
-    tentative_policy,
-    value,
+    presaturation_bundles,
 )
-from mmsonline.adversarial import TentativeState, preprocess
-from mmsonline.core import as_scaled
-from mmsonline.generators import presaturation_bundles
 from mmsonline.rng import substream
 
 
@@ -314,14 +316,18 @@ def test_pool_purity_marks_match_a_recount():
         seq = [rng.randrange(k) for _ in range(n)]
         basket = sorted(rng.sample(range(norm.m_items), norm.m_items // 2))
         states = [
-            preprocess(norm),
-            # half the items at claim level 1/2, checked: dry pools and violations
-            TentativeState.create(norm.scaled, basket, n, threshold=F(1, 2), strict=False),
+            (preprocess(norm), False),
+            # half the items at claim level 1/2, checked: a check may fail
+            (TentativeState.create(norm.scaled, basket, n, threshold=F(1, 2), strict=False), True),
         ]
-        for state in states:
+        for state, may_fail in states:
             compared += _assert_marks_recount(state)
             for t in seq:
-                step_adversarial(state, t)
+                try:
+                    step_adversarial(state, t)
+                except InvariantViolation:
+                    assert may_fail
+                    break  # the checked basket state stops at its first failed check
                 compared += _assert_marks_recount(state)
     assert compared > 0
 
@@ -329,16 +335,23 @@ def test_pool_purity_marks_match_a_recount():
 def test_pool_purity_flags_high_items_in_a_new_pool():
     # items 0-3 are worth 1/4 to both types, items 4-5 3/4 to type 0 only
     rows = ((F(1, 4),) * 4 + (F(3, 4),) * 2, (F(1, 4),) * 4 + (F(0),) * 2)
-    state = TentativeState.create(as_scaled(rows), range(4), 2, threshold=F(1, 2), strict=False)
-    assert state.violations == [] and state.marks == {0: -1, 1: -1}
+    state = TentativeState.create(as_scaled(rows), range(4), 2, threshold=F(1, 2))
+    assert state.marks == {0: -1, 1: -1}
     state._merge_into_pool([4, 5])  # the pool is replaced, so the marks are redone
     assert state.pool == [0, 1, 2, 3, 4, 5] and state.marks == {}
-    msg = "pool purity: item {} worth 3/4 to open type 0".format
-    for pos, want in [(0, [4, 5]), (4, [4, 5]), (5, [5]), (6, [])]:
-        state.violations.clear()
+    for pos, first in [(0, 4), (4, 4), (5, 5), (6, None)]:
         state.pool_pos = pos
-        state._check_pool_purity(current_t=0)
-        assert state.violations == [msg(g) for g in want]
+        if first is None:
+            state._check_pool_purity(current_t=0)
+        else:
+            with pytest.raises(InvariantViolation, match=_exactly(
+                    f"pool purity: item {first} worth 3/4 to open type 0")):
+                state._check_pool_purity(current_t=0)
+    assert state.marks == {0: 5, 1: -1}
+
+
+def _exactly(msg):
+    return f"^{re.escape(msg)}$"
 
 
 # -- the integer kernel against the Fraction implementation it replaced ----------
@@ -485,7 +498,7 @@ def _outcome(fn):
 
 def _snapshot(state, remaining_value):
     return (state.arrived, [list(dq) for dq in state.reserves], state.open_types(state.arrived),
-            remaining_value, list(state.violations), state.pool[state.pool_pos:])
+            remaining_value, state.pool[state.pool_pos:])
 
 
 @settings(max_examples=150, deadline=None)
@@ -493,9 +506,11 @@ def _snapshot(state, remaining_value):
        st.sampled_from(["fifo", "dry", "dry-checked"]), st.data())
 def test_tentative_state_matches_fraction_reference(n, k, mult, seed, mode, data):
     # FIFO runs on every item at 1/k; "dry" runs on a random basket at a
-    # drawn claim level, non-strict, with or without the checks (checked
-    # runs record violations instead of raising; unchecked states check no
-    # types)
+    # drawn claim level, non-strict, with or without the checks (unchecked
+    # states check no types).  The checked non-strict reference records a
+    # failed check where the state raises it: the state must raise the first
+    # record at the step (or creation) that makes it, and until then the
+    # reference has recorded nothing.
     norm = gen_normalized_random(n, n * mult, k, seed=seed)
     rows = norm.base.type_values
     items, opts = range(norm.m_items), {}
@@ -511,10 +526,16 @@ def test_tentative_state_matches_fraction_reference(n, k, mult, seed, mode, data
     if isinstance(want, tuple):
         assert got == want
         return
+    if want.violations:
+        assert got == (InvariantViolation, want.violations[0])
+        return
     assert _snapshot(got, got.remaining_worth()) == _snapshot(want, want.remaining_value)
     for ti in arrivals:
         b_got = _outcome(lambda: step_adversarial(got, ti))
         b_want = _outcome(lambda: want.step(ti))
+        if want.violations:
+            assert b_got == (InvariantViolation, want.violations[0])
+            return
         if isinstance(b_want, tuple) and b_want[0] is PoolExhausted and not want.strict:
             # a dry non-strict step: the reference raises, the state counts
             # the agent and gives her None
@@ -544,11 +565,15 @@ def test_reserved_bound_check_flags_exactly_the_bags_above_scale():
     # claim level 2/3 at k = 2 gives scale 4/3; over the unit L = 2 that is
     # 8/3 units, no integer, so a bag of 2 units passes and one of 3 does not
     rows = ((F(1, 2),) * 4, (F(1, 2),) * 4)
-    for x in range(6):
-        state = TentativeState.create(as_scaled(rows), [], 2, threshold=F(2, 3), strict=False)
-        state._check_reserved_bound([x, x], current_t=0)
-        want = [f"reserved bundle worth {F(x, 2)} > 4/3 to open type {j}" for j in (0, 1)]
-        assert state.violations == (want if F(x, 2) > F(4, 3) else [])
+    state = TentativeState.create(as_scaled(rows), [], 2, threshold=F(2, 3))
+    for x, j in product(range(6), (0, 1)):
+        bagvals = [x if i == j else 0 for i in (0, 1)]
+        if F(x, 2) > F(4, 3):
+            with pytest.raises(InvariantViolation, match=_exactly(
+                    f"reserved bundle worth {F(x, 2)} > 4/3 to open type {j}")):
+                state._check_reserved_bound(bagvals, current_t=0)
+        else:
+            state._check_reserved_bound(bagvals, current_t=0)
 
 
 def test_arrival_length_checked():

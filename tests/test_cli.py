@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from mmsonline import McConfig, jsonio
+from mmsonline import jsonio
 from mmsonline.cli import main
+from mmsonline.harness import McConfig
 
 
 def run_cli(args):
@@ -245,6 +246,9 @@ MISTYPED = {
     ["run", "adversarial", "--instance", "INST", "--arrivals", "SEQ_STRING"],
     MC_ADV + ["--generator-params", '{"n": 3, "m": 8, "k": 3}', "--parallelism", "0"],
     MC_ADV + ["--generator-params", '{"n": 3, "m": 8, "k": 3}', "--parallelism", "-2"],
+    ["run", "known-d", "--eta", "1/2", "--instance", "INST", "--dist", "DIST", "--arrivals", "SEQ"],
+    ["run", "unknown-d", "--eta", "1/2", "--trials", "2", "--instance", "INST", "--dist", "DIST",
+     "--enumerate"],
 ])
 def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     inst, dist = _gen_instance_and_dist(tmp_path)

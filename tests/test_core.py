@@ -1,36 +1,45 @@
 import dataclasses
+import re
+import types
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mmsonline import (
-    Allocation,
-    Bundle,
-    EMPTY_BUNDLE,
-    FailureReason,
     InputError,
-    Instance,
-    NormalizedInstance,
-    TrialReport,
     TypeDistribution,
     ValidationError,
-    gen_normalized_random,
     normalize,
-    random_split,
     run_adversarial,
     run_known_d,
     run_unknown_d,
     sample_arrivals,
-    universal_items,
+)
+from mmsonline.adversarial import TentativeState
+from mmsonline.core import (
+    Allocation,
+    Bundle,
+    EMPTY_BUNDLE,
+    FailureReason,
+    Instance,
+    NormalizedInstance,
+    ScaledRows,
+    TrialReport,
+    as_scaled,
+    fill_bag,
+    finish_run,
+    scale_parts,
+    scale_row,
     value,
     verify_allocation,
 )
-from mmsonline.adversarial import TentativeState
-from mmsonline.core import ScaledRows, as_scaled, fill_bag, finish_run, scale_parts, scale_row
+from mmsonline.generators import gen_normalized_random
 from mmsonline.rng import substream
-from mmsonline.stochastic import preprocess_low_c
+from mmsonline.stochastic import preprocess_low_c, universal_items
 from mmsonline.solver import mms_brute_force
+from mmsonline.unknown import random_split
 
 fractions_pos = st.fractions(min_value=0, max_value=100, max_denominator=60)
 
@@ -172,7 +181,7 @@ def _holds_fraction(x):
 
 
 def test_instance_holds_its_rows_once_as_scaled_ints():
-    from mmsonline import gen_normalized_random
+    from mmsonline.generators import gen_normalized_random
 
     norm = gen_normalized_random(4, 12, 3, seed=2)
     inst = norm.base
@@ -187,7 +196,7 @@ def test_instance_holds_its_rows_once_as_scaled_ints():
 
 
 def test_instance_rebuilt_from_its_rational_view_is_equal():
-    from mmsonline import gen_normalized_random
+    from mmsonline.generators import gen_normalized_random
     from mmsonline.jsonio import instance_from_obj, instance_to_obj
 
     inst = gen_normalized_random(5, 15, 3, seed=7).base
@@ -370,7 +379,7 @@ def _fraction_rescaling_error(inst, witnesses, zero_types):
 def test_normalized_instance_rejects_what_fraction_checks_rejected(n, k, mult, seed, data):
     # a normalized instance with a few values overwritten: some bundle may no
     # longer be worth 1, some item may exceed 1, or both, or neither
-    from mmsonline import gen_normalized_random
+    from mmsonline.generators import gen_normalized_random
 
     norm = gen_normalized_random(n, n * mult, k, seed=seed)
     rows = [list(row) for row in norm.base.type_values]
@@ -403,3 +412,24 @@ def test_fill_bag_stops_at_the_first_claim_and_lists_every_claimant():
     # the scan runs out before any claim
     assert fill_bag(rows, [9, 9], [0, 1, 2], 0, [0, 1]) is None
     assert fill_bag(rows, [2, 2], [0, 1, 2], 0, []) is None
+
+
+# -- the package's public API ---------------------------------------------------
+
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (tour,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    exec(compile(tour, "README.md", "exec"), {})
+
+
+def test_package_exports_the_quick_tour_and_the_exceptions():
+    import mmsonline
+
+    names = {n for n in mmsonline.__all__ if not isinstance(getattr(mmsonline, n), types.ModuleType)}
+    assert names == {
+        "mms_exact", "gen_random", "normalize", "run_adversarial", "TypeDistribution",
+        "sample_arrivals", "run_known_d", "run_unknown_d", "run_algorithm",
+        "MmsOnlineError", "InputError", "ValidationError", "CapacityError",
+        "InvariantViolation", "PoolExhausted",
+    }

@@ -4,20 +4,22 @@ from fractions import Fraction as F
 import pytest
 
 from mmsonline import (
-    Bundle,
     InputError,
+    gen_random,
+    sample_arrivals,
+    TypeDistribution,
+)
+from mmsonline.core import Bundle, value
+from mmsonline.generators import (
+    all_sequences,
     gen_adv_counterexample,
     gen_example1,
     gen_lower_bound,
     gen_normalized_random,
-    gen_random,
     gen_tightness_half,
     gen_tightness_pk,
-    sample_arrivals,
-    value,
-    TypeDistribution,
+    nth_sequence,
 )
-from mmsonline.generators import all_sequences, nth_sequence
 from mmsonline.solver import mms_brute_force, mms_exact
 from mmsonline.stochastic import universal_items
 
@@ -204,7 +206,7 @@ def _fraction_normalized_random(n, m, k, seed, weight_lo, weight_hi):
     (200, 1000, 3, 4, 3, 5), (64, 129, 2, 6, 1, 2**40),
 ])
 def test_gen_normalized_random_ints_match_fraction_rows(n, m, k, seed, lo, hi):
-    from mmsonline import Instance
+    from mmsonline.core import Instance
     rows, witnesses = _fraction_normalized_random(n, m, k, seed, lo, hi)
     norm = gen_normalized_random(n, m, k, seed=seed, weight_lo=lo, weight_hi=hi)
     assert norm.base == Instance(n, rows)

@@ -9,7 +9,6 @@ from mmsonline import (
     TypeDistribution,
     gen_random,
     normalize,
-    perturb,
 )
 from mmsonline import harness
 from mmsonline.harness import (
@@ -18,6 +17,7 @@ from mmsonline.harness import (
     McConfig,
     degradation_trial,
     monte_carlo,
+    perturb,
     render_csv,
     run_trial,
 )
@@ -29,7 +29,7 @@ UNIFORM3 = ("1/3", "1/3", "1/3")
 
 
 def _fixed_instance_obj(seed=0, n=3, m=8, k=2):
-    from mmsonline import gen_normalized_random
+    from mmsonline.generators import gen_normalized_random
     from mmsonline.jsonio import instance_to_obj
     norm = gen_normalized_random(n, m, k, seed=seed)
     return instance_to_obj(norm.base, norm)
@@ -61,7 +61,7 @@ def test_exhaustive_enumeration_success_rate_exactly_one():
 
 
 def test_tightness_half_mc_all_fail_with_empty_reserve():
-    from mmsonline import gen_tightness_half
+    from mmsonline.generators import gen_tightness_half
     from mmsonline.jsonio import instance_to_obj as i2o
     norm = gen_tightness_half(3, 30, F(1, 10))
     cfg = McConfig(algorithm="known-d", trials=6, master_seed=3,

@@ -3,17 +3,12 @@ from fractions import Fraction as F
 import pytest
 
 from mmsonline import (
-    Allocation,
-    Bundle,
-    EMPTY_BUNDLE,
     InputError,
     TypeDistribution,
-    as_fraction,
-    gen_example1,
-    gen_normalized_random,
     gen_random,
-    verify_allocation,
 )
+from mmsonline.core import Allocation, Bundle, EMPTY_BUNDLE, as_fraction, verify_allocation
+from mmsonline.generators import gen_example1, gen_normalized_random
 from mmsonline.jsonio import (
     allocation_to_obj,
     canonical_json,

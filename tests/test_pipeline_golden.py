@@ -22,14 +22,12 @@ from pathlib import Path
 import pytest
 
 from mmsonline import (
-    Bundle,
-    Instance,
-    NormalizedInstance,
     TypeDistribution,
-    gen_normalized_random,
     gen_random,
 )
 from mmsonline.cli import main
+from mmsonline.core import Bundle, Instance, NormalizedInstance
+from mmsonline.generators import gen_normalized_random
 from mmsonline.harness import degradation_trial
 from mmsonline.jsonio import (
     allocation_to_obj,

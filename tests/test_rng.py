@@ -10,7 +10,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from mmsonline import Bundle, TypeDistribution
+from mmsonline import TypeDistribution
+from mmsonline.core import Bundle
 from mmsonline.generators import gen_random, sample_arrivals
 from mmsonline.rng import bernoulli, categorical, randbelow, randints, shuffle, substream
 from mmsonline.unknown import random_split

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmsonline import Bundle, CapacityError, value
-from mmsonline.core import scale_row
+from mmsonline import CapacityError
+from mmsonline.core import Bundle, scale_row, value
 from mmsonline.generators import gen_random
 from mmsonline.rng import substream
 from mmsonline.solver import (

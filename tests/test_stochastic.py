@@ -7,22 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmsonline import (
-    Bundle,
-    FailureReason,
     InputError,
-    Instance,
-    NormalizedInstance,
     TypeDistribution,
-    gen_normalized_random,
-    gen_tightness_half,
-    gen_tightness_pk,
     run_known_d,
     sample_arrivals,
+)
+from mmsonline.core import (
+    Bundle,
+    FailureReason,
+    Instance,
+    NormalizedInstance,
+    as_scaled,
     value,
     verify_allocation,
 )
-from mmsonline.core import as_scaled
 from mmsonline.exactpow import pow_sqrt_sum_ge
+from mmsonline.generators import gen_normalized_random, gen_tightness_half, gen_tightness_pk
 from mmsonline.stochastic import (
     LowCState,
     claim_level,

@@ -4,26 +4,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmsonline import (
-    Bundle,
-    FailureReason,
     InputError,
-    Instance,
-    NormalizedInstance,
     TypeDistribution,
-    gen_normalized_random,
-    learn_distribution,
-    random_split,
     run_adversarial,
     run_known_d,
     run_unknown_d,
     sample_arrivals,
+)
+from mmsonline.core import (
+    Bundle,
+    FailureReason,
+    Instance,
+    NormalizedInstance,
     value,
     verify_allocation,
 )
 from mmsonline.exactpow import ceil_pow
+from mmsonline.generators import gen_normalized_random
 from mmsonline.jsonio import allocation_to_obj
 from mmsonline.rng import bernoulli, substream
-from mmsonline.unknown import UnknownParams, basket_value_ok
+from mmsonline.unknown import UnknownParams, basket_value_ok, learn_distribution, random_split
 
 
 def test_params_formulas():
