@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 
@@ -233,14 +234,14 @@ def fill_bag(rows: Sequence[Sequence[int]], claim: Sequence[int], scan: Sequence
     """Grow one bag from ``scan[pos:]`` in order until some type of ``open_types``
     (ascending) values it at its claim level, all in scaled ints.  Returns
     ``(bag, per-type values, claimants, next pos)``, the claimants being the open
-    types at their claim level, ascending; ``None`` if the scan runs out first."""
-    k = len(rows)
-    vals = [0] * k
+    types at their claim level, ascending; ``None`` if the scan runs out first.
+    The values are summed for the open types only; every other type reads 0."""
+    vals = [0] * len(rows)
     start, end = pos, len(scan)
     while pos < end:
         g = scan[pos]
         pos += 1
-        for j in range(k):
+        for j in open_types:
             vals[j] += rows[j][g]
         for j in open_types:
             if vals[j] >= claim[j]:
@@ -268,7 +269,9 @@ def check_arrivals(arrivals: Iterable[int], n: int, k: int) -> list[int]:
 
 def check_items(items: Iterable[int], m: int | None = None) -> list[int]:
     """The distinct item ids, ascending: integers from 0, and below m if given."""
-    ids = sorted(set(_int_ids(items, "item")))
+    ids = _int_ids(items, "item")
+    if any(map(operator.ge, ids, ids[1:])):  # not already strictly ascending
+        ids = sorted(set(ids))
     if ids and (ids[0] < 0 or m is not None and ids[-1] >= m):
         raise InputError(f"item id {ids[0] if ids[0] < 0 else ids[-1]} out of range")
     return ids
@@ -378,6 +381,13 @@ def rescale(instance: Instance, partitions: Sequence[Sequence[Bundle]],
                     instance.type_names)
 
 
+def _in_order_and_disjoint(entries) -> bool:
+    """Whether the entries' agents are non-negative and strictly increasing and no item repeats."""
+    agents, items = [entry[0] for entry in entries], [entry[2].items for entry in entries]
+    return all(map(operator.lt, [-1, *agents], agents)) and \
+        len(set(chain.from_iterable(items))) == sum(map(len, items))
+
+
 @dataclass(frozen=True)
 class Allocation:
     """Irrevocable per-agent grants: (agent_index, type_id, bundle)."""
@@ -385,6 +395,8 @@ class Allocation:
     entries: tuple[tuple[int, int, Bundle], ...]
 
     def __post_init__(self):
+        if _in_order_and_disjoint(self.entries):
+            return  # otherwise the loop below names the first clash
         prev = -1
         seen: dict[int, int] = {}
         for agent, _type_id, bundle in self.entries:
@@ -477,8 +489,8 @@ class TrialReport:
         if min_ratio is None:
             min_ratio = min(ratios) if ratios else Fraction(1)
         ok = not ratios or min_ratio >= alpha
-        if not ok and failure_reason is FailureReason.NONE:
-            failure_reason = FailureReason.VALUE_BELOW_ALPHA
+        if ok or failure_reason is FailureReason.NONE:  # a reason only for a failed run
+            failure_reason = FailureReason.NONE if ok else FailureReason.VALUE_BELOW_ALPHA
         return cls(ratios, min_ratio, alpha, ok, failure_reason, tuple(flags), details, step_trace)
 
 
@@ -505,9 +517,9 @@ def finish_run(
     arriving agent got.
 
     A ``None`` bundle marks an agent whose reserve or pool ran dry: that agent
-    gets the empty bundle, and the first such agent sets the emptyReserve failure
-    unless an earlier stage already set ``reason``.  This is the one place
-    that turns "nothing" into the empty bundle.
+    gets the empty bundle, and if the run fails, the first such agent sets the
+    emptyReserve failure unless an earlier stage already set ``reason``.  This
+    is the one place that turns "nothing" into the empty bundle.
     """
     entries = []
     for agent, (type_id, bundle) in enumerate(zip(arrivals, bundles)):
@@ -523,7 +535,7 @@ def finish_run(
     known: list[dict[int, Fraction]] = [{} for _ in view.units]
     ratios = []
     for _, type_id, bundle in entries:
-        x = -1 if type_id in zero else view.total(type_id, bundle.items)
+        x = -1 if type_id in zero else sum(map(view.ints[type_id].__getitem__, bundle.items))
         ratio = known[type_id].get(x)
         if ratio is None:
             ratio = known[type_id][x] = Fraction(1) if x < 0 else Fraction(x, view.units[type_id])

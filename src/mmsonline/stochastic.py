@@ -164,8 +164,9 @@ def preprocess_low_c(
     # claim: no open type's bag is worth over 2c - 2 <= floor(2 alpha L)
     scan = sorted(remaining)
     pos = bag_count = 0
-    while unsaturated:
-        filled = fill_bag(rows, claim, scan, pos, sorted(unsaturated))
+    opened = sorted(unsaturated)  # ascending; changes only when a type saturates
+    while opened:
+        filled = fill_bag(rows, claim, scan, pos, opened)
         if filled is None:
             break  # remainder exhausted without a claim; those items stay unallocated
         bag, _, claimants, pos = filled
@@ -173,10 +174,10 @@ def preprocess_low_c(
         reserves[claimant].append(Bundle.from_sorted(bag))
         bag_count += 1
         if len(reserves[claimant]) == caps[claimant]:
-            unsaturated.discard(claimant)
+            opened.remove(claimant)
 
     return LowCState(high_sets=high_sets, reserves=reserves, caps=caps, singleton_counts=singleton_counts,
-                     order=order, unsaturated=unsaturated, bag_count=bag_count, violations=violations)
+                     order=order, unsaturated=set(opened), bag_count=bag_count, violations=violations)
 
 
 def run_low_c(state: LowCState, arrival_ranks: Sequence[int]) -> list[Bundle | None]:

@@ -27,7 +27,9 @@ from mmsonline.core import (
     NormalizedInstance,
     ScaledRows,
     TrialReport,
+    _in_order_and_disjoint,
     as_scaled,
+    check_items,
     fill_bag,
     finish_run,
     scale_parts,
@@ -281,11 +283,77 @@ def test_universal_empty_on_counterexample():
     assert _universal(norm, F(1, 2)) == []
 
 
+def _allocation_error(entries):
+    # the naming loop Allocation falls back to, as a reference: the first
+    # clash in entry order, an agent's order before its items
+    prev, seen = -1, {}
+    for agent, _type_id, bundle in entries:
+        if agent <= prev:
+            return "agent indices must be strictly increasing"
+        prev = agent
+        for g in bundle:
+            if g in seen:
+                return f"item {g} allocated to both agent {seen[g]} and agent {agent}"
+            seen[g] = agent
+    return None
+
+
 def test_allocation_disjointness_enforced():
-    with pytest.raises(ValidationError):
-        Allocation(((0, 0, Bundle((1, 2))), (1, 0, Bundle((2, 3)))))
-    with pytest.raises(ValidationError):
-        Allocation(((1, 0, Bundle((1,))), (0, 0, Bundle((2,)))))
+    for entries, message in [
+        (((0, 0, Bundle((1, 2))), (1, 0, Bundle((2, 3)))), "item 2 allocated to both agent 0 and agent 1"),
+        # two overlaps: the first clashing entry's first repeated item is named
+        (((0, 0, Bundle((1, 2))), (1, 0, Bundle((3, 5))), (2, 1, Bundle((2, 5)))),
+         "item 2 allocated to both agent 0 and agent 2"),
+        (((1, 0, Bundle((1,))), (0, 0, Bundle((2,)))), "agent indices must be strictly increasing"),
+        (((0, 0, Bundle((1,))), (2, 0, Bundle((2,))), (1, 0, Bundle((3,)))),
+         "agent indices must be strictly increasing"),
+        # a negative first agent
+        (((-1, 0, Bundle((1,))), (0, 0, Bundle((2,)))), "agent indices must be strictly increasing"),
+        # a repeated agent is out of order before its items are read
+        (((0, 0, Bundle((1,))), (0, 0, Bundle((1,)))), "agent indices must be strictly increasing"),
+    ]:
+        assert _allocation_error(entries) == message
+        with pytest.raises(ValidationError) as err:
+            Allocation(entries)
+        assert str(err.value) == message
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(-2, 8), st.frozensets(st.integers(0, 9), max_size=4)), max_size=6),
+       st.booleans())
+def test_allocation_fast_path_accepts_exactly_what_the_loop_accepts(raw, by_agent):
+    if by_agent:  # makes in-order entries common, with ties and negatives left in
+        raw = sorted(raw, key=lambda entry: entry[0])
+    entries = tuple((agent, 0, Bundle(tuple(items))) for agent, items in raw)
+    want = _allocation_error(entries)
+    assert _in_order_and_disjoint(entries) == (want is None)
+    if want is None:
+        assert Allocation(entries).entries == entries
+    else:
+        with pytest.raises(ValidationError) as err:
+            Allocation(entries)
+        assert str(err.value) == want
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 30), max_size=20))
+def test_check_items_sorts_only_when_needed(items):
+    want = sorted(set(items))
+    assert check_items(items) == want
+    ascending = list(want)
+    got = check_items(ascending)
+    assert got == want and type(got) is list and got is not ascending
+    assert check_items(tuple(want)) == want and check_items(iter(want)) == want
+
+
+@pytest.mark.parametrize("items, m, bad", [
+    ([0, 5], 5, 5), ([5, 0], 5, 5), ([5, 0, 5], 5, 5), ([-1, 0], None, -1), ([0, -1], None, -1),
+    ([-1, 0, 9], 5, -1), ([0, 3, 3, -2], 5, -2),
+])
+def test_check_items_errors_are_the_same_sorted_or_not(items, m, bad):
+    with pytest.raises(InputError) as err:
+        check_items(items, m)
+    assert str(err.value) == f"item id {bad} out of range"
 
 
 def _tiny_norm():
@@ -305,6 +373,19 @@ def test_finish_run_ratios_count_zero_share_agents():
         assert rep.per_agent_ratio == ratios and rep.min_ratio == min(ratios)
         again = verify_allocation(norm, alloc, F(1, 2))
         assert (again.per_agent_ratio, again.min_ratio) == (rep.per_agent_ratio, rep.min_ratio)
+
+
+def test_a_reason_is_reported_only_for_a_failed_run():
+    for reason in FailureReason:
+        ok = TrialReport.build([F(1, 2), F(1)], F(1, 2), reason)
+        assert ok.succeeded_at_alpha and ok.failure_reason is FailureReason.NONE
+        failed = TrialReport.build([F(1, 3), F(1)], F(1, 2), reason)
+        assert not failed.succeeded_at_alpha
+        assert failed.failure_reason is (FailureReason.VALUE_BELOW_ALPHA if reason is FailureReason.NONE else reason)
+    # a dry zero-share agent gets ratio 1, so only a dry positive-share agent fails the run
+    norm = normalize(Instance(2, ((1, 1, 1, 1), (0, 0, 0, 0))))
+    assert finish_run(norm, [0, 1], [Bundle((0, 1, 2)), None], F(1, 2))[1].failure_reason is FailureReason.NONE
+    assert finish_run(norm, [0, 1], [None, Bundle((3,))], F(1, 2))[1].failure_reason is FailureReason.EMPTY_RESERVE
 
 
 def test_verify_allocation_boundary_inclusive():
@@ -406,12 +487,56 @@ def test_fill_bag_stops_at_the_first_claim_and_lists_every_claimant():
     rows = ((1, 1, 1), (1, 2, 0))
     # item 1 brings both types to their claim at once
     assert fill_bag(rows, [2, 2], [0, 1, 2], 0, [0, 1]) == ([0, 1], [2, 3], [0, 1], 2)
-    # only open types claim; the scan starts at pos
-    assert fill_bag(rows, [2, 2], [0, 1, 2], 0, [1]) == ([0, 1], [2, 3], [1], 2)
+    # only open types claim and only their values are summed; the closed
+    # type 0 reads 0; the scan starts at pos
+    assert fill_bag(rows, [2, 2], [0, 1, 2], 0, [1]) == ([0, 1], [0, 3], [1], 2)
     assert fill_bag(rows, [2, 2], [0, 1, 2], 1, [0, 1]) == ([1], [1, 2], [1], 2)
     # the scan runs out before any claim
     assert fill_bag(rows, [9, 9], [0, 1, 2], 0, [0, 1]) is None
     assert fill_bag(rows, [2, 2], [0, 1, 2], 0, []) is None
+
+
+def _fill_bag_all_types(rows, claim, scan, pos, open_types):
+    # the filler that summed every type's value, as a reference
+    k = len(rows)
+    vals = [0] * k
+    start, end = pos, len(scan)
+    while pos < end:
+        g = scan[pos]
+        pos += 1
+        for j in range(k):
+            vals[j] += rows[j][g]
+        for j in open_types:
+            if vals[j] >= claim[j]:
+                return scan[start:pos], vals, [c for c in open_types if vals[c] >= claim[c]], pos
+    return None
+
+
+@st.composite
+def _fill_bag_args(draw):
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rows = [draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)) for _ in range(k)]
+    claim = draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+    scan = draw(st.permutations(range(m)).flatmap(lambda p: st.integers(0, m).map(lambda r: p[:r])))
+    pos = draw(st.integers(0, len(scan)))
+    open_types = sorted(draw(st.sets(st.sampled_from(range(k)))))
+    return rows, claim, scan, pos, open_types
+
+
+@settings(max_examples=300)
+@given(_fill_bag_args())
+@example(([[1, 1, 1], [1, 2, 0]], [2, 2], [0, 1, 2], 0, []))  # nothing open: dry
+@example(([[1, 1, 1], [1, 2, 0]], [9, 9], [0, 1, 2], 0, [0, 1]))  # the scan runs dry
+@example(([[1, 1, 1], [1, 2, 0]], [2, 2], [0, 1, 2], 0, [1]))  # a closed type would claim
+def test_fill_bag_agrees_with_the_all_types_filler(args):
+    got, want = fill_bag(*args), _fill_bag_all_types(*args)
+    assert (got is None) == (want is None)
+    if got is not None:
+        (bag, vals, claimants, pos), (want_bag, want_vals, want_claimants, want_pos) = got, want
+        assert (bag, claimants, pos) == (want_bag, want_claimants, want_pos)
+        open_types = args[4]
+        assert [vals[j] for j in open_types] == [want_vals[j] for j in open_types]
+        assert all(vals[j] == 0 for j in range(len(vals)) if j not in open_types)
 
 
 # -- the package's public API ---------------------------------------------------

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from mmsonline import (
     InputError,
     TypeDistribution,
+    gen_random,
+    normalize,
     run_adversarial,
     run_known_d,
     run_unknown_d,
@@ -255,6 +257,17 @@ def test_unknown_d_degenerate_window_flag():
     norm = gen_normalized_random(3, 9, 2, seed=0)
     _, rep = run_unknown_d(norm, [0, 1, 0], eta=F(1, 2), c=F(1, 20), seed=1)
     assert "degenerateScale" in rep.flags
+
+
+def test_degenerate_run_with_a_dry_zero_share_agent_succeeds_without_a_reason():
+    # type 0 has share 0, so the second agent, served nothing by the dry
+    # pool, still counts ratio 1: the run meets alpha and names no failure
+    norm = normalize(gen_random(2, 3, 2, "binary", seed=0))
+    assert norm.zero_mms_types == {0}
+    alloc, rep = run_unknown_d(norm, [0, 0], eta=F(1, 2), c=F(1, 20))
+    assert rep.details == {"window": 2, "branch": "degenerate"}
+    assert alloc.entries[1][2] == Bundle(())
+    assert rep.succeeded_at_alpha and rep.failure_reason is FailureReason.NONE
 
 
 def test_learning_stage_claims_at_half_with_scale_k_over_2(monkeypatch):
