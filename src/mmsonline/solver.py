@@ -1,9 +1,10 @@
 """Exact maximin-share solver.
 
 ``mms_exact`` is a branch-and-bound over item-to-bundle assignments with
-symmetry breaking, a longest-processing-time (LPT) incumbent, and the
-average-value upper bound.  ``mms_brute_force`` is the independent oracle:
-plain exhaustive enumeration, kept free of any pruning the solver uses.
+symmetry breaking, a longest-processing-time (LPT) incumbent, and the bundle
+deficit bound and top-j cap of machine covering (P||C_min).
+``mms_brute_force`` is the independent oracle: plain exhaustive enumeration,
+kept free of any pruning the solver uses.
 
 Values are scaled to integers by the common denominator
 (``core.scale_row``) before searching; that is still exact arithmetic, just
@@ -90,11 +91,17 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
 
     Items are branched in non-increasing value order (ties by index); bundles
     with equal current loads are interchangeable and only the first is tried.
-    The incumbent starts from the LPT split, nodes are pruned against
-    ``min(load) + remaining`` and the global ``total/n`` cap, and states are
-    memoized by (depth, sorted load profile).  Above the caps
-    (m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP) it raises
-    :class:`CapacityError`.
+    The incumbent starts from the LPT split and only a strictly better leaf
+    replaces it.  The deficit bound prunes a node when the bundles below
+    ``best + 1`` need more value, or more items, than remain.  The top-j cap
+    ends the search: the n - j bundles without any of the j largest items
+    share the rest, so no split beats ``(total - top_j) // (n - j)``.  States
+    are memoized by (depth, sorted load profile).  So the witness is the LPT
+    split when LPT is optimal, else the first optimal leaf in branch order:
+    every prune depends only on (depth, load multiset, incumbent) and cuts
+    only subtrees with no leaf above the incumbent, which that leaf is until
+    it is found.  Above the caps (m > DEFAULT_ITEM_CAP or
+    n > DEFAULT_BUNDLE_CAP) it raises :class:`CapacityError`.
     """
     if n < 1:
         raise InputError("need at least one bundle")
@@ -115,8 +122,7 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
     suffix = [0] * (mm + 1)
     for i in range(mm - 1, -1, -1):
         suffix[i] = suffix[i + 1] + ints[items[i]]
-    total = suffix[0]
-    ub_global = total // n
+    ub_global = min(suffix[j] // (n - j) for j in range(min(n, mm + 1)))
 
     # LPT incumbent (zero-valued items stripped; they are re-attached at the end)
     lpt = lpt_partition(ints, n)
@@ -142,9 +148,11 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
                 if best >= ub_global:
                     raise _Done
             return
-        if min(loads) + suffix[idx] <= best:
+        short = [best + 1 - x for x in loads if x <= best]
+        if len(short) > mm - idx or sum(short) > suffix[idx]:
             return
-        key = (idx, tuple(sorted(loads)))
+        order = sorted(range(n), key=loads.__getitem__)
+        key = (idx, tuple([loads[j] for j in order]))
         if key in seen:
             return
         if len(seen) < _MEMO_LIMIT:
@@ -152,7 +160,7 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
         g = items[idx]
         v = ints[g]
         tried: set[int] = set()
-        for j in sorted(range(n), key=lambda j: loads[j]):
+        for j in order:
             if loads[j] in tried:
                 continue
             tried.add(loads[j])

@@ -235,8 +235,11 @@ DIGESTS = {
     # load: their witness bundles are not worth 1)
     "gen-lower-bound":
         "f8d9dcef9350fc97639e3eb9c96b2dc56e61bd6790ca805a2bfc6e7a8d4b5c63",
+    # re-pinned when the share solver began to prune by bundle deficits: its
+    # `nodes` count went 50 -> 37 and nothing else in the output changed;
+    # test_mms_solve_value_and_witness pins the rest
     "mms-solve":
-        "a6165d7dc10a0f222f6f1bc5394ccef09ffae0f0006a52123d61378f65707b8c",
+        "d8b183d87fd693f3e851d3c598f45a34502c0311dc8b1aac9cda2d668f836b1a",
     "mms-solve-brute-force":
         "93737936f7324dd45863ff34ed0ed34e924fdc171dc4ca58f439ef018ba47f8a",
     "perturb":
@@ -257,6 +260,14 @@ def test_run_paths_byte_identical(tmp_path, capsys):
     assert set(cases) == set(DIGESTS)
     got = {name: hashlib.sha256(render().encode()).hexdigest() for name, render in cases.items()}
     assert {name: d for name, d in got.items() if d != DIGESTS[name]} == {}
+
+
+def test_mms_solve_value_and_witness(tmp_path, capsys):
+    # everything in the `mms-solve` case but the solver's own `nodes` count
+    out = json.loads(_cases(tmp_path, capsys)["mms-solve"]())
+    assert out["value"] == "229/6"
+    assert out["witness"] == [[7], [0, 1, 6], [2, 3, 4, 5]]
+    assert out["exact"] is True
 
 
 @pytest.fixture(scope="module")

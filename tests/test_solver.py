@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmsonline import CapacityError
-from mmsonline.core import Bundle, scale_row, value
+from mmsonline.core import Bundle, MmsResult, scale_row, value
 from mmsonline.generators import gen_random
 from mmsonline.rng import substream
 from mmsonline.solver import (
@@ -121,3 +121,131 @@ def test_zero_items_and_determinism():
     assert r1 == r2
     _check_witness(vals, 2, r1)
     assert r1.value == mms_brute_force(vals, 2).value
+
+
+def _reference_mms_exact(valuation, n):
+    """The solver before it pruned by bundle deficits: the ``min(load) +
+    remaining`` prune and the ``total // n`` cap, otherwise the same search
+    (branch order, symmetry rule, LPT incumbent, memo)."""
+    m = len(valuation)
+    ints, den = scale_row(valuation)
+    if m == 0:
+        return MmsResult(F(0), tuple(Bundle(()) for _ in range(n)), nodes=1)
+    if n == 1:
+        return MmsResult(F(sum(ints), den), (Bundle(tuple(range(m))),), nodes=1)
+    items = sorted((g for g in range(m) if ints[g] > 0), key=lambda g: (-ints[g], g))
+    zeros = [g for g in range(m) if ints[g] == 0]
+    mm = len(items)
+    suffix = [0] * (mm + 1)
+    for i in range(mm - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + ints[items[i]]
+    ub_global = suffix[0] // n
+    lpt = lpt_partition(ints, n)
+    best = min(sum(ints[g] for g in b) for b in lpt)
+    best_bundles = [[g for g in b if ints[g] > 0] for b in lpt]
+    nodes = 1
+    loads = [0] * n
+    current = [[] for _ in range(n)]
+    seen = set()
+
+    class _Done(Exception):
+        pass
+
+    def rec(idx):
+        nonlocal best, best_bundles, nodes
+        nodes += 1
+        if idx == mm:
+            mn = min(loads)
+            if mn > best:
+                best = mn
+                best_bundles = [b.copy() for b in current]
+                if best >= ub_global:
+                    raise _Done
+            return
+        if min(loads) + suffix[idx] <= best:
+            return
+        key = (idx, tuple(sorted(loads)))
+        if key in seen:
+            return
+        seen.add(key)
+        g = items[idx]
+        v = ints[g]
+        tried = set()
+        for j in sorted(range(n), key=lambda j: loads[j]):
+            if loads[j] in tried:
+                continue
+            tried.add(loads[j])
+            loads[j] += v
+            current[j].append(g)
+            rec(idx + 1)
+            loads[j] -= v
+            current[j].pop()
+
+    if best < ub_global:
+        try:
+            rec(0)
+        except _Done:
+            pass
+    bundles = [sorted(b) for b in best_bundles]
+    bundles[0].extend(zeros)
+    return MmsResult(F(best, den), tuple(Bundle(tuple(b)) for b in bundles), nodes=nodes)
+
+
+def _agrees_with_reference(vals, n):
+    got, ref = mms_exact(vals, n), _reference_mms_exact(vals, n)
+    assert (got.value, got.witness) == (ref.value, ref.witness)
+    assert got.nodes <= ref.nodes
+    return got, ref
+
+
+_fractions = st.fractions(min_value=0, max_value=12, max_denominator=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.one_of(
+    st.lists(_fractions, max_size=10),
+    st.lists(st.integers(0, 2).map(F), max_size=10),  # ties and zeros
+    st.tuples(st.integers(20, 200).map(F), st.lists(_fractions, max_size=9)).map(
+        lambda t: [t[0], *t[1]]),  # one dominant item
+    st.lists(st.integers(0, 9).map(F), max_size=5).map(lambda r: r + [F(0)] * 5),  # few positive
+))
+def test_same_value_and_witness_as_the_reference(n, vals):
+    _agrees_with_reference(vals, n)
+
+
+def test_same_value_and_witness_as_the_reference_on_seeded_rows():
+    for seed in range(24):
+        rng = substream(seed, "solver-reference")
+        m, n = rng.randint(12, 13), rng.randint(4, 6)
+        if seed % 2:
+            vals = [F(rng.randint(1, 100)) for _ in range(m)]
+        else:
+            vals = [F(rng.randint(0, 30), rng.randint(1, 7)) for _ in range(m)]
+        _agrees_with_reference(vals, n)
+
+
+def test_top_j_cap_ends_the_search_at_the_root():
+    # the two bundles without the 100 share five 1s, so no split beats 2
+    vals = [F(x) for x in (100, 1, 1, 1, 1, 1)]
+    got, ref = _agrees_with_reference(vals, 3)
+    assert (got.value, got.nodes) == (2, 1)
+    assert ref.nodes > 1
+
+
+@pytest.mark.parametrize("vals,n", [
+    ([F(5), F(0), F(3)], 3), ([F(0)] * 3, 4), ([F(7)], 2), ([F(2), F(0), F(9)], 8),
+    ([F(1)] * 7, 8),
+])
+def test_fewer_positive_items_than_bundles(vals, n):
+    # some bundle stays empty, so the top-j cap is 0 and nothing is searched
+    got, _ = _agrees_with_reference(vals, n)
+    assert (got.value, got.nodes) == (0, 1)
+    _check_witness(vals, n, got)
+
+
+def test_node_count_at_m20_stays_pruned():
+    # a work count, not a wall-clock time, so a slow host cannot trip it;
+    # the solver without the deficit bound needs millions of nodes here
+    nodes = sum(mms_exact(gen_random(5, 20, 1, "uniform", seed=s).type_values[0], 5).nodes
+                for s in range(4))
+    assert nodes <= 150_000
