@@ -169,7 +169,7 @@ class TentativeState:
 
     def _allocate(self, bundle: Bundle) -> None:
         for j in range(self.k):
-            self.remaining_value[j] -= self.view.total(j, bundle.items)
+            self.remaining_value[j] -= self.view.total(j, bundle)
 
     # -- checks (quantified over the open types among check_types) --------
 
@@ -274,14 +274,14 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
                 state.reserves[j].append(bundle)
             if state.trace is not None:
                 state.trace.append({"event": "reserve", "agent": t, "for": claimants,
-                                    "items": list(bundle.items),
+                                    "items": list(bundle),
                                     "reserveSizes": [len(dq) for dq in state.reserves],
                                     "unsaturated": state.open_types(t, i)})
             state._check_pool_purity(current_t=t)
             state._check_reserved_bound(bagvals, current_t=t)
     state._allocate(allocated)
     if state.trace is not None:
-        state.trace.append({"event": event, "agent": t, "type": i, "items": list(allocated.items),
+        state.trace.append({"event": event, "agent": t, "type": i, "items": list(allocated),
                             "reserveSizes": [len(dq) for dq in state.reserves],
                             "remaining": len(state.pool) - state.pool_pos + sum(map(len, state.bundle_refs))})
 
@@ -293,9 +293,9 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
             state.bundle_refs[dropped] -= 1
             if not state.bundle_refs[dropped]:
                 del state.bundle_refs[dropped]
-                released.extend(dropped.items)
+                released.extend(dropped)
             if state.trace is not None:
-                state.trace.append({"event": "release", "type": j, "items": list(dropped.items)})
+                state.trace.append({"event": "release", "type": j, "items": list(dropped)})
     if released:
         state._merge_into_pool(released)
     state._check_invariant()

@@ -84,7 +84,7 @@ def _cmd_mms(args) -> int:
     out = {
         "value": jsonio.frac_to_str(res.value),
         "exact": True,
-        "witness": [list(b.items) for b in res.witness],
+        "witness": [list(b) for b in res.witness],
         "nodes": res.nodes,
     }
     _emit(out, args.out)

@@ -60,40 +60,36 @@ def as_fraction(x) -> Fraction:
         raise InputError(f"bad rational {x!r}") from exc
 
 
-@dataclass(frozen=True)
-class Bundle:
-    """An immutable set of item indices, stored sorted."""
+class Bundle(tuple):
+    """An immutable set of item indices: the tuple of its ids, strictly
+    ascending, so building, hashing, comparing and scanning run as tuple
+    code.  A bundle equals, and hashes like, the plain tuple of the same ids;
+    slicing it or adding to it gives a plain tuple."""
 
-    items: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, items: Iterable[int] = ()) -> "Bundle":
         try:
-            norm = tuple(sorted(set(map(operator.index, self.items))))
+            norm = sorted(set(map(operator.index, items)))
         except TypeError as exc:
-            raise InputError(f"item indices must be integers, got {self.items!r}") from exc
+            raise InputError(f"item indices must be integers, got {items!r}") from exc
         if norm and norm[0] < 0:
             raise InputError("negative item index")
-        object.__setattr__(self, "items", norm)
+        return tuple.__new__(cls, norm)
 
     @classmethod
-    def from_sorted(cls, items: Sequence[int]) -> "Bundle":
+    def from_sorted(cls, items: Iterable[int]) -> "Bundle":
         """Trusted constructor, no check and no sort: the caller guarantees
         strictly increasing non-negative int items."""
-        bundle = object.__new__(cls)
-        object.__setattr__(bundle, "items", tuple(items))
-        return bundle
+        return tuple.__new__(cls, items)
 
-    def __iter__(self):
-        return iter(self.items)
+    @property
+    def items(self) -> "Bundle":
+        """The ascending item ids: the bundle itself."""
+        return self
 
-    def __len__(self):
-        return len(self.items)
-
-    def __contains__(self, g):
-        return g in self.items
-
-    def __bool__(self):
-        return bool(self.items)
+    def __repr__(self) -> str:
+        return f"Bundle(items={tuple(self)!r})"
 
 
 EMPTY_BUNDLE = Bundle(())
@@ -313,7 +309,7 @@ class NormalizedInstance:
             part = self.witness_partitions[i]
             if len(part) != n:
                 raise ValidationError(f"type {i}: witness has {len(part)} bundles, expected {n}")
-            flat = [g for b in part for g in b]
+            flat = list(chain.from_iterable(part))
             if len(set(flat)) < len(flat) or max(flat, default=-1) >= m:
                 raise ValidationError(f"type {i}: witness is not a partition of the items")
             if len(flat) != m:
@@ -325,7 +321,7 @@ class NormalizedInstance:
             if self.original_mms[i] <= 0:
                 raise ValidationError(f"type {i} has nonpositive share but is not flagged")
             unit = view.units[i]
-            if any(view.total(i, b.items) != unit for b in part):
+            if any(view.total(i, b) != unit for b in part):
                 raise ValidationError(f"type {i}: witness bundle value != 1 after rescaling")
             if max(view.ints[i], default=0) > unit:
                 raise ValidationError(f"type {i}: item value above 1 after rescaling")
@@ -375,7 +371,7 @@ def rescale(instance: Instance, partitions: Sequence[Sequence[Bundle]],
     bundle of the type's partition is worth exactly 1; the rows of the
     ``unscaled`` types are kept as they are."""
     view = instance.scaled
-    rows = [(ints, unit) if i in unscaled else scale_parts(((b.items, [ints[g] for g in b]) for b in part), len(ints))
+    rows = [(ints, unit) if i in unscaled else scale_parts(((b, [ints[g] for g in b]) for b in part), len(ints))
             for i, (ints, unit, part) in enumerate(zip(view.ints, view.units, partitions))]
     return Instance(instance.n_agents, ScaledRows(tuple(ints for ints, _ in rows), tuple(unit for _, unit in rows)),
                     instance.type_names)
@@ -383,9 +379,9 @@ def rescale(instance: Instance, partitions: Sequence[Sequence[Bundle]],
 
 def _in_order_and_disjoint(entries) -> bool:
     """Whether the entries' agents are non-negative and strictly increasing and no item repeats."""
-    agents, items = [entry[0] for entry in entries], [entry[2].items for entry in entries]
+    agents, bundles = [entry[0] for entry in entries], [entry[2] for entry in entries]
     return all(map(operator.lt, [-1, *agents], agents)) and \
-        len(set(chain.from_iterable(items))) == sum(map(len, items))
+        len(set(chain.from_iterable(bundles))) == sum(map(len, bundles))
 
 
 @dataclass(frozen=True)
@@ -500,7 +496,7 @@ def agent_ratio(norm: NormalizedInstance, type_id: int, bundle: Bundle) -> Fract
     share gets ratio 1 by convention, since any bundle meets a zero target."""
     if type_id in norm.zero_mms_types:
         return Fraction(1)
-    return Fraction(norm.scaled.total(type_id, bundle.items), norm.scaled.units[type_id])
+    return Fraction(norm.scaled.total(type_id, bundle), norm.scaled.units[type_id])
 
 
 def finish_run(
@@ -535,7 +531,7 @@ def finish_run(
     known: list[dict[int, Fraction]] = [{} for _ in view.units]
     ratios = []
     for _, type_id, bundle in entries:
-        x = -1 if type_id in zero else sum(map(view.ints[type_id].__getitem__, bundle.items))
+        x = -1 if type_id in zero else sum(map(view.ints[type_id].__getitem__, bundle))
         ratio = known[type_id].get(x)
         if ratio is None:
             ratio = known[type_id][x] = Fraction(1) if x < 0 else Fraction(x, view.units[type_id])

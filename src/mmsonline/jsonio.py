@@ -56,7 +56,7 @@ def instance_to_obj(instance: Instance, norm: NormalizedInstance | None = None) 
         obj["names"] = list(instance.type_names)
     if norm is not None:
         obj["mms"] = [frac_to_str(v) for v in norm.original_mms]
-        obj["witnesses"] = [[list(b.items) for b in part] for part in norm.witness_partitions]
+        obj["witnesses"] = [[list(b) for b in part] for part in norm.witness_partitions]
         if norm.zero_mms_types:
             obj["zeroMmsTypes"] = sorted(norm.zero_mms_types)
     return obj
@@ -117,7 +117,7 @@ def sequence_from_obj(obj: dict) -> list[int]:
 def allocation_to_obj(allocation: Allocation) -> dict:
     return {
         "entries": [
-            {"agent": a, "type": t, "items": list(b.items)} for a, t, b in allocation.entries
+            {"agent": a, "type": t, "items": list(b)} for a, t, b in allocation.entries
         ]
     }
 

@@ -258,9 +258,9 @@ def run_high_c(
 def to_rank_space(norm: NormalizedInstance, dist: TypeDistribution, arrivals: Sequence[int]):
     """The scaled type rows in ``dist.order`` (shared, not copied) and the
     arrivals as ranks in that order."""
-    view = norm.scaled
+    view, rank = norm.scaled, {t: r for r, t in enumerate(dist.order)}  # the inverse of dist.order
     return (ScaledRows(tuple(view.ints[o] for o in dist.order), tuple(view.units[o] for o in dist.order)),
-            [dist.rank_of(t) for t in arrivals])
+            list(map(rank.__getitem__, arrivals)))
 
 
 def known_d_engine(
@@ -291,7 +291,7 @@ def known_d_engine(
         served = set(items)
         kept = [b for b in partition if served.issuperset(b)]
         cut = [g for b in partition if not served.issuperset(b) for g in b if g in served]
-        kept[0] = Bundle(kept[0].items + tuple(cut))
+        kept[0] = Bundle(kept[0] + tuple(cut))
         return run_high_c(kept, n_agents, c_items, arrival_ranks)
 
     served = min(len(c_items), n_agents)

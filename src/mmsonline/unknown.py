@@ -194,7 +194,7 @@ def run_unknown_d(
             flags.append("truncatedWindow")
         # learning stage: reservation allocator on basket 1 at claim level 1/2
         state = TentativeState.create(
-            norm.scaled, basket1.items, learn_count,
+            norm.scaled, basket1, learn_count,
             threshold=Fraction(1, 2), check_types=(), strict=False)
         # basket 1's value to each type, before serving spends any of it
         basket1_values = state.remaining_worth()
@@ -215,7 +215,7 @@ def run_unknown_d(
         if rest_agents > 0:
             values_sorted, ranks = to_rank_space(norm, learned, seq[served_c + learn_count:])
             state2 = preprocess_low_c(
-                values_sorted, basket2.items, rest_agents, learned.probs,
+                values_sorted, basket2, rest_agents, learned.probs,
                 alpha, params.epsilon)
             bundles.extend(run_low_c(state2, ranks))
             details["dispatch"] = {"branch": "lowC", **low_c_info(state2, ranks)}

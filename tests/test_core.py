@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import re
 import types
 from fractions import Fraction as F
@@ -61,7 +62,35 @@ def test_bundle_normalizes_and_validates():
     assert 2 in b and len(b) == 3
     with pytest.raises(InputError):
         Bundle((-1,))
-    assert Bundle.from_sorted([1, 2, 3]) == b and type(Bundle.from_sorted([1]).items) is tuple
+    one = Bundle.from_sorted([1])
+    assert Bundle.from_sorted([1, 2, 3]) == b and type(one) is Bundle and type(one[0]) is int
+
+
+def test_bundle_is_the_tuple_of_its_ids():
+    b = Bundle((5, 0, 3))
+    assert b == (0, 3, 5) and hash(b) == hash((0, 3, 5)) and b.items is b
+    assert {b: 1}[(0, 3, 5)] == 1 and b != [0, 3, 5]
+    assert repr(b) == "Bundle(items=(0, 3, 5))" and repr(Bundle((2,))) == "Bundle(items=(2,))"
+    assert repr(EMPTY_BUNDLE) == "Bundle(items=())" and not EMPTY_BUNDLE and len(EMPTY_BUNDLE) == 0
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(b, proto))
+        assert type(again) is Bundle and again == b
+    for made in (Bundle.from_sorted([1, 4]), Bundle.from_sorted(range(2, 5))):
+        assert type(made) is Bundle and all(type(g) is int for g in made)
+    assert type(b[:2]) is tuple and b[:2] == (0, 3)
+    assert type(b + (7,)) is tuple and b + (7,) == (0, 3, 5, 7)
+    assert not hasattr(b, "__dict__")
+
+
+@pytest.mark.parametrize("items, message", [
+    ((-1, 2), "negative item index"),
+    ((1, 2.5), "item indices must be integers, got (1, 2.5)"),
+    (["3"], "item indices must be integers, got ['3']"),
+])
+def test_bundle_constructor_errors_are_unchanged(items, message):
+    with pytest.raises(InputError) as err:
+        Bundle(items)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("items", [(2.7, 1), ("3", 1), (None,), (F(2), 0)])
@@ -86,9 +115,8 @@ def test_allocators_reject_bad_items(entry, bad):
 
 def _assert_strictly_increasing(bundles, where):
     for b in bundles:
-        items = b.items
-        assert type(items) is tuple and all(type(g) is int for g in items), (where, items)
-        assert all(a < c for a, c in zip(items, items[1:])) and min(items, default=0) >= 0, (where, items)
+        assert type(b) is Bundle and all(type(g) is int for g in b), (where, b)
+        assert all(a < c for a, c in zip(b, b[1:])) and min(b, default=0) >= 0, (where, b)
 
 
 def test_every_bundle_holds_strictly_increasing_items():
