@@ -109,8 +109,9 @@ class TentativeState:
         Scanning types in ascending order and items in ascending order, every
         item worth at least the type's claim threshold becomes a singleton
         reserve of that type (the same singleton may serve several types),
-        until the type holds n of them.  Only the given items are read; each
-        must be an item id of the view.
+        until the type holds n of them; a type whose maximum is below its
+        threshold has none, and its scan is skipped.  Only the given items are
+        read; each must be an item id of the view.
         """
         k = len(view.ints)
         item_list = check_items(items, len(view.ints[0]))
@@ -120,7 +121,7 @@ class TentativeState:
         singletons: dict[int, Bundle] = {}
         reserves: list[deque[Bundle]] = [deque() for _ in range(k)]
         for i, row in enumerate(view.ints):
-            high = (g for g in item_list if row[g] >= claim[i])
+            high = (g for g in item_list if row[g] >= claim[i]) if view.maxima[i] >= claim[i] else ()
             reserves[i].extend(singletons.setdefault(g, Bundle.from_sorted((g,))) for g in islice(high, n))
         refs = Counter(b for dq in reserves for b in dq)
         reserved = {g for b in refs for g in b}
@@ -136,7 +137,7 @@ class TentativeState:
             reserves=reserves,
             remaining_value=[view.total(i, item_list) for i in range(k)],
             strict=strict,
-            pool=[g for g in item_list if g not in reserved],
+            pool=[g for g in item_list if g not in reserved] if reserved else item_list,
             bundle_refs=refs,
             trace=[] if trace else None,
         )
@@ -174,13 +175,16 @@ class TentativeState:
     # -- checks (quantified over the open types among check_types) --------
 
     def _check_pool_purity(self, current_t: int) -> None:
-        # scan only for open types whose mark, the last pool position of an item at
-        # their claim level (kept until the pool is replaced), is not behind the cursor
+        """Raise if an open checked type values an unscanned pool item at its
+        claim.  Only types whose mark, the last pool position of such an item
+        (kept until the pool is replaced), is not behind the cursor scan; a
+        type whose maximum is below its claim is marked -1 with no scan."""
         rows, claim, pool, marks = self.view.ints, self.claim, self.pool, self.marks
         open_types = [j for j in self.open_types(current_t) if j in self.check_types]
         for j in open_types:
             if j not in marks:
-                marks[j] = next((p for p in reversed(range(len(pool))) if rows[j][pool[p]] >= claim[j]), -1)
+                marks[j] = -1 if self.view.maxima[j] < claim[j] else next(
+                    (p for p in reversed(range(len(pool))) if rows[j][pool[p]] >= claim[j]), -1)
         hot = [j for j in open_types if marks[j] >= self.pool_pos]
         for g in pool[self.pool_pos:] if hot else ():
             for j in hot:

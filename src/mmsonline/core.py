@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
@@ -180,10 +180,22 @@ def scale_parts(parts: Iterable[tuple[Sequence[int], Sequence[int]]], m: int) ->
 class ScaledRows:
     """Integer view of k rational rows: type i values item g at
     ``ints[i][g] / units[i]``.  For an integer x, x / L >= t exactly when
-    x >= ceil(t L), and x / L > t exactly when x > floor(t L)."""
+    x >= ceil(t L), and x / L > t exactly when x > floor(t L).  ``maxima[i]``
+    is type i's largest x, computed once per view and kept out of equality and
+    repr; a scan for the items at or above a level skips a type below it."""
 
     ints: tuple[tuple[int, ...], ...]
     units: tuple[int, ...]
+    maxima: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "maxima", tuple(max(row, default=0) for row in self.ints))
+
+    def reordered(self, order: Sequence[int]) -> "ScaledRows":
+        """The view with type ``order[r]`` as type r; the maxima are permuted, not recomputed."""
+        view = object.__new__(ScaledRows)
+        view.__dict__.update((f, tuple(map(getattr(self, f).__getitem__, order))) for f in ("ints", "units", "maxima"))
+        return view
 
     def at_least(self, t: Fraction) -> list[int]:
         """Per type, the least x with x / L_i >= t."""
@@ -264,10 +276,14 @@ def check_arrivals(arrivals: Iterable[int], n: int, k: int) -> list[int]:
 
 
 def check_items(items: Iterable[int], m: int | None = None) -> list[int]:
-    """The distinct item ids, ascending: integers from 0, and below m if given."""
-    ids = _int_ids(items, "item")
-    if any(map(operator.ge, ids, ids[1:])):  # not already strictly ascending
-        ids = sorted(set(ids))
+    """The distinct item ids, ascending: integers from 0, and below m if given.
+    A ``Bundle``'s ids are trusted to be strictly ascending: only their range is checked."""
+    if isinstance(items, Bundle):
+        ids = list(items)
+    else:
+        ids = _int_ids(items, "item")
+        if any(map(operator.ge, ids, ids[1:])):  # not already strictly ascending
+            ids = sorted(set(ids))
     if ids and (ids[0] < 0 or m is not None and ids[-1] >= m):
         raise InputError(f"item id {ids[0] if ids[0] < 0 else ids[-1]} out of range")
     return ids
@@ -436,9 +452,6 @@ class TypeDistribution:
     @property
     def k(self) -> int:
         return len(self.probs)
-
-    def rank_of(self, original_type: int) -> int:
-        return self.order.index(original_type)
 
     def original_probs(self) -> tuple[Fraction, ...]:
         out = [Fraction(0)] * self.k

@@ -101,14 +101,6 @@ def gen_adv_counterexample(n: int, epsilon: Fraction | None = None) -> Normalize
     return NormalizedInstance(inst, (Fraction(1), Fraction(1)), (wit1, wit2))
 
 
-def presaturation_bundles(n: int) -> list[Bundle]:
-    """The bundling that defeats up-front saturation on the counterexample:
-    all n tiny items in one bag, then n - 1 single half-valued items."""
-    bags = [Bundle(tuple(range(2 * n, 3 * n)))]
-    bags.extend(Bundle((g,)) for g in range(n - 1))
-    return bags
-
-
 # -- binary lower-bound construction ------------------------------------------
 
 

@@ -17,8 +17,9 @@ the public runner translates from and back to original type ids.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Sequence
@@ -27,6 +28,7 @@ from .core import (
     Allocation,
     Bundle,
     InputError,
+    InvariantViolation,
     NormalizedInstance,
     ScaledRows,
     TrialReport,
@@ -59,9 +61,13 @@ def reservation_cap(nprime: int, p: Fraction, epsilon: Fraction) -> int:
 
 
 def universal_items(view: ScaledRows, items: Iterable[int], alpha: Fraction) -> list[int]:
-    """The items worth at least alpha to every type of ``view``, ascending."""
+    """The items worth at least alpha to every type of ``view``, ascending;
+    none, with no item read, when some type's maximum is below alpha."""
+    levels = view.at_least(as_fraction(alpha))
+    if any(map(operator.lt, view.maxima, levels)):
+        return []
     out = sorted(items)
-    for row, level in zip(view.ints, view.at_least(as_fraction(alpha))):
+    for row, level in zip(view.ints, levels):
         out = [g for g in out if row[g] >= level]
     return out
 
@@ -77,8 +83,8 @@ def high_c_condition(c_size: int, n: int, k: int, p1: Fraction, epsilon: Fractio
 
 @dataclass
 class LowCState:
-    """Preprocessing output: exclusive per-type reserve queues, the reached
-    saturation status, and audit data."""
+    """Preprocessing output: exclusive per-type reserve queues and the reached
+    saturation status."""
 
     high_sets: list[list[int]]          # T_i, ascending item ids
     reserves: list[deque[Bundle]]       # G_i, disjoint across types
@@ -87,7 +93,6 @@ class LowCState:
     order: list[int]                    # the turn ordering L
     unsaturated: set[int]
     bag_count: int = 0
-    violations: list[str] = field(default_factory=list)
 
     @property
     def all_saturated(self) -> bool:
@@ -113,8 +118,8 @@ def preprocess_low_c(
     ascending item order until some unsaturated type claims (>= alpha),
     giving each bag to the lowest-ranked unsaturated claimant.
 
-    An unsaturated outcome is a legal, reported state, not an error; so
-    is a failed check, which lands in ``violations``.
+    An unsaturated outcome is a legal, reported state, not an error; a
+    failed audit of the open types raises ``InvariantViolation``.
     """
     alpha = as_fraction(alpha)
     epsilon = as_fraction(epsilon)
@@ -125,7 +130,8 @@ def preprocess_low_c(
     item_list = check_items(items, len(view.ints[0]))
 
     rows, claim = view.ints, view.at_least(alpha)
-    high_sets = [[g for g in item_list if row[g] >= level] for row, level in zip(rows, claim)]
+    high_sets = [[g for g in item_list if row[g] >= level] if top >= level else []
+                 for row, level, top in zip(rows, claim, view.maxima)]
     high_lookup = [set(t) for t in high_sets]
     caps = [reservation_cap(nprime, p, epsilon) for p in probs]
 
@@ -137,34 +143,33 @@ def preprocess_low_c(
     reserves: list[deque[Bundle]] = [deque() for _ in range(k)]
     singleton_counts = [0] * k
     unsaturated = set(range(k))
-    remaining = set(item_list)
+    taken: set[int] = set()
     for i in order:
         # one walk: items the last type does not value highly first, each
         # group ascending (a stable sort on a boolean key)
         ranked = sorted(high_sets[i], key=high_lookup[order[-1]].__contains__)
-        picks = list(islice((g for g in ranked if g in remaining), caps[i]))
+        picks = list(islice((g for g in ranked if g not in taken), caps[i]))
         reserves[i].extend(Bundle.from_sorted((g,)) for g in picks)
         singleton_counts[i] = len(picks)
-        remaining.difference_update(picks)
+        taken.update(picks)
         if len(picks) == caps[i]:
             unsaturated.discard(i)
 
     # whoever is still open cannot hold too many high-valued items overall
-    violations: list[str] = []
+    opened = sorted(unsaturated)  # ascending; changes only when a type saturates
     pk = probs[-1]
     mus = [nprime * p for p in probs]
-    for i in unsaturated:
+    for i in opened:
         slack = Fraction(len(high_sets[i])) - nprime * (1 - pk / 2)
         if not pow_sqrt_sum_ge(nprime, epsilon, mus, slack):
-            violations.append(f"open type {i} holds {len(high_sets[i])} high-valued items")
+            raise InvariantViolation(f"open type {i} holds {len(high_sets[i])} high-valued items")
 
     # bag filling, in units of each type's L_i.  An open type took every high
     # item left in its turn, so each scanned item is worth under its claim
     # c = ceil(alpha L) to it, and a bag stops once some open type reaches its
     # claim: no open type's bag is worth over 2c - 2 <= floor(2 alpha L)
-    scan = sorted(remaining)
+    scan = [g for g in item_list if g not in taken] if taken else item_list
     pos = bag_count = 0
-    opened = sorted(unsaturated)  # ascending; changes only when a type saturates
     while opened:
         filled = fill_bag(rows, claim, scan, pos, opened)
         if filled is None:
@@ -177,7 +182,7 @@ def preprocess_low_c(
             opened.remove(claimant)
 
     return LowCState(high_sets=high_sets, reserves=reserves, caps=caps, singleton_counts=singleton_counts,
-                     order=order, unsaturated=set(opened), bag_count=bag_count, violations=violations)
+                     order=order, unsaturated=set(opened), bag_count=bag_count)
 
 
 def run_low_c(state: LowCState, arrival_ranks: Sequence[int]) -> list[Bundle | None]:
@@ -193,7 +198,8 @@ def run_low_c(state: LowCState, arrival_ranks: Sequence[int]) -> list[Bundle | N
 
 def low_c_info(state: LowCState, arrival_ranks: Sequence[int]) -> dict:
     """Report view of a saturation run: the reserve caps against the arrival
-    counts per rank, the saturation outcome and any violations."""
+    counts per rank and the saturation outcome; ``violations`` stays empty,
+    since a failed audit raises."""
     counts = [0] * len(state.caps)
     for rank in arrival_ranks:
         counts[rank] += 1
@@ -203,7 +209,7 @@ def low_c_info(state: LowCState, arrival_ranks: Sequence[int]) -> dict:
         "countsWithinCaps": all(c <= cap for c, cap in zip(counts, state.caps)),
         "allSaturated": state.all_saturated,
         "unsaturated": sorted(state.unsaturated),
-        "violations": list(state.violations),
+        "violations": [],
     }
 
 
@@ -258,9 +264,8 @@ def run_high_c(
 def to_rank_space(norm: NormalizedInstance, dist: TypeDistribution, arrivals: Sequence[int]):
     """The scaled type rows in ``dist.order`` (shared, not copied) and the
     arrivals as ranks in that order."""
-    view, rank = norm.scaled, {t: r for r, t in enumerate(dist.order)}  # the inverse of dist.order
-    return (ScaledRows(tuple(view.ints[o] for o in dist.order), tuple(view.units[o] for o in dist.order)),
-            list(map(rank.__getitem__, arrivals)))
+    rank = {t: r for r, t in enumerate(dist.order)}  # the inverse of dist.order
+    return norm.scaled.reordered(dist.order), list(map(rank.__getitem__, arrivals))
 
 
 def known_d_engine(

@@ -184,7 +184,7 @@ def run_unknown_d(
             flags.append("outOfRegime")
         details["splitProb"] = str(p)
         c_set = set(c_items)
-        rest = [g for g in range(m) if g not in c_set]
+        rest = Bundle.from_sorted([g for g in range(m) if g not in c_set] if c_set else range(m))
         basket1, basket2 = random_split(rest, p, substream(seed, "split"))
         details["basket1"] = len(basket1)
         details["basket2"] = len(basket2)

@@ -30,7 +30,6 @@ from mmsonline.generators import (
     gen_adv_counterexample,
     gen_lower_bound,
     gen_normalized_random,
-    presaturation_bundles,
 )
 from mmsonline.rng import substream
 
@@ -181,6 +180,14 @@ def test_last_agent_reserves_nothing():
     _, rep = run_adversarial(norm, [0, 0, 0, 0, 1], trace=True)
     assert not [e for e in rep.step_trace if e["event"] == "reserve" and e["agent"] == 5]
     assert rep.min_ratio == F(11, 20)
+
+
+def presaturation_bundles(n: int) -> list[Bundle]:
+    """The bundling that defeats up-front saturation on the counterexample:
+    all n tiny items in one bag, then n - 1 single half-valued items."""
+    bags = [Bundle(tuple(range(2 * n, 3 * n)))]
+    bags.extend(Bundle((g,)) for g in range(n - 1))
+    return bags
 
 
 def test_presaturation_bundling_breaks_naive_reserving():

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,25 @@ def test_run_known_and_unknown(tmp_path):
                     "--eta", "1/2", "--c", "1/20", "--seed", "4",
                     "--out", str(rep2)]) == 0
     assert "details" in json.loads(rep2.read_text())
+
+
+def test_failed_low_c_audit_exits_2_in_run_and_mc(tmp_path, capsys, monkeypatch):
+    # an audit that always fails: the first open type's message, and exit code 2
+    from mmsonline import stochastic
+    monkeypatch.setattr(stochastic, "pow_sqrt_sum_ge", lambda *args: False)
+    inst, dist = str(tmp_path / "inst.json"), str(tmp_path / "dist.json")
+    # eight items per share bundle, so some type stays open after its turn
+    run_cli(["gen", "normalized-random", "--n", "12", "--m", "96", "--k", "3", "--seed", "2", "--out", inst])
+    Path(dist).write_text(json.dumps({"probs": ["1/3", "1/3", "1/3"]}))
+    assert run_cli(["run", "known-d", "--instance", inst, "--dist", dist,
+                    "--eta", "1/2", "--epsilon", "1/10", "--seed", "4"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.fullmatch(r"invariant violation: open type \d holds \d+ high-valued items\n", out.err)
+    assert run_cli(["mc", "--algorithm", "known-d", "--eta", "1/2", "--epsilon", "1/10",
+                    "--dist", '["1/3", "1/3", "1/3"]', "--trials", "2", "--instance", inst]) == 2
+    assert re.fullmatch(r"invariant violation: open type \d holds \d+ high-valued items; "
+                        r"reproduce with master_seed=0, trial=0\n", capsys.readouterr().err)
 
 
 def test_mc_and_report_roundtrip(tmp_path):

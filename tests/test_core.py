@@ -450,7 +450,7 @@ def test_type_distribution_sorting_and_permutation():
     d = TypeDistribution.from_probs([F(1, 5), F(1, 2), F(3, 10)])
     assert d.probs == (F(1, 2), F(3, 10), F(1, 5))
     assert d.order == (1, 2, 0)
-    assert d.rank_of(1) == 0 and d.rank_of(0) == 2
+    assert d.order.index(1) == 0 and d.order.index(0) == 2
     assert d.original_probs() == (F(1, 5), F(1, 2), F(3, 10))
     with pytest.raises(InputError):
         TypeDistribution.from_probs([F(1, 2), F(1, 3)])  # does not sum to 1

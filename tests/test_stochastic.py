@@ -16,6 +16,7 @@ from mmsonline.core import (
     Bundle,
     FailureReason,
     Instance,
+    InvariantViolation,
     NormalizedInstance,
     as_scaled,
     value,
@@ -117,7 +118,8 @@ def test_turn_loop_prefers_items_outside_last_types_set():
 def _rescanning_preprocess_low_c(values, items, nprime, probs, alpha, epsilon):
     """Reference: ``preprocess_low_c`` with its earlier turn phase, which
     tracks the items each type has seen consumed and rescans the high set
-    for every pick, and a full scan for the items an open type left."""
+    for every pick, and a full scan for the items an open type left.  It
+    raises the first failed check as ``InvariantViolation``."""
     k = len(values)
     item_list = sorted(set(items))
     high_sets = [[g for g in item_list if values[i][g] >= alpha] for i in range(k)]
@@ -156,7 +158,8 @@ def _rescanning_preprocess_low_c(values, items, nprime, probs, alpha, epsilon):
     state = LowCState(high_sets=high_sets, reserves=reserves, caps=caps,
                       singleton_counts=singleton_counts, order=order,
                       unsaturated=set(unsaturated))
-    violate = state.violations.append
+    violations = []
+    violate = violations.append
     for i in unsaturated:
         for g in sorted(remaining):
             if values[i][g] >= alpha:
@@ -194,6 +197,8 @@ def _rescanning_preprocess_low_c(values, items, nprime, probs, alpha, epsilon):
     for i in range(k):
         if len(reserves[i]) > caps[i]:
             violate(f"type {i} holds {len(reserves[i])} > cap {caps[i]}")
+    if violations:
+        raise InvariantViolation(violations[0])
     return state
 
 
@@ -216,20 +221,34 @@ def _low_c_cases():
         yield rows, range(norm.m_items), n, dist.probs, F(1, 3), F(1, 10)
 
 
+def _low_c_outcome(preprocess, *args):
+    """The state a low-C preprocessing returns, or the message of the
+    ``InvariantViolation`` it raises."""
+    try:
+        return preprocess(*args)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
 def test_turn_phase_matches_rescanning_reference():
     for case in _low_c_cases():
         values, *rest = case
-        got, want = preprocess_low_c(as_scaled(values), *rest), _rescanning_preprocess_low_c(*case)
+        got = _low_c_outcome(preprocess_low_c, as_scaled(values), *rest)
+        want = _low_c_outcome(_rescanning_preprocess_low_c, *case)
+        if isinstance(want, str):
+            assert got == want
+            continue
         assert [list(dq) for dq in got.reserves] == [list(dq) for dq in want.reserves]
         assert got.singleton_counts == want.singleton_counts
         assert got.unsaturated == want.unsaturated
-        assert got.violations == want.violations
         assert (got.order, got.bag_count) == (want.order, want.bag_count)
 
 
 def test_open_types_leave_no_high_item_and_reserves_stay_within_caps():
     for values, items, nprime, probs, alpha, epsilon in _low_c_cases():
-        state = preprocess_low_c(as_scaled(values), items, nprime, probs, alpha, epsilon)
+        state = _low_c_outcome(preprocess_low_c, as_scaled(values), items, nprime, probs, alpha, epsilon)
+        if isinstance(state, str):
+            continue  # a failed audit, which the reference test above checks
         # a type still open after its turn took every high-valued item left to it,
         # so each of its high items is some type's turn-phase singleton
         singles = {g for dq, count in zip(state.reserves, state.singleton_counts)
@@ -250,7 +269,8 @@ def _fraction_universal_items(values, items, alpha):
 
 def _fraction_preprocess_low_c(values, items, nprime, probs, alpha, epsilon):
     """Reference: ``preprocess_low_c`` as it was with Fraction values, before
-    the integer view: high sets, bag sums and the 2*alpha check in Fractions."""
+    the integer view: high sets, bag sums and the 2*alpha check in Fractions.
+    It raises the first failed check as ``InvariantViolation``."""
     k = len(values)
     item_list = sorted(set(int(g) for g in items))
     high_sets = [[g for g in item_list if values[i][g] >= alpha] for i in range(k)]
@@ -281,7 +301,8 @@ def _fraction_preprocess_low_c(values, items, nprime, probs, alpha, epsilon):
     state = LowCState(high_sets=high_sets, reserves=reserves, caps=caps,
                       singleton_counts=singleton_counts, order=order,
                       unsaturated=set(unsaturated))
-    violate = state.violations.append
+    violations = []
+    violate = violations.append
     for i in unsaturated:
         left = next((g for g in high_sets[i] if g in remaining), None)
         if left is not None:
@@ -319,6 +340,8 @@ def _fraction_preprocess_low_c(values, items, nprime, probs, alpha, epsilon):
     for i in range(k):
         if len(reserves[i]) > caps[i]:
             violate(f"type {i} holds {len(reserves[i])} > cap {caps[i]}")
+    if violations:
+        raise InvariantViolation(violations[0])
     return state
 
 
@@ -348,27 +371,30 @@ def test_universal_items_matches_fraction_reference(case):
 
 
 def _assert_same_low_c(got, want):
+    if isinstance(want, str):  # the reference's failed check: the kernel raises it too
+        assert got == want
+        return
     assert [list(dq) for dq in got.reserves] == [list(dq) for dq in want.reserves]
     assert got.singleton_counts == want.singleton_counts
     assert (got.order, got.caps, got.bag_count) == (want.order, want.caps, want.bag_count)
     assert got.unsaturated == want.unsaturated
-    assert got.violations == want.violations
 
 
 @settings(max_examples=150, deadline=None)
 @given(_kernel_cases())
 def test_preprocess_low_c_matches_fraction_reference(case):
     norm, items, nprime, probs, alpha, epsilon = case
-    want = _fraction_preprocess_low_c(norm.base.type_values, items, nprime, probs, alpha, epsilon)
-    _assert_same_low_c(preprocess_low_c(norm.scaled, items, nprime, probs, alpha, epsilon), want)
+    want = _low_c_outcome(_fraction_preprocess_low_c, norm.base.type_values, items, nprime, probs, alpha, epsilon)
+    _assert_same_low_c(_low_c_outcome(preprocess_low_c, norm.scaled, items, nprime, probs, alpha, epsilon), want)
 
 
 def test_preprocess_low_c_matches_fraction_reference_on_violations():
     # identical high sets: type 1 is left open while holding every item
     case = (((F(1, 2),) * 100,) * 2, range(100), 100, [F(1, 2)] * 2, F(1, 2), F(1, 10))
-    want = _fraction_preprocess_low_c(*case)
-    assert want.violations
-    _assert_same_low_c(preprocess_low_c(as_scaled(case[0]), *case[1:]), want)
+    want = _low_c_outcome(_fraction_preprocess_low_c, *case)
+    assert want == "open type 1 holds 100 high-valued items"
+    with pytest.raises(InvariantViolation, match=f"^{want}$"):
+        preprocess_low_c(as_scaled(case[0]), *case[1:])
 
 
 def test_empty_high_sets_pure_bag_filling():
@@ -392,7 +418,6 @@ def test_caps_respected_and_saturation_flags():
         assert len(state.reserves[rank]) <= state.caps[rank]
         if rank not in state.unsaturated:
             assert len(state.reserves[rank]) == state.caps[rank]
-    assert not state.violations
     # reserves (singletons and bags alike) never share items across types
     seen = set()
     for dq in state.reserves:
@@ -539,7 +564,7 @@ def test_tight_pk_dispatch_reduces_by_universal_prefix():
     norm, dist = gen_tightness_pk(4, 20)
     rows = norm.base.type_values
     values_sorted = as_scaled(rows[orig] for orig in dist.order)
-    ranks = [dist.rank_of(t) for t in sample_arrivals(dist, 20, 5)]
+    ranks = [dist.order.index(t) for t in sample_arrivals(dist, 20, 5)]
     out, info = known_d_engine(values_sorted, list(range(norm.m_items)), 20,
                                dist.probs, F(1, 3), F(1, 10), ranks,
                                norm.witness_partitions[dist.order[0]])
