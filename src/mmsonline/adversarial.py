@@ -9,16 +9,18 @@ reserves than agents still to come), with unclaimed-by-the-agent bags
 reserved for the claimants.  After every arrival each type's reserve list is
 trimmed to the number of agents still to come.
 
+A zero-share type sits out: it reserves nothing, never claims, is never
+checked, and each of its agents gets the empty bundle at once.
+
 All "arbitrary" choices of the procedure are pinned: FIFO reserve pick,
 ascending-index bag filling, LIFO trimming, ascending type order when a bag
 is reserved for several claimants.
-``step_adversarial`` is the one per-arrival unit.  Every failed check of
-the reservation state (pool purity, the reserved-bundle bound, the
-remaining-value invariant) raises ``InvariantViolation``; none is recorded.
-If bag filling runs dry before any claim, a strict state raises
-``PoolExhausted``; a non-strict one counts the agent as arrived and returns
-``None``, which ``core.finish_run`` turns into the empty bundle (the
-unknown-d stages).
+``step_adversarial`` is the one per-arrival unit.  In a checked state a
+failed check (pool purity, the reserved-bundle bound, the remaining-value
+invariant) raises ``InvariantViolation``, and so does a dry pool, which the
+invariant rules out (``PoolExhausted``).  An unchecked state (unknown-d's
+learning stage) runs no checks, and on a dry pool gives ``None``, which
+``core.finish_run`` turns into the empty bundle.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .core import (
     Allocation,
     Bundle,
-    FailureReason,
+    EMPTY_BUNDLE,
     InputError,
     InvariantViolation,
     NormalizedInstance,
@@ -65,12 +67,11 @@ class TentativeState:
     replaced and its purity ``marks`` are reset.
 
     Every type claims at the ``threshold`` given to ``create``, and ``scale =
-    k * threshold`` is the share unit of the checks, which cover
-    ``check_types`` only; on a normalized instance these are 1/k and 1.
-    ``claim``, ``bound`` and ``remaining_value`` are the threshold, the scale
-    and the unspent value in units of each L_i.  A failed check raises
-    ``InvariantViolation``; ``strict`` only chooses what a dry pool does
-    (``step_adversarial``).
+    k * threshold`` is the share unit of the checks; on a normalized instance
+    these are 1/k and 1.  ``claim``, ``bound`` and ``remaining_value`` are the
+    threshold, the scale and the unspent value in units of each L_i.  The
+    ``zero_types`` sit out: no reserve, never open, never checked.  A
+    ``checked`` state checks every other type (``step_adversarial``).
     """
 
     view: ScaledRows
@@ -79,11 +80,11 @@ class TentativeState:
     scale: Fraction
     claim: list[int]
     bound: list[int]
-    check_types: tuple[int, ...]
     reserves: list[deque[Bundle]]
     remaining_value: list[int]
+    zero_types: frozenset[int] = frozenset()
+    checked: bool = True
     arrived: int = 0
-    strict: bool = True
     pool: list[int] = field(default_factory=list)
     pool_pos: int = 0
     marks: dict[int, int] = field(default_factory=dict)
@@ -100,8 +101,8 @@ class TentativeState:
         n: int,
         *,
         threshold: Fraction | None = None,
-        check_types: Sequence[int] | None = None,
-        strict: bool = True,
+        zero_types: frozenset[int] = frozenset(),
+        checked: bool = True,
         trace: bool = False,
     ) -> "TentativeState":
         """Preprocessing: reserve up to n high-valued singletons per type.
@@ -110,8 +111,9 @@ class TentativeState:
         item worth at least the type's claim threshold becomes a singleton
         reserve of that type (the same singleton may serve several types),
         until the type holds n of them; a type whose maximum is below its
-        threshold has none, and its scan is skipped.  Only the given items are
-        read; each must be an item id of the view.
+        threshold, or one of the ``zero_types``, has none, and its scan is
+        skipped.  Only the given items are read; each must be an item id of
+        the view.
         """
         k = len(view.ints)
         item_list = check_items(items, len(view.ints[0]))
@@ -121,7 +123,8 @@ class TentativeState:
         singletons: dict[int, Bundle] = {}
         reserves: list[deque[Bundle]] = [deque() for _ in range(k)]
         for i, row in enumerate(view.ints):
-            high = (g for g in item_list if row[g] >= claim[i]) if view.maxima[i] >= claim[i] else ()
+            scan = view.maxima[i] >= claim[i] and i not in zero_types
+            high = (g for g in item_list if row[g] >= claim[i]) if scan else ()
             reserves[i].extend(singletons.setdefault(g, Bundle.from_sorted((g,))) for g in islice(high, n))
         refs = Counter(b for dq in reserves for b in dq)
         reserved = {g for b in refs for g in b}
@@ -133,10 +136,10 @@ class TentativeState:
             scale=k * threshold,
             claim=claim,
             bound=view.at_most(k * threshold),
-            check_types=tuple(range(k) if check_types is None else check_types),
             reserves=reserves,
             remaining_value=[view.total(i, item_list) for i in range(k)],
-            strict=strict,
+            zero_types=zero_types,
+            checked=checked,
             pool=[g for g in item_list if g not in reserved] if reserved else item_list,
             bundle_refs=refs,
             trace=[] if trace else None,
@@ -147,7 +150,8 @@ class TentativeState:
                 "reserveSizes": [len(dq) for dq in reserves],
                 "unsaturated": state.open_types(0),
             })
-        state._check_pool_purity(current_t=0)
+        if checked:
+            state._check_pool_purity(current_t=0)
         return state
 
     # -- bookkeeping helpers ----------------------------------------------
@@ -159,8 +163,9 @@ class TentativeState:
     def open_types(self, current_t: int, arriving: int | None = None) -> list[int]:
         """Ascending, the types that may claim a bag while agent ``current_t``
         is served: those with fewer reserves than the ``n - current_t`` agents
-        still to come, and ``arriving``."""
-        return [j for j, dq in enumerate(self.reserves) if len(dq) < self.n - current_t or j == arriving]
+        still to come, and ``arriving``, but never a zero-share type."""
+        left, zero = self.n - current_t, self.zero_types
+        return [j for j, dq in enumerate(self.reserves) if (len(dq) < left or j == arriving) and j not in zero]
 
     def _merge_into_pool(self, released: list[int]) -> None:
         # a new pool list: each purity mark, a position in the old one, is redone
@@ -172,15 +177,15 @@ class TentativeState:
         for j in range(self.k):
             self.remaining_value[j] -= self.view.total(j, bundle)
 
-    # -- checks (quantified over the open types among check_types) --------
+    # -- checks (run by a checked state on the types that do not sit out) ---
 
     def _check_pool_purity(self, current_t: int) -> None:
-        """Raise if an open checked type values an unscanned pool item at its
+        """Raise if an open type values an unscanned pool item at its
         claim.  Only types whose mark, the last pool position of such an item
         (kept until the pool is replaced), is not behind the cursor scan; a
         type whose maximum is below its claim is marked -1 with no scan."""
         rows, claim, pool, marks = self.view.ints, self.claim, self.pool, self.marks
-        open_types = [j for j in self.open_types(current_t) if j in self.check_types]
+        open_types = self.open_types(current_t)
         for j in open_types:
             if j not in marks:
                 marks[j] = -1 if self.view.maxima[j] < claim[j] else next(
@@ -194,16 +199,16 @@ class TentativeState:
 
     def _check_reserved_bound(self, bagvals: list[int], current_t: int) -> None:
         for j in self.open_types(current_t):
-            if j in self.check_types and bagvals[j] > self.bound[j]:
+            if bagvals[j] > self.bound[j]:
                 raise InvariantViolation(f"reserved bundle worth {Fraction(bagvals[j], self.view.units[j])} "
                                          f"> {self.scale} to open type {j}")
 
     def _check_invariant(self) -> None:
         left = self.n - self.arrived
         a, b = self.scale.numerator, self.scale.denominator
-        for j in self.check_types:
-            # a type short of reserves still holds left * scale of value
-            if len(self.reserves[j]) != left and self.remaining_value[j] * b < left * a * self.view.units[j]:
+        for j in self.open_types(self.arrived):
+            # an open type, short of reserves after the trim, still holds left * scale of value
+            if self.remaining_value[j] * b < left * a * self.view.units[j]:
                 raise InvariantViolation(
                     f"invariant: type {j} has {len(self.reserves[j])} reserves and remaining "
                     f"value {Fraction(self.remaining_value[j], self.view.units[j])} with {left} agents left")
@@ -213,33 +218,22 @@ class TentativeState:
                                "remainingValue": [str(v) for v in self.remaining_worth()]})
 
 
-def preprocess(
-    norm: NormalizedInstance,
-    *,
-    strict: bool = True,
-    trace: bool = False,
-) -> TentativeState:
+def preprocess(norm: NormalizedInstance, *, trace: bool = False) -> TentativeState:
     """High-valued-item preprocessing on a normalized instance, at claim
-    level 1/k."""
-    return TentativeState.create(
-        norm.scaled,
-        range(norm.m_items),
-        norm.n_agents,
-        check_types=tuple(i for i in range(norm.k_types) if i not in norm.zero_mms_types),
-        strict=strict,
-        trace=trace,
-    )
+    level 1/k, with its zero-share types sitting out; the state is checked."""
+    return TentativeState.create(norm.scaled, range(norm.m_items), norm.n_agents,
+                                 zero_types=norm.zero_mms_types, trace=trace)
 
 
 def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
     """Serve one arriving agent of the given type; returns her bundle.
 
-    A failed check of the state raises :class:`InvariantViolation`, strict
-    or not.  Bag filling may run dry before any open type
-    (``TentativeState.open_types``) claims a bag, which the maintained
-    invariant rules out on conforming inputs.  Then a strict state raises
-    :class:`PoolExhausted`; a non-strict one counts the agent as arrived and
-    returns ``None`` at once, with no trimming and no checks.
+    An agent of a zero-share type gets the empty bundle at once, without
+    filling.  A checked state raises :class:`InvariantViolation` on a failed
+    check, and :class:`PoolExhausted` if bag filling runs dry before any open
+    type (``TentativeState.open_types``) claims a bag, which its invariant
+    rules out.  An unchecked one then counts the agent as arrived and
+    returns ``None`` at once, with no trimming.
     """
     if state.arrived >= state.n:
         raise InputError("all agents already arrived")
@@ -252,7 +246,9 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
     t = state.arrived + 1
     allocated: Bundle
 
-    if state.reserves[i]:
+    if i in state.zero_types:
+        event, allocated = "serveZeroShare", EMPTY_BUNDLE
+    elif state.reserves[i]:
         event, allocated = "serveReserve", state.reserves[i][0]
         for j in range(state.k):
             state.reserves[j] = deque(b for b in state.reserves[j] if b != allocated)
@@ -263,7 +259,7 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
             filled = fill_bag(state.view.ints, state.claim, state.pool, state.pool_pos,
                               state.open_types(t, i))
             if filled is None:
-                if state.strict:
+                if state.checked:
                     raise PoolExhausted(
                         f"agent {t} of type {i}: pool exhausted before any claim")
                 state.arrived = t
@@ -281,8 +277,9 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
                                     "items": list(bundle),
                                     "reserveSizes": [len(dq) for dq in state.reserves],
                                     "unsaturated": state.open_types(t, i)})
-            state._check_pool_purity(current_t=t)
-            state._check_reserved_bound(bagvals, current_t=t)
+            if state.checked:
+                state._check_pool_purity(current_t=t)
+                state._check_reserved_bound(bagvals, current_t=t)
     state._allocate(allocated)
     if state.trace is not None:
         state.trace.append({"event": event, "agent": t, "type": i, "items": list(allocated),
@@ -302,7 +299,8 @@ def step_adversarial(state: TentativeState, arrived_type: int) -> Bundle | None:
                 state.trace.append({"event": "release", "type": j, "items": list(dropped)})
     if released:
         state._merge_into_pool(released)
-    state._check_invariant()
+    if state.checked:
+        state._check_invariant()
     return allocated
 
 
@@ -311,17 +309,16 @@ def run_adversarial(
     arrivals: Iterable[int],
     *,
     alpha: Fraction | None = None,
-    strict: bool = True,
     trace: bool = False,
 ) -> tuple[Allocation, TrialReport]:
     """Run the full online allocation for one arrival sequence.
 
     Every agent of a positive-share type is guaranteed a bundle worth at
-    least 1/k of her (normalized) share; the report's success verdict is
-    taken at ``alpha`` in (0, 1] (default 1/k).  A non-strict run reports a
-    dry pool as ``poolExhausted`` instead of raising; a failed check raises
-    either way.  At k = 1 agent t gets the share partition's bundle t, worth
-    one share, and traces no step.
+    least 1/k of her (normalized) share, and every agent of a zero-share
+    type gets the empty bundle; the report's success verdict is taken at
+    ``alpha`` in (0, 1] (default 1/k).  A failed check raises.  At k = 1
+    agent t gets the share partition's bundle t, worth one share, and traces
+    no step.
     """
     k = norm.k_types
     seq = check_arrivals(arrivals, norm.n_agents, k)
@@ -331,10 +328,9 @@ def run_adversarial(
     if k == 1:  # the one type's share partition is an exact 1-MMS allocation
         return finish_run(norm, seq, norm.witness_partitions[0], alpha, flags=["k1Degenerate"],
                           trace=[] if trace else None)
-    state = preprocess(norm, strict=strict, trace=trace)
+    state = preprocess(norm, trace=trace)
     bundles = [step_adversarial(state, t) for t in seq]
-    reason = FailureReason.POOL_EXHAUSTED if None in bundles else FailureReason.NONE
-    return finish_run(norm, seq, bundles, alpha, reason, trace=state.trace)
+    return finish_run(norm, seq, bundles, alpha, trace=state.trace)
 
 
 # -- the adaptive lower-bound adversary ------------------------------------

@@ -100,6 +100,9 @@ def _cmd_run(args) -> int:
     if args.algorithm != "adversarial" and (args.arrivals or args.enumerate):
         raise InputError(f"run {args.algorithm} draws its arrivals from --dist; "
                          "--arrivals and --enumerate are for run adversarial")
+    if args.trace and (args.algorithm != "adversarial" or args.enumerate):
+        raise InputError("--trace is for run adversarial --arrivals; "
+                         "known-d, unknown-d and --enumerate have no step trace")
     instance_obj = jsonio.load(args.instance)
     if args.trials > 1:
         # seeded repetition: route through the experiment runner

@@ -83,11 +83,6 @@ class Bundle(tuple):
         strictly increasing non-negative int items."""
         return tuple.__new__(cls, items)
 
-    @property
-    def items(self) -> "Bundle":
-        """The ascending item ids: the bundle itself."""
-        return self
-
     def __repr__(self) -> str:
         return f"Bundle(items={tuple(self)!r})"
 
@@ -463,7 +458,6 @@ class TypeDistribution:
 class FailureReason(str, Enum):
     NONE = "none"
     EMPTY_RESERVE = "emptyReserve"
-    POOL_EXHAUSTED = "poolExhausted"
     VALUE_BELOW_ALPHA = "valueBelowAlpha"
 
 

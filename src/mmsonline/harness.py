@@ -56,10 +56,10 @@ def run_algorithm(
 
     Rationals may be Fractions, ints or "num/den" strings.  Every run checks
     its invariants, and a failed check of the reservation state or of the
-    low-C audit raises ``InvariantViolation``.  Adversarial runs strict (a
-    dry pool raises) and honours ``trace``; known-d and unknown-d report an
-    empty reserve as data.  ``dist`` is the known-d
-    distribution; ``seed`` drives the unknown-d random split.
+    low-C audit raises ``InvariantViolation``.  Adversarial honours
+    ``trace``; known-d and unknown-d report an empty reserve as data.
+    ``dist`` is the known-d distribution; ``seed`` drives the unknown-d
+    random split.
     """
     if algorithm == "adversarial":
         return run_adversarial(norm, arrivals, alpha=alpha, trace=trace)

@@ -151,7 +151,7 @@ def run_unknown_d(
 
     if window >= n:
         # too few agents to learn anything; fall back to the 1/k guarantee
-        allocation, rep = run_adversarial(norm, seq, alpha=alpha, strict=False)
+        allocation, rep = run_adversarial(norm, seq, alpha=alpha)
         details["branch"] = "degenerate"
         return allocation, replace(rep, flags=("degenerateScale",), details=details)
 
@@ -163,11 +163,10 @@ def run_unknown_d(
     if len(c_items) >= window:
         details["branch"] = "learnFromUniversal"
         bundles.extend(Bundle.from_sorted((c_items[t],)) for t in range(window))
-        leftover_c = c_items[window:]
         learned = learn_distribution(seq[:window], k)
         details["learned"] = [str(p) for p in learned.original_probs()]
-        taken = set(c_items)
-        rest_items = sorted([g for g in range(m) if g not in taken] + leftover_c)
+        served = set(c_items[:window])
+        rest_items = [g for g in range(m) if g not in served]
         values_sorted, ranks = to_rank_space(norm, learned, seq[window:])
         sub, info = known_d_engine(
             values_sorted, rest_items, n - window, learned.probs,
@@ -195,7 +194,7 @@ def run_unknown_d(
         # learning stage: reservation allocator on basket 1 at claim level 1/2
         state = TentativeState.create(
             norm.scaled, basket1, learn_count,
-            threshold=Fraction(1, 2), check_types=(), strict=False)
+            threshold=Fraction(1, 2), zero_types=zero, checked=False)
         # basket 1's value to each type, before serving spends any of it
         basket1_values = state.remaining_worth()
         details["basket1Values"] = [str(v) for v in basket1_values]

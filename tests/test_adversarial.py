@@ -54,8 +54,7 @@ def test_preprocess_reserves_high_singletons():
          (Bundle((0, 1, 2)), Bundle((3, 5)), Bundle((4,)))),
     )
     state = preprocess(norm)
-    g0 = [b.items for b in state.reserves[0]]
-    g1 = [b.items for b in state.reserves[1]]
+    g0, g1 = list(state.reserves[0]), list(state.reserves[1])
     # type 0 has four qualifying items but reserves only n = 3 of them
     assert g0 == [(0,), (3,), (4,)]
     assert g1 == [(2,), (3,), (4,)]
@@ -103,7 +102,7 @@ def test_bag_reserved_for_other_type_then_agent_served():
     assert all(not dq for dq in state.reserves)  # nothing is worth 1/2 alone
     b = step_adversarial(state, 0)
     # the first two items formed a bag worth 5/6 to type 1, reserved for it
-    assert [x.items for x in state.reserves[1]] == [(0, 1)]
+    assert list(state.reserves[1]) == [(0, 1)]
     assert 1 not in state.open_types(1)  # one reserve covers the one later agent
     assert b == Bundle((2, 3, 4))
     assert value(inst.type_values[0], b) == F(1, 2)
@@ -129,7 +128,7 @@ def test_counterexample_instance_all_sequences():
 
 
 def test_run_guarantee_on_raw_positive_share_instances():
-    # strict runs over every arrival order of normalized raw instances: a type
+    # checked runs over every arrival order of normalized raw instances: a type
     # whose shared reserves were served to other agents claims bags again
     runs = 0
     for model, k, n, seed in product(("uniform", "binary", "clustered"), (2, 3), range(2, 6), (0, 1)):
@@ -142,6 +141,39 @@ def test_run_guarantee_on_raw_positive_share_instances():
                 assert rep.min_ratio >= F(1, k), (model, n, m, k, seed, seq)
                 runs += 1
     assert runs == 13_786  # on 331 instances
+
+
+def test_run_guarantee_on_raw_zero_share_instances():
+    # the same sweep, seeds 0-2, over the instances with a zero-share type:
+    # such a type sits out, so no check fails and no pool runs dry, each of
+    # its agents gets the empty bundle, and every other agent gets >= 1/k
+    runs = 0
+    for model, k, n, seed in product(("uniform", "binary", "clustered"), (2, 3), range(2, 6), range(3)):
+        for m in range(n + 1, 13):
+            norm = normalize(gen_random(n, m, k, model, seed=seed))
+            zero = norm.zero_mms_types
+            if not zero:
+                continue
+            for seq in all_sequences(k, n):
+                alloc, rep = run_adversarial(norm, seq)
+                assert all(b == () for _, ti, b in alloc.entries if ti in zero), (model, n, m, k, seed, seq)
+                assert rep.min_ratio >= F(1, k), (model, n, m, k, seed, seq)
+                runs += 1
+    assert runs == 7_094  # on 109 instances
+
+
+def test_zero_share_agent_sits_out_and_traces_why():
+    # type 0 has share 0: it reserves nothing, is never open, and its agent
+    # gets the empty bundle at once, without filling
+    norm = normalize(gen_random(2, 3, 2, "binary", seed=0))
+    assert norm.zero_mms_types == {0}
+    alloc, rep = run_adversarial(norm, [0, 1], trace=True)
+    assert [b for _, _, b in alloc.entries] == [(), (0,)]
+    assert rep.per_agent_ratio == (1, F(1, 2))
+    assert rep.step_trace[:2] == [
+        {"event": "preprocess", "reserveSizes": [0, 2], "unsaturated": []},
+        {"event": "serveZeroShare", "agent": 1, "type": 0, "items": [], "reserveSizes": [0, 2], "remaining": 3},
+    ]
 
 
 def test_k1_runs_serve_the_witness_partition_on_raw_instances():
@@ -210,7 +242,7 @@ def test_bag_claimed_by_two_types_is_reserved_for_both():
     # so the arriving type-2 agent fills on and takes items 2-3
     quarter = (F(1, 4),) * 8
     rows = (quarter, quarter, (F(0), F(0)) + quarter[2:])
-    state = TentativeState.create(as_scaled(rows), range(8), 3, threshold=F(1, 2), check_types=())
+    state = TentativeState.create(as_scaled(rows), range(8), 3, threshold=F(1, 2), checked=False)
     assert step_adversarial(state, 2) == Bundle((2, 3))
     shared = Bundle((0, 1))
     assert [list(dq) for dq in state.reserves] == [[shared], [shared], []]
@@ -231,32 +263,34 @@ def test_k1_degenerate_flagged():
 
 
 def test_pool_exhaustion_raises():
-    # item subset too poor for the claim level: no type ever claims
-    state = TentativeState.create(as_scaled(((F(1, 4),) * 4,)), [0, 1], 2,
-                                  threshold=F(3, 4), check_types=())
-    with pytest.raises(PoolExhausted):
+    # item subset too poor for the claim level: no type ever claims, and the
+    # checked state passes every check up to the dry pool
+    state = TentativeState.create(as_scaled(((F(1, 4),) * 4,)), [0, 1], 2, threshold=F(3, 4))
+    assert state.checked
+    with pytest.raises(PoolExhausted, match=_exactly("agent 1 of type 0: pool exhausted before any claim")):
         step_adversarial(state, 0)
 
 
-def _dry_then_reserved_state(strict: bool) -> TentativeState:
+def _dry_then_reserved_state(checked: bool) -> TentativeState:
     # type 0 can never claim (item 1 alone is worth 1/4 < 1/2); type 1 holds
     # item 0 as a preprocessed singleton reserve
     rows = ((F(0), F(1, 4)), (F(1), F(0)))
-    return TentativeState.create(as_scaled(rows), [0, 1], 2, check_types=(), strict=strict)
+    return TentativeState.create(as_scaled(rows), [0, 1], 2, checked=checked)
 
 
-def test_serve_non_strict_gives_empty_bundle_and_goes_on():
-    state = _dry_then_reserved_state(strict=False)
+def test_serve_unchecked_gives_empty_bundle_and_goes_on():
+    state = _dry_then_reserved_state(checked=False)
     assert step_adversarial(state, 0) is None  # the dry step still counts the agent
     assert state.arrived == 1
     assert step_adversarial(state, 1) == Bundle((0,))
     assert state.arrived == 2
 
 
-def test_serve_strict_raises_on_dry_pool():
-    state = _dry_then_reserved_state(strict=True)
+def test_serve_checked_raises_on_dry_pool():
+    state = _dry_then_reserved_state(checked=True)
     with pytest.raises(PoolExhausted):
         step_adversarial(state, 0)
+    assert state.arrived == 0
 
 
 def test_serve_reports_no_dry_pool_on_a_normal_run():
@@ -272,7 +306,7 @@ def _assert_cursor_items_fillable(state, items, served):
     # pairwise disjoint and together cover the state's items
     queued = [b for dq in state.reserves for b in dq]
     assert state.bundle_refs == Counter(queued)
-    places = [state.pool[state.pool_pos:], *(b.items for b in state.bundle_refs), *(b.items for b in served)]
+    places = [state.pool[state.pool_pos:], *state.bundle_refs, *served]
     flat = [g for place in places for g in place]
     assert len(flat) == len(set(flat))
     assert set(flat) == set(items)
@@ -289,8 +323,7 @@ def test_pool_cursor_never_passes_over_taken_items():
         states = [
             preprocess(norm),
             # half the items at claim level 1/2: the pool may run dry
-            TentativeState.create(norm.scaled, basket, n, threshold=F(1, 2),
-                                  check_types=(), strict=False),
+            TentativeState.create(norm.scaled, basket, n, threshold=F(1, 2), checked=False),
         ]
         for state, items in zip(states, [range(norm.m_items), basket]):
             served = []
@@ -325,7 +358,7 @@ def test_pool_purity_marks_match_a_recount():
         states = [
             (preprocess(norm), False),
             # half the items at claim level 1/2, checked: a check may fail
-            (TentativeState.create(norm.scaled, basket, n, threshold=F(1, 2), strict=False), True),
+            (TentativeState.create(norm.scaled, basket, n, threshold=F(1, 2)), True),
         ]
         for state, may_fail in states:
             compared += _assert_marks_recount(state)
@@ -366,17 +399,17 @@ def _exactly(msg):
 
 class _FractionState:
     """Reference: ``TentativeState`` and its step computed with Fraction
-    values (the step trace left out)."""
+    values (the step trace left out), on instances with no zero-share type.
+    A checked reference raises on a failed check, and every reference raises
+    on a dry pool."""
 
-    def __init__(self, values, items, n, threshold=None, check_types=None,
-                 check=True, strict=True, rng=None):
+    def __init__(self, values, items, n, threshold=None, check=True, rng=None):
         k = len(values)
         item_list = sorted(set(items))
         self.values, self.n, self.k = values, n, k
         self.threshold = F(1, k) if threshold is None else threshold
         self.scale = k * self.threshold
-        self.check_types = tuple(range(k) if check_types is None else check_types)
-        self.check, self.strict, self.rng = check, strict, rng
+        self.check, self.rng = check, rng
         singletons = {}
         self.reserves = [deque() for _ in range(k)]
         for i in range(k):
@@ -389,15 +422,10 @@ class _FractionState:
         reserved = {g for b in self.bundle_refs for g in b}
         self.remaining = set(item_list)
         self.remaining_value = [sum((values[i][g] for g in item_list), F(0)) for i in range(k)]
-        self.arrived, self.violations = 0, []
+        self.arrived = 0
         self.pool, self.pool_pos = [g for g in item_list if g not in reserved], 0
         if check:
             self.check_pool_purity(0)
-
-    def violate(self, msg):
-        if self.strict:
-            raise InvariantViolation(msg)
-        self.violations.append(msg)
 
     def saturated(self, j, current_t):
         return len(self.reserves[j]) >= self.n - current_t
@@ -418,17 +446,17 @@ class _FractionState:
             self.remaining_value[j] -= value(self.values[j], bundle)
 
     def check_pool_purity(self, current_t):
-        open_types = [j for j in self.check_types if not self.saturated(j, current_t)]
-        for g in self.pool[self.pool_pos:] if open_types else ():
+        open_types = self.open_types(current_t)
+        for g in self.pool[self.pool_pos:]:
             for j in open_types:
                 if self.values[j][g] >= self.threshold:
-                    self.violate(f"pool purity: item {g} worth {self.values[j][g]} to open type {j}")
+                    raise InvariantViolation(f"pool purity: item {g} worth {self.values[j][g]} to open type {j}")
 
     def check_invariant(self):
         left = self.n - self.arrived
-        for j in self.check_types:
+        for j in range(self.k):
             if len(self.reserves[j]) != left and self.remaining_value[j] < left * self.scale:
-                self.violate(
+                raise InvariantViolation(
                     f"invariant: type {j} has {len(self.reserves[j])} reserves and remaining "
                     f"value {self.remaining_value[j]} with {left} agents left")
 
@@ -471,10 +499,10 @@ class _FractionState:
                     self.reserves[j].append(bundle)
                 if self.check:
                     self.check_pool_purity(t)
-                    for j in self.check_types:
-                        if not self.saturated(j, t) and bagvals[j] > self.scale:
-                            self.violate(f"reserved bundle worth {bagvals[j]} > {self.scale} "
-                                         f"to open type {j}")
+                    for j in self.open_types(t):
+                        if bagvals[j] > self.scale:
+                            raise InvariantViolation(f"reserved bundle worth {bagvals[j]} > {self.scale} "
+                                                     f"to open type {j}")
         self.arrived = t
         dirty = False
         for j in range(self.k):
@@ -513,38 +541,31 @@ def _snapshot(state, remaining_value):
        st.sampled_from(["fifo", "dry", "dry-checked"]), st.data())
 def test_tentative_state_matches_fraction_reference(n, k, mult, seed, mode, data):
     # FIFO runs on every item at 1/k; "dry" runs on a random basket at a
-    # drawn claim level, non-strict, with or without the checks (unchecked
-    # states check no types).  The checked non-strict reference records a
-    # failed check where the state raises it: the state must raise the first
-    # record at the step (or creation) that makes it, and until then the
-    # reference has recorded nothing.
+    # drawn claim level, unchecked, and "dry-checked" the same with the
+    # checks.  The one dry-pool rule: a checked state raises the reference's
+    # failed check or ``PoolExhausted`` at the same step (or creation), with
+    # the same message, and an unchecked one gives None where the reference
+    # raises ``PoolExhausted``.
     norm = gen_normalized_random(n, n * mult, k, seed=seed)
     rows = norm.base.type_values
     items, opts = range(norm.m_items), {}
     if mode.startswith("dry"):
         items = data.draw(st.sets(st.integers(0, norm.m_items - 1)))
-        opts = {"threshold": data.draw(st.sampled_from([F(1, k), F(1, 2), F(1, 3), F(2, 3)])),
-                "strict": False}
-    unchecked = {"check_types": ()} if mode == "dry" else {}
+        opts = {"threshold": data.draw(st.sampled_from([F(1, k), F(1, 2), F(1, 3), F(2, 3)]))}
+    checked = mode != "dry"
     arrivals = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
 
-    got = _outcome(lambda: TentativeState.create(norm.scaled, items, n, **opts, **unchecked))
-    want = _outcome(lambda: _FractionState(rows, items, n, **opts, check=not unchecked))
+    got = _outcome(lambda: TentativeState.create(norm.scaled, items, n, **opts, checked=checked))
+    want = _outcome(lambda: _FractionState(rows, items, n, **opts, check=checked))
     if isinstance(want, tuple):
         assert got == want
-        return
-    if want.violations:
-        assert got == (InvariantViolation, want.violations[0])
         return
     assert _snapshot(got, got.remaining_worth()) == _snapshot(want, want.remaining_value)
     for ti in arrivals:
         b_got = _outcome(lambda: step_adversarial(got, ti))
         b_want = _outcome(lambda: want.step(ti))
-        if want.violations:
-            assert b_got == (InvariantViolation, want.violations[0])
-            return
-        if isinstance(b_want, tuple) and b_want[0] is PoolExhausted and not want.strict:
-            # a dry non-strict step: the reference raises, the state counts
+        if isinstance(b_want, tuple) and b_want[0] is PoolExhausted and not checked:
+            # a dry unchecked step: the reference raises, the state counts
             # the agent and gives her None
             assert b_got is None
             want.arrived += 1

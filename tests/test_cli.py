@@ -269,6 +269,9 @@ MISTYPED = {
     ["run", "known-d", "--eta", "1/2", "--instance", "INST", "--dist", "DIST", "--arrivals", "SEQ"],
     ["run", "unknown-d", "--eta", "1/2", "--trials", "2", "--instance", "INST", "--dist", "DIST",
      "--enumerate"],
+    ["run", "known-d", "--eta", "1/2", "--instance", "INST", "--dist", "DIST", "--trace"],
+    ["run", "unknown-d", "--eta", "1/2", "--instance", "INST", "--dist", "DIST", "--trace"],
+    ["run", "adversarial", "--enumerate", "--trace", "--instance", "SMALL"],
 ])
 def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     inst, dist = _gen_instance_and_dist(tmp_path)

@@ -58,7 +58,7 @@ def test_value_examples():
 
 def test_bundle_normalizes_and_validates():
     b = Bundle((3, 1, 1, 2))
-    assert b.items == (1, 2, 3)
+    assert b == (1, 2, 3)
     assert 2 in b and len(b) == 3
     with pytest.raises(InputError):
         Bundle((-1,))
@@ -68,7 +68,7 @@ def test_bundle_normalizes_and_validates():
 
 def test_bundle_is_the_tuple_of_its_ids():
     b = Bundle((5, 0, 3))
-    assert b == (0, 3, 5) and hash(b) == hash((0, 3, 5)) and b.items is b
+    assert b == (0, 3, 5) and hash(b) == hash((0, 3, 5))
     assert {b: 1}[(0, 3, 5)] == 1 and b != [0, 3, 5]
     assert repr(b) == "Bundle(items=(0, 3, 5))" and repr(Bundle((2,))) == "Bundle(items=(2,))"
     assert repr(EMPTY_BUNDLE) == "Bundle(items=())" and not EMPTY_BUNDLE and len(EMPTY_BUNDLE) == 0

@@ -107,9 +107,8 @@ def test_tentative_state_create_matches_a_full_scan():
     for norm, items, alpha in _cases():
         view, n, k = norm.scaled, norm.n_agents, norm.k_types
         seq = [rng.randrange(k) for _ in range(n)]
-        for check_types in ((), tuple(range(k))):
-            got, want = (TentativeState.create(v, items, n, threshold=alpha, check_types=check_types,
-                                               strict=False)
+        for checked in (False, True):
+            got, want = (TentativeState.create(v, items, n, threshold=alpha, checked=checked)
                          for v in (view, _full_scan_view(view)))
             # the recount: each type's first n items at its claim, in item order
             claim = view.at_least(alpha)

@@ -105,14 +105,14 @@ def test_turn_loop_prefers_items_outside_last_types_set():
     state = preprocess_low_c(rows, range(20), 10, [F(1, 2), F(3, 10), F(1, 5)],
                              F(1, 2), F(1, 10))
     # type 0 reserves from T_0 \ T_1 = {0..4} before touching the overlap
-    first_five = [b.items[0] for b in list(state.reserves[0])[:5]]
+    first_five = [b[0] for b in list(state.reserves[0])[:5]]
     assert first_five == [0, 1, 2, 3, 4]
     # reserves are singletons during the turn phase and disjoint across types
     seen = set()
     for dq in state.reserves:
         for b in dq:
-            assert not (set(b.items) & seen)
-            seen.update(b.items)
+            assert not (set(b) & seen)
+            seen.update(b)
 
 
 def _rescanning_preprocess_low_c(values, items, nprime, probs, alpha, epsilon):
@@ -422,8 +422,8 @@ def test_caps_respected_and_saturation_flags():
     seen = set()
     for dq in state.reserves:
         for b in dq:
-            assert not (set(b.items) & seen)
-            seen.update(b.items)
+            assert not (set(b) & seen)
+            seen.update(b)
 
 
 def test_run_low_c_drains_fifo_and_reports_empty():

@@ -93,7 +93,7 @@ def test_random_split_edges():
 def test_random_split_conserves(seed, m, p):
     items = list(range(m))
     b1, b2 = random_split(items, p, substream(seed, "split-prop"))
-    assert sorted(b1.items + b2.items) == items
+    assert sorted(b1 + b2) == items
     assert not (set(b1) & set(b2))
 
 
@@ -260,13 +260,13 @@ def test_unknown_d_degenerate_window_flag():
 
 
 def test_degenerate_run_with_a_dry_zero_share_agent_succeeds_without_a_reason():
-    # type 0 has share 0, so the second agent, served nothing by the dry
-    # pool, still counts ratio 1: the run meets alpha and names no failure
+    # type 0 has share 0, so both its agents sit out of the reservation state
+    # with the empty bundle and ratio 1: the run meets alpha and names no failure
     norm = normalize(gen_random(2, 3, 2, "binary", seed=0))
     assert norm.zero_mms_types == {0}
     alloc, rep = run_unknown_d(norm, [0, 0], eta=F(1, 2), c=F(1, 20))
     assert rep.details == {"window": 2, "branch": "degenerate"}
-    assert alloc.entries[1][2] == Bundle(())
+    assert [b for _, _, b in alloc.entries] == [Bundle(()), Bundle(())]
     assert rep.succeeded_at_alpha and rep.failure_reason is FailureReason.NONE
 
 
@@ -291,7 +291,7 @@ def test_learning_stage_claims_at_half_with_scale_k_over_2(monkeypatch):
     state = seen[0]
     assert state.claim == state.view.at_least(F(1, 2))
     assert state.scale == k * F(1, 2) == F(k, 2)
-    assert state.check_types == () and not state.strict
+    assert not state.checked
 
 
 def test_restricted_share_layering_desk_scale():
