@@ -1,8 +1,9 @@
 """Exact maximin-share solver.
 
-``mms_exact`` is a branch-and-bound over item-to-bundle assignments with
-symmetry breaking, a longest-processing-time (LPT) incumbent, and the bundle
-deficit bound and top-j cap of machine covering (P||C_min).
+``mms_exact`` finds the optimum by bin completion (Korf 2009) between a
+longest-processing-time (LPT) split and the top-j cap of machine covering
+(P||C_min), then a branch-and-bound with symmetry breaking and the bundle
+deficit bound finds the witness at that optimum.
 ``mms_brute_force`` is the independent oracle: plain exhaustive enumeration,
 kept free of any pruning the solver uses.
 
@@ -14,6 +15,7 @@ faster than Fraction in the hot loop.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .core import Bundle, CapacityError, InputError, MmsResult, scale_row
@@ -38,6 +40,47 @@ def lpt_partition(ints: Sequence[int], n: int) -> list[list[int]]:
         loads[j] += ints[g]
         bundles[j].append(g)
     return bundles
+
+
+def _covers(vals: tuple[int, ...], bins: int, target: int, failed: set[tuple]) -> bool:
+    """Whether the positive ints ``vals`` (non-increasing) split into ``bins``
+    parts each worth at least ``target``, by bin completion over the part
+    holding the largest item; failed (items, bins) states go in ``failed``."""
+    big = next((i for i, v in enumerate(vals) if v < target), len(vals))
+    vals, bins = vals[big:], bins - big  # an item worth the target fills a part alone
+    slack = sum(vals) - bins * target  # the most value the open parts may waste
+    if bins <= 1 and slack >= 0:
+        return True
+    if slack < 0 or len(vals) < 2 * bins or (vals, bins) in failed:
+        return False
+    rest = vals[1:]
+    suffix = [*accumulate(reversed(rest))][::-1] + [0]
+    picked: list[int] = []
+
+    def complete(i: int, need: int) -> bool:
+        # add items in order until the part reaches the target, each equal
+        # value once per depth
+        prev = 0
+        for j in range(i, len(rest)):
+            if suffix[j] < need:
+                return False
+            v = rest[j]
+            if v == prev or v - need > slack:
+                continue
+            prev = v
+            picked.append(j)
+            ok = complete(j + 1, need - v) if v < need else _covers(
+                tuple(x for t, x in enumerate(rest) if t not in picked), bins - 1, target, failed)
+            picked.pop()
+            if ok:
+                return True
+        return False
+
+    if complete(0, target - vals[0]):
+        return True
+    if len(failed) < _MEMO_LIMIT:
+        failed.add((vals, bins))
+    return False
 
 
 def mms_brute_force(valuation: Sequence[Fraction], n: int) -> MmsResult:
@@ -87,21 +130,24 @@ def mms_brute_force(valuation: Sequence[Fraction], n: int) -> MmsResult:
 
 
 def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
-    """Exact share via branch-and-bound.
+    """Exact share: decide the optimum, then find its first split in branch order.
 
-    Items are branched in non-increasing value order (ties by index); bundles
-    with equal current loads are interchangeable and only the first is tried.
-    The incumbent starts from the LPT split and only a strictly better leaf
-    replaces it.  The deficit bound prunes a node when the bundles below
-    ``best + 1`` need more value, or more items, than remain.  The top-j cap
-    ends the search: the n - j bundles without any of the j largest items
-    share the rest, so no split beats ``(total - top_j) // (n - j)``.  States
-    are memoized by (depth, sorted load profile).  So the witness is the LPT
-    split when LPT is optimal, else the first optimal leaf in branch order:
-    every prune depends only on (depth, load multiset, incumbent) and cuts
-    only subtrees with no leaf above the incumbent, which that leaf is until
-    it is found.  Above the caps (m > DEFAULT_ITEM_CAP or
-    n > DEFAULT_BUNDLE_CAP) it raises :class:`CapacityError`.
+    The optimum lies between the LPT split's value and the top-j cap: the
+    n - j bundles without any of the j largest items share the rest, so no
+    split beats ``(total - top_j) // (n - j)``.  It is found by galloping down
+    from the cap, then bisecting, with ``_covers`` deciding each target.  If
+    LPT reaches it, the LPT split is the witness.  Otherwise a branch-and-
+    bound runs once and stops at its first leaf worth the optimum.  Items are
+    branched in non-increasing value order (ties by index); bundles with equal
+    loads are interchangeable and only the first is tried.  The deficit bound
+    prunes a node when the bundles below the optimum need more value, or more
+    items, than remain; states are memoized by (depth, sorted load profile).
+    That leaf is the first optimal leaf in branch order, where a search from
+    the LPT incumbent keeping each strictly better leaf also ends: no prune or
+    memo hit cuts a subtree holding a leaf above its incumbent.  ``nodes``
+    counts this search only (1 if it does not run), not the decision states.
+    Above the caps (m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP) it raises
+    :class:`CapacityError`.
     """
     if n < 1:
         raise InputError("need at least one bundle")
@@ -122,13 +168,24 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
     suffix = [0] * (mm + 1)
     for i in range(mm - 1, -1, -1):
         suffix[i] = suffix[i + 1] + ints[items[i]]
-    ub_global = min(suffix[j] // (n - j) for j in range(min(n, mm + 1)))
+    cap = min(suffix[j] // (n - j) for j in range(min(n, mm + 1)))
 
-    # LPT incumbent (zero-valued items stripped; they are re-attached at the end)
+    # LPT split (zero-valued items stripped; they are re-attached at the end)
     lpt = lpt_partition(ints, n)
-    best = min(sum(ints[g] for g in b) for b in lpt)
+    lpt_value = min(sum(ints[g] for g in b) for b in lpt)
     best_bundles = [[g for g in b if ints[g] > 0] for b in lpt]
     nodes = 1
+
+    # gallop down from the cap, then bisect: a split worth opt exists and none
+    # worth hi does (fractional rows scale to gaps of thousands of units)
+    opt, hi, step = lpt_value, cap + 1, 1
+    vals = tuple(ints[g] for g in items)
+    while hi - opt > 1:
+        t = max(hi - step, opt + 1) if step else (opt + hi) // 2
+        if _covers(vals, n, t, set()):
+            opt, step = t, 0
+        else:
+            hi, step = t, 2 * step
 
     loads = [0] * n
     current: list[list[int]] = [[] for _ in range(n)]
@@ -138,17 +195,14 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
         pass
 
     def rec(idx: int) -> None:
-        nonlocal best, best_bundles, nodes
+        nonlocal best_bundles, nodes
         nodes += 1
         if idx == mm:
-            mn = min(loads)
-            if mn > best:
-                best = mn
+            if min(loads) >= opt:
                 best_bundles = [b.copy() for b in current]
-                if best >= ub_global:
-                    raise _Done
+                raise _Done
             return
-        short = [best + 1 - x for x in loads if x <= best]
+        short = [opt - x for x in loads if x < opt]
         if len(short) > mm - idx or sum(short) > suffix[idx]:
             return
         order = sorted(range(n), key=loads.__getitem__)
@@ -170,7 +224,7 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
             loads[j] -= v
             current[j].pop()
 
-    if best < ub_global:
+    if lpt_value < opt:
         try:
             rec(0)
         except _Done:
@@ -179,5 +233,5 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
     bundles = [sorted(b) for b in best_bundles]
     bundles[0].extend(zeros)
     witness = tuple(Bundle(tuple(b)) for b in bundles)
-    return MmsResult(Fraction(best, den), witness, nodes=nodes)
+    return MmsResult(Fraction(opt, den), witness, nodes=nodes)
 

@@ -237,9 +237,11 @@ DIGESTS = {
         "f8d9dcef9350fc97639e3eb9c96b2dc56e61bd6790ca805a2bfc6e7a8d4b5c63",
     # re-pinned when the share solver began to prune by bundle deficits: its
     # `nodes` count went 50 -> 37 and nothing else in the output changed;
-    # test_mms_solve_value_and_witness pins the rest
+    # re-pinned again when it began to decide the optimum before its search
+    # and stop that search at the first optimal leaf: `nodes` went 37 -> 23,
+    # the rest unchanged; test_mms_solve_value_and_witness pins the rest
     "mms-solve":
-        "d8b183d87fd693f3e851d3c598f45a34502c0311dc8b1aac9cda2d668f836b1a",
+        "147d5b23df62c62d5bbb62b73e192565f1691c8ff65b59e4e689babb532dd899",
     "mms-solve-brute-force":
         "93737936f7324dd45863ff34ed0ed34e924fdc171dc4ca58f439ef018ba47f8a",
     "perturb":

@@ -8,6 +8,7 @@ from mmsonline.core import Bundle, MmsResult, scale_row, value
 from mmsonline.generators import gen_random
 from mmsonline.rng import substream
 from mmsonline.solver import (
+    _covers,
     lpt_partition,
     mms_brute_force,
     mms_exact,
@@ -249,3 +250,93 @@ def test_node_count_at_m20_stays_pruned():
     nodes = sum(mms_exact(gen_random(5, 20, 1, "uniform", seed=s).type_values[0], 5).nodes
                 for s in range(4))
     assert nodes <= 150_000
+
+
+@pytest.mark.parametrize("n,m,seed,value,witness,parent_nodes", [
+    # LPT is optimal, one unit below the top-j cap
+    (5, 22, 0, F(307, 6), [(19, 20, 21), (0, 1, 5, 14), (4, 6, 9, 15), (2, 7, 8, 12, 16, 17),
+                           (3, 10, 11, 13, 18)], 1_257_560),
+    (6, 24, 1, F(41), [(12, 15, 16), (0, 7, 8, 23), (2, 5, 6, 22), (14, 17, 18, 19),
+                       (4, 11, 13, 20), (1, 3, 9, 10, 21)], 659_119),
+    (6, 24, 2, F(251, 6), [(22,), (1, 15, 23), (2, 10, 13, 17, 18), (3, 6, 8, 19, 20),
+                           (0, 4, 12, 14, 16), (5, 7, 9, 11, 21)], 659_104),
+])
+def test_optimum_one_below_the_cap_needs_no_proof_search(n, m, seed, value, witness, parent_nodes):
+    # value and witness as the solver gave them when its search had to prove
+    # the cap one unit too high, in parent_nodes nodes
+    res = mms_exact(gen_random(n, m, 1, "uniform", seed=seed).type_values[0], n)
+    assert (res.value, [tuple(b) for b in res.witness]) == (value, witness)
+    assert res.nodes <= parent_nodes
+
+
+def _covers_brute(vals, bins, target):
+    # every assignment of the items to labelled parts
+    def rec(i, loads):
+        if i == len(vals):
+            return min(loads) >= target
+        return any(rec(i + 1, loads[:j] + (loads[j] + vals[i],) + loads[j + 1:])
+                   for j in range(bins))
+    return rec(0, (0,) * bins)
+
+
+def test_covers_items_worth_the_target_fill_a_part_alone():
+    assert _covers((10, 10, 10), 3, 10, set())  # one item a part, no pair needed
+    assert _covers((12, 9, 3, 2), 3, 5, set())
+    assert not _covers((12, 9, 1), 3, 5, set())
+
+
+def test_covers_needs_two_items_per_open_part():
+    # the sum 12 would cover two parts of 5, but three items cannot make two pairs
+    assert not _covers((4, 4, 4), 2, 5, set())
+    assert not _covers((9, 4, 4, 4), 3, 5, set())
+    assert _covers((4, 4, 4, 1), 2, 5, set())
+
+
+def test_covers_sum_bound():
+    assert not _covers((4, 4, 3, 3, 1), 2, 8, set())  # 15 < 2 * 8
+    assert _covers((4, 4, 3, 3, 1), 2, 7, set())
+
+
+def test_covers_backtracks_past_a_failed_completion():
+    # the first part tried, 8 + 3, leaves 7, 6, 5, 1, 1, which no two parts of
+    # 10 can share; 8 + 1 + 1 leaves 7 + 3 and 6 + 5
+    vals = (8, 7, 6, 5, 3, 1, 1)
+    failed = set()
+    assert _covers(vals, 3, 10, failed)
+    assert failed == {((7, 6, 5, 1, 1), 2)}
+    assert not _covers_brute((7, 6, 5, 1, 1), 2, 10)
+    assert _covers_brute(vals, 3, 10)
+
+
+def test_covers_agrees_with_brute_force_at_the_share():
+    for seed in range(40):
+        rng = substream(seed, "solver-covers")
+        m, n = rng.randint(1, 10), rng.randint(1, 4)
+        row = [F(rng.randint(0, 20), rng.choice((1, 2, 3))) for _ in range(m)]
+        ints, den = scale_row(row)
+        share = mms_brute_force(row, n).value * den
+        vals = tuple(sorted((x for x in ints if x > 0), reverse=True))
+        if share > 0:
+            assert _covers(vals, n, share, set())
+        assert not _covers(vals, n, share + 1, set())
+
+
+def test_target_search_gallops_over_a_wide_fractional_gap(monkeypatch):
+    from mmsonline import solver
+    row = [F(x) for x in ("31/13", "41/9", "5/3", "7", "25/7", "43/7", "11/8", "3/11", "50/7", "53/11")]
+    ints, _ = scale_row(row)
+    srt = sorted(ints, reverse=True)
+    cap = min(sum(srt[j:]) // (3 - j) for j in range(3))
+    lpt = min(sum(ints[g] for g in b) for b in lpt_partition(ints, 3))
+    assert cap - lpt > 5000
+    targets = []
+
+    def counting(vals, bins, target, failed):
+        if bins == 3:
+            targets.append(target)
+        return _covers(vals, bins, target, failed)
+
+    monkeypatch.setattr(solver, "_covers", counting)
+    _agrees_with_reference(row, 3)
+    # one decision per halving of the gap, not one per unit
+    assert len(targets) <= 2 * (cap - lpt).bit_length()
