@@ -72,14 +72,6 @@ def ceil_pow(n: int, exponent: Fraction) -> int:
     return int_nth_root(n ** exponent.numerator - 1, exponent.denominator) + 1
 
 
-def pow_le(n: int, exponent: Fraction, threshold: Fraction) -> bool:
-    """Decide ``n ** exponent <= threshold`` exactly (n >= 1, exponent >= 0)."""
-    if threshold <= 0:
-        return False
-    a, b = exponent.numerator, exponent.denominator
-    return Fraction(n) ** a <= threshold ** b
-
-
 def mul_sqrt_lt(coeff: Fraction, n: int, threshold: Fraction) -> bool:
     """Decide ``coeff * sqrt(n) < threshold`` exactly (coeff >= 0, n >= 0)."""
     if coeff < 0 or n < 0:

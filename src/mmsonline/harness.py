@@ -266,7 +266,8 @@ def monte_carlo(config: McConfig) -> AggregateReport:
     for row in rows:
         if not row["success"]:
             histogram[row["failureReason"]] = histogram.get(row["failureReason"], 0) + 1
-    ratios = sorted(_ratio_float(row["minRatio"]) for row in rows)
+    exact = [Fraction(row["minRatio"]) for row in rows]
+    ratios = sorted(map(float, exact))
     def q(p: float) -> float:
         return ratios[min(len(ratios) - 1, int(p * (len(ratios) - 1)))]
     return AggregateReport(
@@ -275,15 +276,10 @@ def monte_carlo(config: McConfig) -> AggregateReport:
         success_rate=sum(1 for r in rows if r["success"]) / len(rows),
         failure_histogram=dict(sorted(histogram.items())),
         invariant_violations=0,
-        min_ratio_overall=min((row["minRatio"] for row in rows), key=Fraction),
+        min_ratio_overall=jsonio.frac_to_str(min(exact)),
         mean_min_ratio=sum(ratios) / len(ratios),
         quantiles={"p05": q(0.05), "p50": q(0.50), "p95": q(0.95)},
     )
-
-
-def _ratio_float(s: str) -> float:
-    num, den = s.split("/")
-    return int(num) / int(den)
 
 
 # -- prediction-error perturbation ------------------------------------------

@@ -3,7 +3,7 @@
 ``mms_exact`` finds the optimum by bin completion (Korf 2009) between a
 longest-processing-time (LPT) split and the top-j cap of machine covering
 (P||C_min), then a branch-and-bound with symmetry breaking and the bundle
-deficit bound finds the witness at that optimum.
+deficit bound finds the witness at that optimum; every size takes this path.
 ``mms_brute_force`` is the independent oracle: plain exhaustive enumeration,
 kept free of any pruning the solver uses.
 
@@ -96,9 +96,6 @@ def mms_brute_force(valuation: Sequence[Fraction], n: int) -> MmsResult:
     if m > BRUTE_ITEM_CAP or n > BRUTE_BUNDLE_CAP:
         raise CapacityError(f"brute force capped at m<={BRUTE_ITEM_CAP}, n<={BRUTE_BUNDLE_CAP}")
     ints, den = scale_row(valuation)
-    if m == 0:
-        return MmsResult(Fraction(0), tuple(Bundle(()) for _ in range(n)), nodes=1)
-
     loads = [0] * n
     assign = [0] * m
     best = -1
@@ -146,6 +143,7 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
     the LPT incumbent keeping each strictly better leaf also ends: no prune or
     memo hit cuts a subtree holding a leaf above its incumbent.  ``nodes``
     counts this search only (1 if it does not run), not the decision states.
+    Every size takes this path: at m = 0 or n = 1 the LPT split meets the cap.
     Above the caps (m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP) it raises
     :class:`CapacityError`.
     """
@@ -157,11 +155,6 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
             f"exact solver capped at m<={DEFAULT_ITEM_CAP}, n<={DEFAULT_BUNDLE_CAP} "
             f"(got m={m}, n={n})")
     ints, den = scale_row(valuation)
-    if m == 0:
-        return MmsResult(Fraction(0), tuple(Bundle(()) for _ in range(n)), nodes=1)
-    if n == 1:
-        return MmsResult(Fraction(sum(ints), den), (Bundle(tuple(range(m))),), nodes=1)
-
     items = sorted((g for g in range(m) if ints[g] > 0), key=lambda g: (-ints[g], g))
     zeros = [g for g in range(m) if ints[g] == 0]
     mm = len(items)
@@ -191,24 +184,19 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
     current: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple] = set()
 
-    class _Done(Exception):
-        pass
-
-    def rec(idx: int) -> None:
-        nonlocal best_bundles, nodes
+    def rec(idx: int) -> bool:
+        """True at the first leaf worth opt, which stays in ``current``."""
+        nonlocal nodes
         nodes += 1
         if idx == mm:
-            if min(loads) >= opt:
-                best_bundles = [b.copy() for b in current]
-                raise _Done
-            return
+            return min(loads) >= opt
         short = [opt - x for x in loads if x < opt]
         if len(short) > mm - idx or sum(short) > suffix[idx]:
-            return
+            return False
         order = sorted(range(n), key=loads.__getitem__)
         key = (idx, tuple([loads[j] for j in order]))
         if key in seen:
-            return
+            return False
         if len(seen) < _MEMO_LIMIT:
             seen.add(key)
         g = items[idx]
@@ -220,15 +208,14 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
             tried.add(loads[j])
             loads[j] += v
             current[j].append(g)
-            rec(idx + 1)
+            if rec(idx + 1):
+                return True
             loads[j] -= v
             current[j].pop()
+        return False
 
-    if lpt_value < opt:
-        try:
-            rec(0)
-        except _Done:
-            pass
+    if lpt_value < opt and rec(0):
+        best_bundles = current
 
     bundles = [sorted(b) for b in best_bundles]
     bundles[0].extend(zeros)

@@ -218,7 +218,6 @@ def low_c_info(state: LowCState, arrival_ranks: Sequence[int]) -> dict:
 
 def run_high_c(
     partition: Sequence[Bundle],
-    n_agents: int,
     c_items: Sequence[int],
     arrival_ranks: Sequence[int],
 ) -> tuple[list[Bundle | None], dict]:
@@ -228,8 +227,8 @@ def run_high_c(
     The partition is adjusted so each kept bundle carries exactly one
     universally high-valued item (extra ones split into fresh singletons);
     bundles with none are moved to a reserve only rank-0 agents may draw,
-    capped at n - |C|.  Rank-0 agents drain that reserve first; everyone
-    else, and rank-0 afterwards, draws from the main queue.
+    capped at n - |C| for n arrivals.  Rank-0 agents drain that reserve
+    first; everyone else, and rank-0 afterwards, draws from the main queue.
     """
     c_set = set(c_items)
     main: deque[Bundle] = deque()
@@ -237,10 +236,8 @@ def run_high_c(
     for bundle in partition:
         cs = [g for g in bundle if g in c_set]
         if not cs:
-            if len(reserve0) < n_agents - len(c_items):
+            if len(reserve0) < len(arrival_ranks) - len(c_items):
                 reserve0.append(bundle)
-        elif len(cs) == 1:
-            main.append(bundle)
         else:
             main.append(Bundle(tuple(g for g in bundle if g not in cs[1:])))
             for g in cs[1:]:
@@ -271,23 +268,21 @@ def to_rank_space(norm: NormalizedInstance, dist: TypeDistribution, arrivals: Se
 def known_d_engine(
     view: ScaledRows,
     items: Sequence[int],
-    n_agents: int,
     probs: Sequence[Fraction],
     alpha: Fraction,
     epsilon: Fraction,
     arrival_ranks: Sequence[int],
     partition: Sequence[Bundle],
 ) -> tuple[list[Bundle | None], dict]:
-    """Dispatch between the two regimes; returns per-agent bundles (None for
-    an agent whose reserve ran dry) plus run metadata.
+    """Dispatch between the two regimes, one agent per arrival; returns
+    per-agent bundles (None for a dry reserve) plus run metadata.
 
     Valuations and arrivals are already in probability-sorted rank space
     (see ``to_rank_space``); ``partition`` is rank 0's share partition of
     all the instance's items, which the high-C regime routes everyone through.
     """
     alpha = as_fraction(alpha)
-    if len(arrival_ranks) != n_agents:
-        raise InputError(f"{len(arrival_ranks)} arrivals for {n_agents} agents")
+    n_agents = len(arrival_ranks)
     k = len(view.ints)
     c_items = universal_items(view, items, alpha)
     if high_c_condition(len(c_items), n_agents, k, probs[0], epsilon):
@@ -297,7 +292,7 @@ def known_d_engine(
         kept = [b for b in partition if served.issuperset(b)]
         cut = [g for b in partition if not served.issuperset(b) for g in b if g in served]
         kept[0] = Bundle(kept[0] + tuple(cut))
-        return run_high_c(kept, n_agents, c_items, arrival_ranks)
+        return run_high_c(kept, c_items, arrival_ranks)
 
     served = min(len(c_items), n_agents)
     out: list[Bundle | None] = [Bundle.from_sorted((c_items[t],)) for t in range(served)]
@@ -336,6 +331,6 @@ def run_known_d(
     n = norm.n_agents
     seq = check_arrivals(arrivals, n, norm.k_types)
     values_sorted, ranks = to_rank_space(norm, dist, seq)
-    bundles, info = known_d_engine(values_sorted, list(range(norm.m_items)), n, dist.probs,
+    bundles, info = known_d_engine(values_sorted, list(range(norm.m_items)), dist.probs,
                                    alpha, epsilon, ranks, norm.witness_partitions[dist.order[0]])
     return finish_run(norm, seq, bundles, alpha, details=info)

@@ -35,7 +35,7 @@ from .core import (
     check_items,
     finish_run,
 )
-from .exactpow import ceil_pow, pow_le
+from .exactpow import ceil_pow, pow_sqrt_le
 from .rng import substream
 from .stochastic import (
     claim_level,
@@ -121,7 +121,7 @@ def basket_value_ok(v: Fraction, k: int, params: UnknownParams) -> bool:
     if shortfall <= 0:
         return True
     # v >= (1-delta)*full  <=>  delta >= shortfall  <=>  n^exp <= 1/shortfall
-    return pow_le(params.n, params.delta_exponent, 1 / shortfall)
+    return pow_sqrt_le(params.n, params.delta_exponent, 1, 1 / shortfall)
 
 
 def run_unknown_d(
@@ -169,7 +169,7 @@ def run_unknown_d(
         rest_items = [g for g in range(m) if g not in served]
         values_sorted, ranks = to_rank_space(norm, learned, seq[window:])
         sub, info = known_d_engine(
-            values_sorted, rest_items, n - window, learned.probs,
+            values_sorted, rest_items, learned.probs,
             alpha, params.epsilon, ranks, norm.witness_partitions[learned.order[0]])
         details["dispatch"] = info
         bundles.extend(sub)

@@ -176,6 +176,16 @@ def test_zero_share_agent_sits_out_and_traces_why():
     ]
 
 
+def test_trace_logs_a_reserve_where_it_happens():
+    # agent 1 (type 0) sees that type 1 could not be served from its unclaimed
+    # items, so it reserves items 0-2 for type 1 before it takes its own bag
+    norm = gen_normalized_random(2, 12, 2, seed=0)
+    _, rep = run_adversarial(norm, [0, 0], trace=True)
+    assert [e["event"] for e in rep.step_trace[:3]] == ["preprocess", "reserve", "serveBag"]
+    assert rep.step_trace[1] == {"event": "reserve", "agent": 1, "for": [1], "items": [0, 1, 2],
+                                 "reserveSizes": [0, 1], "unsaturated": [0]}
+
+
 def test_k1_runs_serve_the_witness_partition_on_raw_instances():
     # at k = 1 agent t gets bundle t of the type's share partition, worth
     # exactly one share (or ratio 1 by convention for a zero share)

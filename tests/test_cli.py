@@ -272,6 +272,9 @@ MISTYPED = {
     ["run", "known-d", "--eta", "1/2", "--instance", "INST", "--dist", "DIST", "--trace"],
     ["run", "unknown-d", "--eta", "1/2", "--instance", "INST", "--dist", "DIST", "--trace"],
     ["run", "adversarial", "--enumerate", "--trace", "--instance", "SMALL"],
+    ["mms", "solve", "--instance", "INST", "--type", "3", "--bundles", "2"],
+    ["run", "adversarial", "--instance", "SMALL"],
+    ["run", "known-d", "--eta", "1/2", "--instance", "INST"],
 ])
 def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     inst, dist = _gen_instance_and_dist(tmp_path)
@@ -333,6 +336,14 @@ def test_gen_lower_bound_and_tight_instances(tmp_path):
         out = tmp_path / "g.json"
         assert run_cli(args + ["--out", str(out)]) == 0
         assert json.loads(out.read_text())["n"] >= 2
+
+
+def test_gen_tight_pk_writes_its_law(tmp_path):
+    from mmsonline.generators import gen_tightness_pk
+    out, law = tmp_path / "g.json", tmp_path / "d.json"
+    assert run_cli(["gen", "tight-pk", "--k", "2", "--n", "4", "--out", str(out),
+                    "--dist-out", str(law)]) == 0
+    assert jsonio.distribution_from_obj(json.loads(law.read_text())) == gen_tightness_pk(2, 4)[1]
 
 
 def test_gen_lower_bound_loads_for_a_run(tmp_path, capsys):

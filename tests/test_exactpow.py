@@ -4,13 +4,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmsonline import exactpow
 from mmsonline.exactpow import (
+    SUM_BRACKET_DIGITS,
     ceil_pow,
     floor_plus_pow_sqrt,
     int_nth_root,
     mul_sqrt_lt,
     pow_bracket,
-    pow_le,
     pow_sqrt_le,
     pow_sqrt_sum_ge,
     sqrt_bracket,
@@ -127,9 +128,10 @@ def test_floors_and_ceilings_at_extreme_n():
 
 
 def test_pow_le():
-    assert pow_le(5000, F(19, 60), F(15))
-    assert not pow_le(5000, F(19, 60), F(14))
-    assert not pow_le(10, F(1, 2), F(-1))
+    # n ** e <= t is the radicand-1 case of pow_sqrt_le
+    assert pow_sqrt_le(5000, F(19, 60), 1, F(15))
+    assert not pow_sqrt_le(5000, F(19, 60), 1, F(14))
+    assert not pow_sqrt_le(10, F(1, 2), 1, F(-1))
 
 
 def test_mul_sqrt_lt():
@@ -155,3 +157,23 @@ def test_pow_sqrt_sum_ge():
     assert pow_sqrt_sum_ge(4, F(1, 2), [F(1), F(4)], F(6))
     assert pow_sqrt_sum_ge(7, F(1, 3), [], F(0))
     assert not pow_sqrt_sum_ge(7, F(1, 3), [], F(1, 10**30))
+
+
+@pytest.mark.parametrize("threshold,verdict,digits", [
+    # 2^(1/2) * (sqrt(2) + sqrt(2)) is exactly 4: the brackets never separate,
+    # so the tie is called >= only at the digit cap, unproven
+    (F(4), True, [12, 24, 48, 96, SUM_BRACKET_DIGITS]),
+    # 10^-30 away from the tie is decided once the brackets reach 48 digits
+    (4 - F(1, 10**30), True, [12, 24, 48]),
+    (4 + F(1, 10**30), False, [12, 24, 48]),
+])
+def test_pow_sqrt_sum_ge_escalates_to_the_digit_cap(monkeypatch, threshold, verdict, digits):
+    seen = []
+
+    def spy(n, exponent, d):
+        seen.append(d)
+        return pow_bracket(n, exponent, d)
+
+    monkeypatch.setattr(exactpow, "pow_bracket", spy)
+    assert pow_sqrt_sum_ge(2, F(1, 2), [F(2), F(2)], threshold) is verdict
+    assert seen == digits

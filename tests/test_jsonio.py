@@ -87,3 +87,15 @@ def test_report_obj_includes_required_fields():
 def test_canonical_json_is_stable():
     obj = {"b": [1, 2], "a": {"y": "1/2", "x": None}}
     assert canonical_json(obj) == canonical_json({"a": {"x": None, "y": "1/2"}, "b": [1, 2]})
+
+
+def test_zero_share_types_survive_the_json_round_trip():
+    from mmsonline import normalize, run_adversarial
+    norm = normalize(gen_random(2, 3, 2, "binary", seed=0))
+    assert norm.zero_mms_types == {0}
+    obj = instance_to_obj(norm.base, norm)
+    assert obj["zeroMmsTypes"] == [0]
+    back = normalized_from_obj(obj)
+    assert back == norm
+    for seq in ([0, 0], [0, 1], [1, 0], [1, 1]):
+        assert run_adversarial(back, seq) == run_adversarial(norm, seq)

@@ -244,6 +244,24 @@ def test_fewer_positive_items_than_bundles(vals, n):
     _check_witness(vals, n, got)
 
 
+@pytest.mark.parametrize("vals,n,value,witness,exact_nodes,brute_nodes", [
+    # no items, all-zero rows and n = 1 take the general path of both solvers;
+    # value, witness and nodes are as the special-cased solvers returned them
+    ([], 1, 0, [()], 1, 1),
+    ([], 3, 0, [(), (), ()], 1, 1),
+    ([F(0)] * 3, 1, 0, [(0, 1, 2)], 1, 4),
+    ([F(0)] * 3, 2, 0, [(0, 1, 2), ()], 1, 8),
+    ([F(0)] * 2, 4, 0, [(0, 1), (), (), ()], 1, 6),
+    ([F(0), F(5, 2), F(0), F(1)], 1, F(7, 2), [(0, 1, 2, 3)], 1, 5),
+    ([F(3)], 1, 3, [(0,)], 1, 2),
+])
+def test_edge_sizes_take_the_general_path(vals, n, value, witness, exact_nodes, brute_nodes):
+    for solver, nodes in ((mms_exact, exact_nodes), (mms_brute_force, brute_nodes)):
+        got = solver(vals, n)
+        assert (got.value, got.witness, got.nodes) == (value, tuple(witness), nodes)
+        _check_witness(vals, n, got)
+
+
 def test_node_count_at_m20_stays_pruned():
     # a work count, not a wall-clock time, so a slow host cannot trip it;
     # the solver without the deficit bound needs millions of nodes here

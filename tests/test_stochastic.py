@@ -472,7 +472,7 @@ def test_high_c_mechanics_and_drain_order():
     assert c_items == [1, 2]
     # rank 0 is instance type 0 here; reuse its stored witness.
     # two rank-0 agents first: they drain the C-free reserve, then A serves the rest
-    out, info = run_high_c(norm.witness_partitions[0], 4, c_items, [0, 0, 1, 1])
+    out, info = run_high_c(norm.witness_partitions[0], c_items, [0, 0, 1, 1])
     assert info["branch"] == "highC"
     assert out[0] == Bundle((3,)) and out[1] == Bundle((4, 5))
     assert out[2] == Bundle((0, 1)) and out[3] == Bundle((2,))
@@ -482,11 +482,11 @@ def test_high_c_mechanics_and_drain_order():
 def test_high_c_reserve0_holds_at_most_n_minus_c_bundles():
     # n - |C| = 1: only the first C-free bundle is set aside, and the report
     # counts what was set aside, not what serving left
-    out, info = run_high_c([Bundle((0, 1)), Bundle((2,)), Bundle((3,))], 3, [0, 1], [0, 0, 0])
+    out, info = run_high_c([Bundle((0, 1)), Bundle((2,)), Bundle((3,))], [0, 1], [0, 0, 0])
     assert out == [Bundle((2,)), Bundle((0,)), Bundle((1,))]
     assert info == {"branch": "highC", "mainBundles": 2, "reserve0": 1}
     # n = |C| = 2: no C-free bundle is set aside
-    out, info = run_high_c([Bundle((0,)), Bundle((1,)), Bundle((2,))], 2, [0, 1], [0, 0])
+    out, info = run_high_c([Bundle((0,)), Bundle((1,)), Bundle((2,))], [0, 1], [0, 0])
     assert out == [Bundle((0,)), Bundle((1,))]
     assert info["reserve0"] == 0
 
@@ -494,20 +494,20 @@ def test_high_c_reserve0_holds_at_most_n_minus_c_bundles():
 def test_high_c_records_failure_when_type0_scarce():
     norm = _high_c_fixture()
     # no rank-0 arrivals at all: A runs out after two agents
-    out, _ = run_high_c(norm.witness_partitions[0], 4, [1, 2], [1, 1, 1, 1])
+    out, _ = run_high_c(norm.witness_partitions[0], [1, 2], [1, 1, 1, 1])
     assert out[2] is None and out[3] is None
 
 
 def test_high_c_splits_multi_universal_bundles():
     partition = [Bundle((0, 1)), Bundle((2, 3))]
-    out, _ = run_high_c(partition, 2, [0, 1], [1, 1])
+    out, _ = run_high_c(partition, [0, 1], [1, 1])
     # the doubled bundle was split: both agents get exactly one universal item
     assert out[0] == Bundle((0,)) and out[1] == Bundle((1,))
 
 
 def test_high_c_reserve_stays_empty_when_c_covers_everyone():
     partition = [Bundle((0,)), Bundle((1,))]
-    out, info = run_high_c(partition, 2, [0, 1], [0, 1])
+    out, info = run_high_c(partition, [0, 1], [0, 1])
     assert info["reserve0"] == 0  # |C| >= agents: nothing is set aside
     assert out == [Bundle((0,)), Bundle((1,))]
 
@@ -516,14 +516,14 @@ def test_high_c_main_queue_holds_one_bundle_per_universal_item():
     # |C| + 1 arrivals of rank >= 1 draw only from the main queue: they get
     # |C| bundles, each with exactly one universal item, and then nothing
     cases = [
-        (_high_c_fixture().witness_partitions[0], 4, [1, 2]),
-        ([Bundle((0, 1)), Bundle((2,)), Bundle((3,))], 3, [0, 1]),
-        ([Bundle((0,)), Bundle((1,)), Bundle((2,))], 2, [0, 1]),
-        ([Bundle((0, 1)), Bundle((2, 3))], 2, [0, 1]),
-        ([Bundle((0,)), Bundle((1,))], 2, [0, 1]),
+        (_high_c_fixture().witness_partitions[0], [1, 2]),
+        ([Bundle((0, 1)), Bundle((2,)), Bundle((3,))], [0, 1]),
+        ([Bundle((0,)), Bundle((1,)), Bundle((2,))], [0, 1]),
+        ([Bundle((0, 1)), Bundle((2, 3))], [0, 1]),
+        ([Bundle((0,)), Bundle((1,))], [0, 1]),
     ]
-    for partition, n_agents, c_items in cases:
-        out, _ = run_high_c(partition, n_agents, c_items, [1] * (len(c_items) + 1))
+    for partition, c_items in cases:
+        out, _ = run_high_c(partition, c_items, [1] * (len(c_items) + 1))
         assert out[-1] is None
         assert sorted(len(set(b) & set(c_items)) for b in out[:-1]) == [1] * len(c_items)
 
@@ -565,7 +565,7 @@ def test_tight_pk_dispatch_reduces_by_universal_prefix():
     rows = norm.base.type_values
     values_sorted = as_scaled(rows[orig] for orig in dist.order)
     ranks = [dist.order.index(t) for t in sample_arrivals(dist, 20, 5)]
-    out, info = known_d_engine(values_sorted, list(range(norm.m_items)), 20,
+    out, info = known_d_engine(values_sorted, list(range(norm.m_items)),
                                dist.probs, F(1, 3), F(1, 10), ranks,
                                norm.witness_partitions[dist.order[0]])
     assert info["branch"] == "lowC"
@@ -578,7 +578,7 @@ def test_tight_pk_dispatch_reduces_by_universal_prefix():
 def test_dispatch_all_c_serves_singletons():
     # every item universal, cond_high false (k=1... use k=2 with tiny n^eps term)
     rows = as_scaled(((F(1),) * 2, (F(1),) * 2))
-    out, info = known_d_engine(rows, [0, 1], 2, [F(1, 2), F(1, 2)], F(1, 2),
+    out, info = known_d_engine(rows, [0, 1], [F(1, 2), F(1, 2)], F(1, 2),
                                F(1, 10), [1, 0], [Bundle((0,)), Bundle((1,))])
     # here |C| = 2 >= 1 + 2^0.1 = 2.07... is false -> allC path
     assert info["branch"] == "allC"

@@ -294,6 +294,38 @@ def test_learning_stage_claims_at_half_with_scale_k_over_2(monkeypatch):
     assert not state.checked
 
 
+def test_dry_learning_stage_reports_value_below_alpha(monkeypatch):
+    import mmsonline.unknown as unknown
+
+    real_split, real_low_c = unknown.random_split, unknown.run_low_c
+    low_c_out = []
+
+    def short_split(items, p, rng):
+        # basket 1 keeps 6 items: far too few for a window of 15 learners
+        basket1, basket2 = real_split(items, p, rng)
+        return Bundle(basket1[:6]), basket2
+
+    def spy(state, ranks):
+        out = real_low_c(state, ranks)
+        low_c_out.extend(out)
+        return out
+
+    monkeypatch.setattr(unknown, "random_split", short_split)
+    monkeypatch.setattr(unknown, "run_low_c", spy)
+    norm = gen_normalized_random(50, 400, 2, seed=0)
+    alloc, rep = run_unknown_d(norm, [t % 2 for t in range(50)], eta=F(1, 2), c=F(1, 20))
+    assert rep.details["branch"] == "splitAndLearn"
+    assert (rep.details["window"], rep.details["basket1"]) == (15, 6)
+    # the first learner takes 5 of the 6 items; the pool is then dry
+    learners = [b for _, _, b in alloc.entries[:15]]
+    assert len(learners[0]) == 5 and learners[1:] == [Bundle(())] * 14
+    # at n = 50 the split probability is capped at 1, so basket 2 is empty and
+    # low-C's reserves run dry too, but the earlier reason stands
+    assert None in low_c_out
+    assert rep.failure_reason is FailureReason.VALUE_BELOW_ALPHA
+    assert rep.failure_reason.value == "valueBelowAlpha"
+
+
 def test_restricted_share_layering_desk_scale():
     # verify the learning-stage layering literally at desk scale: the
     # basket-restricted share of every type is at least the k/2 floor the
