@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 clean, 1 input error, 2 invariant violation.
+Exit codes: 0 clean, 1 input error, 2 invariant violation.  A usage error (an
+unknown, conflicting or missing flag, a bad choice, a non-integer) exits 1 too.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .generators import enumeration_size, nth_sequence, sample_arrivals
 from .solver import mms_brute_force, mms_exact
 
 
-def _load_dist(path: str) -> TypeDistribution:
-    return jsonio.distribution_from_obj(jsonio.load(path))
-
-
 def _json_arg(text: str):
     """A flag's JSON value; malformed JSON is an input error."""
     try:
@@ -39,7 +36,8 @@ def _probs(spec: str | None) -> tuple[str, ...] | None:
     """A JSON list of probabilities, or a distribution file's, as strings."""
     if spec and spec.startswith("["):
         return tuple(_json_arg(spec))
-    return tuple(jsonio.distribution_to_obj(_load_dist(spec))["probs"]) if spec else None
+    law = jsonio.distribution_from_obj(jsonio.load(spec)) if spec else None
+    return tuple(jsonio.distribution_to_obj(law)["probs"]) if law else None
 
 
 def _write(text: str, out: str | None) -> None:
@@ -91,55 +89,46 @@ def _cmd_mms(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _cmd_run_adversarial(args) -> int:
+    if args.trace and args.enumerate:
+        raise InputError("--trace is for --arrivals; --enumerate has no step trace")
+    norm = jsonio.load_normalized(jsonio.load(args.instance))
+    if args.enumerate:
+        k, n = norm.k_types, norm.n_agents
+        reports = (harness.run_algorithm("adversarial", norm, nth_sequence(k, n, t), alpha=args.alpha or None)[1]
+                   for t in range(enumeration_size(k, n)))
+        _emit(jsonio.report_to_obj(min(reports, key=lambda rep: rep.min_ratio)), args.out)
+        return 0
+    seq = jsonio.sequence_from_obj(jsonio.load(args.arrivals))
+    _, rep = harness.run_algorithm("adversarial", norm, seq, alpha=args.alpha or None, trace=args.trace)
+    for event in rep.step_trace or ():
+        print(jsonio.canonical_json(event))  # one line per step
+    _emit(jsonio.report_to_obj(rep), args.out)
+    return 0
+
+
+def _cmd_run_stochastic(args) -> int:
+    """known-d (``--epsilon``) or unknown-d (``--c``): arrivals drawn from ``--dist``."""
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
-    if args.algorithm == "adversarial" and args.trials > 1:
-        raise InputError("run adversarial serves one arrival sequence; "
-                         "use mc --algorithm adversarial for repeated trials")
-    if args.algorithm != "adversarial" and (args.arrivals or args.enumerate):
-        raise InputError(f"run {args.algorithm} draws its arrivals from --dist; "
-                         "--arrivals and --enumerate are for run adversarial")
-    if args.trace and (args.algorithm != "adversarial" or args.enumerate):
-        raise InputError("--trace is for run adversarial --arrivals; "
-                         "known-d, unknown-d and --enumerate have no step trace")
     instance_obj = jsonio.load(args.instance)
+    law = _probs(args.dist)
+    epsilon, c = vars(args).get("epsilon"), vars(args).get("c")
     if args.trials > 1:
         # seeded repetition: route through the experiment runner
-        law = _probs(args.dist)
         config = harness.McConfig(
             algorithm=args.algorithm, trials=args.trials, master_seed=args.seed,
             instance_obj=instance_obj,
             dist=law if args.algorithm == "known-d" else None,
             hidden_dist=law if args.algorithm == "unknown-d" else None,
-            alpha=args.alpha, eta=args.eta,
-            epsilon=args.epsilon if args.algorithm == "known-d" else None,
-            c=args.c if args.algorithm == "unknown-d" else None)
+            alpha=args.alpha, eta=args.eta, epsilon=epsilon, c=c)
         _emit_aggregate(harness.monte_carlo(config), "json", args.out)
         return 0
-
     norm = jsonio.load_normalized(instance_obj)
-    dist = None
-    params = dict(alpha=args.alpha or None, eta=args.eta or None, epsilon=args.epsilon, c=args.c)
-    if args.algorithm == "adversarial":
-        if args.enumerate:
-            k, n = norm.k_types, norm.n_agents
-            reports = (harness.run_algorithm("adversarial", norm, nth_sequence(k, n, t), **params)[1]
-                       for t in range(enumeration_size(k, n)))
-            _emit(jsonio.report_to_obj(min(reports, key=lambda rep: rep.min_ratio)), args.out)
-            return 0
-        if not args.arrivals:
-            raise InputError("adversarial run needs --arrivals or --enumerate")
-        seq = jsonio.sequence_from_obj(jsonio.load(args.arrivals))
-    else:
-        if not args.dist:
-            raise InputError(f"{args.algorithm} needs --dist")
-        dist = _load_dist(args.dist)
-        seq = sample_arrivals(dist, norm.n_agents, args.seed)
+    dist = TypeDistribution.from_probs(law)
+    seq = sample_arrivals(dist, norm.n_agents, args.seed)
     _, rep = harness.run_algorithm(args.algorithm, norm, seq, dist=dist, seed=args.seed,
-                                   trace=args.trace, **params)
-    for event in rep.step_trace or ():
-        print(jsonio.canonical_json(event))  # one line per step
+                                   alpha=args.alpha or None, eta=args.eta or None, epsilon=epsilon, c=c)
     _emit(jsonio.report_to_obj(rep), args.out)
     return 0
 
@@ -178,9 +167,15 @@ def _cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises :class:`InputError` (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="mmsonline",
-                                description="Online maximin-share allocation toolkit")
+    p = _Parser(prog="mmsonline", description="Online maximin-share allocation toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="emit a generated instance as JSON")
@@ -204,23 +199,27 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_mms)
 
-    r = sub.add_parser("run", help="run one online allocation")
-    r.add_argument("algorithm", choices=harness.ALGORITHMS)
-    r.add_argument("--instance", required=True)
-    r.add_argument("--arrivals")
-    r.add_argument("--enumerate", action="store_true")
-    r.add_argument("--trace", action="store_true")
-    r.add_argument("--dist", help="distribution JSON (known-d parameter / unknown-d hidden law)")
-    r.add_argument("--alpha")
-    r.add_argument("--eta")
-    r.add_argument("--epsilon", default="1/10")
-    r.add_argument("--c", default="1/20")
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--trials", type=int, default=1,
-                   help="repeat with per-trial arrival substreams and aggregate "
-                        "(known-d, unknown-d)")
-    r.add_argument("--out")
-    r.set_defaults(fn=_cmd_run)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--instance", required=True)
+    common.add_argument("--alpha")
+    common.add_argument("--out")
+    algorithms = sub.add_parser("run", help="run one online allocation").add_subparsers(
+        dest="algorithm", required=True)
+    a = algorithms.add_parser("adversarial", parents=[common], help="one arrival sequence, or the worst of all",
+                              description="Repeated adversarial trials go through mc --algorithm adversarial.")
+    source = a.add_mutually_exclusive_group(required=True)
+    source.add_argument("--arrivals")
+    source.add_argument("--enumerate", action="store_true")
+    a.add_argument("--trace", action="store_true")
+    a.set_defaults(fn=_cmd_run_adversarial)
+    for algorithm, flag, default in (("known-d", "--epsilon", "1/10"), ("unknown-d", "--c", "1/20")):
+        r = algorithms.add_parser(algorithm, parents=[common], help="arrivals drawn from --dist")
+        r.add_argument("--dist", required=True, help="JSON list of probs or a distribution file")
+        r.add_argument("--eta")
+        r.add_argument(flag, default=default)
+        r.add_argument("--seed", type=int, default=0)
+        r.add_argument("--trials", type=int, default=1, help="repeat with per-trial substreams and aggregate")
+        r.set_defaults(fn=_cmd_run_stochastic)
 
     mc = sub.add_parser("mc", help="seeded Monte-Carlo experiment")
     mc.add_argument("--algorithm", required=True, choices=harness.ALGORITHMS)
@@ -259,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ from .core import (
     value,
 )
 from .generators import enumeration_size, nth_sequence, sample_arrivals
-from .rng import randbelow, randints, substream, uniform_fraction
+from .rng import randbelow, substream, uniform_fraction
 from .stochastic import run_known_d
 from .unknown import run_unknown_d
 
@@ -330,11 +330,8 @@ def degradation_trial(
     bracket_ok = all(beta * true_mms >= pert_mms >= true_mms / beta
                      for true_mms, pert_mms in zip(true_norm.original_mms, pert_norm.original_mms))
 
-    n, k = instance.n_agents, instance.k_types
-    if dist is not None:
-        seq = sample_arrivals(dist, n, seed)
-    else:
-        seq = randints(substream(seed, "arrivals"), 0, k - 1, n)
+    k = instance.k_types
+    seq = sample_arrivals(dist or TypeDistribution.from_probs([Fraction(1, k)] * k), instance.n_agents, seed)
     allocation, report = run_algorithm(
         algorithm, pert_norm, seq, dist=dist, alpha=alpha, eta=eta, epsilon=epsilon, c=c,
         seed=seed)

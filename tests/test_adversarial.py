@@ -209,6 +209,20 @@ def test_step_rejects_non_integer_type_ids(bad):
         tentative_policy(gen_lower_bound(16, 4))(bad)
 
 
+@pytest.mark.parametrize("served, arriving, message", [
+    ([0, 1, 0], 0, "all agents already arrived"),
+    ([], 2, "type id 2 out of range"),
+    ([0], -1, "type id -1 out of range"),
+])
+def test_step_rejects_an_agent_it_cannot_serve(served, arriving, message):
+    state = preprocess(gen_normalized_random(3, 8, 2, seed=0))
+    for t in served:
+        step_adversarial(state, t)
+    with pytest.raises(InputError) as err:
+        step_adversarial(state, arriving)
+    assert str(err.value) == message
+
+
 def test_step_reads_true_as_type_one():
     norm = gen_normalized_random(3, 8, 2, seed=0)
     assert step_adversarial(preprocess(norm), True) == step_adversarial(preprocess(norm), 1)

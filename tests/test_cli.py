@@ -220,6 +220,21 @@ MISTYPED = {
     "SEQ_FRACTIONAL": ("SEQ", lambda o: o["sequence"].__setitem__(slice(0, 2), [0.9, 1.2])),
     "SEQ_STRING": ("SEQ", lambda o: o["sequence"].__setitem__(0, "x")),
 }
+# usage errors, rejected before any file is read: a flag the algorithm does
+# not read, conflicting or missing flags, a bad choice, a non-integer
+USAGE_ERRORS = [
+    *(["run", "adversarial", "--instance", "INST", "--arrivals", "SEQ", flag, value]
+      for flag, value in [("--eta", "1/2"), ("--seed", "9"), ("--dist", "DIST"),
+                          ("--epsilon", "1/3"), ("--c", "1/30")]),
+    ["run", "adversarial", "--instance", "SMALL", "--arrivals", "SEQ", "--enumerate"],
+    ["run", "known-d", "--eta", "1/2", "--instance", "INST", "--dist", "DIST", "--c", "1/3"],
+    ["run", "unknown-d", "--eta", "1/2", "--instance", "INST", "--dist", "DIST", "--epsilon", "1/4"],
+    ["run", "bogus", "--instance", "INST"],
+    ["mc", "--algorithm", "adversarial", "--dist", '["1/3", "1/3", "1/3"]', "--generator", "normalized-random"],
+    ["gen", "random", "--n", "two"],
+]
+
+
 @pytest.mark.parametrize("case", [
     ["mc", "--algorithm", "known-d", "--eta", "1/2", "--dist", '["1/3", "1/3", "1/3"]',
      "--trials", "2", "--instance", "INST"],
@@ -275,6 +290,7 @@ MISTYPED = {
     ["mms", "solve", "--instance", "INST", "--type", "3", "--bundles", "2"],
     ["run", "adversarial", "--instance", "SMALL"],
     ["run", "known-d", "--eta", "1/2", "--instance", "INST"],
+    *USAGE_ERRORS,
 ])
 def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     inst, dist = _gen_instance_and_dist(tmp_path)
@@ -324,7 +340,35 @@ def test_run_adversarial_rejects_trials(tmp_path, capsys):
                     "--trials", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "mc" in captured.err
+    assert captured.err.startswith("error: ") and "--trials" in captured.err
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_error_is_one_line_on_stderr(tmp_path, capsys, case):
+    inst, dist = _gen_instance_and_dist(tmp_path)
+    small, seq = tmp_path / "small.json", tmp_path / "seq.json"
+    run_cli(["gen", "normalized-random", "--n", "3", "--m", "8", "--k", "2", "--out", str(small)])
+    seq.write_text(json.dumps({"sequence": [0, 1, 2] * 4}))
+    files = {"INST": inst, "SMALL": str(small), "DIST": dist, "SEQ": str(seq)}
+    capsys.readouterr()
+    assert run_cli([files.get(a, a) for a in case]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algorithm", ["known-d", "unknown-d"])
+def test_run_reads_an_inline_or_a_file_dist_alike(tmp_path, capsys, algorithm):
+    inst, _ = _gen_instance_and_dist(tmp_path)
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({"probs": ["1/2", "3/10", "1/5"]}))
+    printed = []
+    for dist in ('["1/2","3/10","1/5"]', str(law)):
+        capsys.readouterr()
+        assert run_cli(["run", algorithm, "--instance", inst, "--dist", dist,
+                        "--eta", "1/2", "--seed", "4"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and "minRatio" in printed[0]
 
 
 def test_gen_lower_bound_and_tight_instances(tmp_path):

@@ -462,6 +462,57 @@ def test_normalized_instance_rejects_bad_witness():
         NormalizedInstance(inst, (F(1),), ((Bundle((0,)), Bundle((1, 2, 3))),))
 
 
+def _with_first_witness(norm, edit):
+    """``norm``'s witness partitions with type 0's bundles (a list) passed through ``edit``."""
+    part = list(norm.witness_partitions[0])
+    edit(part)
+    return {"witness_partitions": (tuple(part), *norm.witness_partitions[1:])}
+
+
+@pytest.mark.parametrize("broken, message", [
+    (lambda norm: {"original_mms": norm.original_mms[:1]}, "per-type metadata length mismatch"),
+    (lambda norm: _with_first_witness(norm, lambda part: part.pop()),
+     "type 0: witness has 2 bundles, expected 3"),
+    (lambda norm: _with_first_witness(norm, lambda part: part.__setitem__(0, Bundle(part[0] + part[1][:1]))),
+     "type 0: witness is not a partition of the items"),
+    (lambda norm: _with_first_witness(norm, lambda part: part.__setitem__(0, Bundle(part[0] + (8,)))),
+     "type 0: witness is not a partition of the items"),
+    (lambda norm: _with_first_witness(norm, lambda part: part.__setitem__(0, Bundle(part[0][1:]))),
+     "type 0: witness does not cover all items"),
+    (lambda norm: {"zero_mms_types": {0}}, "type 0 flagged zero-share but has positive share"),
+    (lambda norm: {"original_mms": (F(0), *norm.original_mms[1:])},
+     "type 0 has nonpositive share but is not flagged"),
+], ids=["metadata", "bundle-count", "repeated-item", "item-beyond-m", "missing-item",
+        "flagged-positive", "unflagged-zero"])
+def test_normalized_instance_names_each_broken_field(broken, message):
+    norm = gen_normalized_random(3, 8, 2, seed=1)
+    with pytest.raises(ValidationError) as err:
+        dataclasses.replace(norm, **broken(norm))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("probs, order, message", [
+    ((F(3, 2), F(-1, 2)), (0, 1), "probabilities must be nonnegative"),
+    ((F(1, 4), F(3, 4)), (0, 1), "probs must be sorted non-increasing"),
+    ((F(1, 2), F(1, 2)), (0, 0), "order must be a permutation of type ids"),
+])
+def test_type_distribution_rejects_a_broken_law(probs, order, message):
+    with pytest.raises(InputError) as err:
+        TypeDistribution(probs, order)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("entry, message", [
+    ((0, 1, Bundle((0,))), "type id 1 out of range"),
+    ((0, -1, Bundle((0,))), "type id -1 out of range"),
+    ((0, 0, Bundle((3, 4))), "bundle references an item outside the instance"),
+])
+def test_verify_allocation_rejects_out_of_range_entries(entry, message):
+    with pytest.raises(ValidationError) as err:
+        verify_allocation(_tiny_norm(), Allocation((entry,)), F(1, 2))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("zero", [{7}, {2}, {-1}, {0, 2}])
 def test_normalized_instance_rejects_zero_share_type_out_of_range(zero):
     inst = Instance(2, ((F(1, 2),) * 4, (F(1, 2),) * 4))

@@ -22,7 +22,9 @@ from mmsonline.harness import (
     render_csv,
     run_trial,
 )
+from mmsonline.generators import sample_arrivals
 from mmsonline.jsonio import canonical_json, instance_to_obj
+from mmsonline.rng import randints, substream
 from mmsonline.solver import mms_exact
 
 UNIFORM2 = ("1/2", "1/2")
@@ -159,6 +161,36 @@ def test_degradation_trial_known_d_needs_distribution():
     with pytest.raises(InputError):
         degradation_trial("known-d", gen_random(3, 8, 2, "uniform", seed=2),
                           F(6, 5), seed=3, eta=F(1, 2), epsilon=F(1, 10))
+
+
+def test_degradation_trial_draws_uniform_arrivals_without_a_law():
+    # the uniform law's threshold table is 1..k, so each draw is the bare randint
+    for k in range(1, 9):
+        uniform = TypeDistribution.from_probs([F(1, k)] * k)
+        for n in (1, 3, 8, 50):
+            for seed in range(40):
+                assert sample_arrivals(uniform, n, seed) == randints(substream(seed, "arrivals"), 0, k - 1, n)
+    inst = gen_random(3, 8, 2, "uniform", seed=2)
+    assert degradation_trial("adversarial", inst, F(6, 5), seed=3) == degradation_trial(
+        "adversarial", inst, F(6, 5), seed=3, dist=TypeDistribution.from_probs(UNIFORM2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: monte_carlo(McConfig(algorithm="adversarial", trials=1, master_seed=0,
+                                  instance_obj=_fixed_instance_obj())),
+     "iid arrivals need a distribution"),
+    (lambda: monte_carlo(McConfig(algorithm="adversarial", trials=1, master_seed=0,
+                                  instance_obj=_fixed_instance_obj(), dist=UNIFORM3)),
+     "arrival distribution arity mismatch"),
+    (lambda: monte_carlo(McConfig(algorithm="adversarial", trials=0, master_seed=0, arrivals="exhaustive",
+                                  generator="normalized-random", generator_params={"n": 3, "m": 8, "k": 2})),
+     "exhaustive arrivals need a fixed instance"),
+    (lambda: perturb(gen_random(3, 8, 2, "uniform", seed=2), F(5, 6), seed=0), "beta must be at least 1"),
+], ids=["iid-without-law", "iid-wrong-arity", "exhaustive-without-instance", "beta-below-1"])
+def test_harness_rejects_unusable_inputs(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("missing", ["epsilon", "c"])
