@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 clean, 1 input error, 2 invariant violation.  A usage error (an
-unknown, conflicting or missing flag, a bad choice, a non-integer) exits 1 too.
+unknown, abbreviated, conflicting or missing flag, a bad choice, a non-integer)
+exits 1 too, and so does a parameter the command would not read.
 """
 
 from __future__ import annotations
@@ -57,16 +58,25 @@ def _emit_aggregate(agg: harness.AggregateReport, fmt: str, out: str | None) -> 
     _write(harness.render_csv(agg) if fmt == "csv" else agg.canonical_json() + "\n", out)
 
 
+# each gen flag's generator parameter
+_GEN_FLAGS = dict(n="n", m="m", k="k", seed="seed", eps="epsilon", model="value_model")
+
+
 def _cmd_gen(args) -> int:
-    flags = dict(n=args.n, m=args.m, k=args.k, seed=args.seed, epsilon=args.eps, value_model=args.model)
-    given = {key: v for key, v in flags.items() if v is not None}
+    declared = generators.parameters(args.kind)
+    given = {key: getattr(args, flag) for flag, key in _GEN_FLAGS.items() if getattr(args, flag) is not None}
+    unread = [f"--{flag}" for flag, key in _GEN_FLAGS.items() if key in given and key not in declared]
+    if unread:
+        raise InputError(f"gen {args.kind} does not take {', '.join(unread)}")
     # an unset flag leaves the generator's default; a parameter without one takes n=4, m=12 or k=2
     params = {key: given.get(key, dict(n=4, m=12, k=2).get(key))
-              for key, p in generators.parameters(args.kind).items() if key in given or p.default is p.empty}
+              for key, p in declared.items() if key in given or p.default is p.empty}
     inst, dist = generators.generate(args.kind, params)
+    if dist is None and args.dist_out:
+        raise InputError(f"gen {args.kind} ships no arrival law for --dist-out")
     _emit(jsonio.instance_to_obj(inst.base, inst) if isinstance(inst, NormalizedInstance)
           else jsonio.instance_to_obj(inst), args.out)
-    if dist is not None and args.dist_out:
+    if args.dist_out:
         _emit(jsonio.distribution_to_obj(dist), args.dist_out)
     return 0
 
@@ -109,26 +119,11 @@ def _cmd_run_adversarial(args) -> int:
 
 def _cmd_run_stochastic(args) -> int:
     """known-d (``--epsilon``) or unknown-d (``--c``): arrivals drawn from ``--dist``."""
-    if args.trials < 1:
-        raise InputError(f"--trials must be at least 1, got {args.trials}")
-    instance_obj = jsonio.load(args.instance)
-    law = _probs(args.dist)
-    epsilon, c = vars(args).get("epsilon"), vars(args).get("c")
-    if args.trials > 1:
-        # seeded repetition: route through the experiment runner
-        config = harness.McConfig(
-            algorithm=args.algorithm, trials=args.trials, master_seed=args.seed,
-            instance_obj=instance_obj,
-            dist=law if args.algorithm == "known-d" else None,
-            hidden_dist=law if args.algorithm == "unknown-d" else None,
-            alpha=args.alpha, eta=args.eta, epsilon=epsilon, c=c)
-        _emit_aggregate(harness.monte_carlo(config), "json", args.out)
-        return 0
-    norm = jsonio.load_normalized(instance_obj)
-    dist = TypeDistribution.from_probs(law)
+    norm = jsonio.load_normalized(jsonio.load(args.instance))
+    dist = TypeDistribution.from_probs(_probs(args.dist))
     seq = sample_arrivals(dist, norm.n_agents, args.seed)
-    _, rep = harness.run_algorithm(args.algorithm, norm, seq, dist=dist, seed=args.seed,
-                                   alpha=args.alpha or None, eta=args.eta or None, epsilon=epsilon, c=c)
+    _, rep = harness.run_algorithm(args.algorithm, norm, seq, dist=dist, seed=args.seed, alpha=args.alpha or None,
+                                   eta=args.eta or None, epsilon=vars(args).get("epsilon"), c=vars(args).get("c"))
     _emit(jsonio.report_to_obj(rep), args.out)
     return 0
 
@@ -168,7 +163,11 @@ def _cmd_report(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error raises :class:`InputError` (exit 1) instead of exiting 2."""
+    """A usage error raises :class:`InputError` (exit 1) instead of exiting 2,
+    and a flag must be typed in full: no prefix stands for it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise InputError(message)
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_mms)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--instance", required=True)
     common.add_argument("--alpha")
     common.add_argument("--out")
@@ -213,12 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--trace", action="store_true")
     a.set_defaults(fn=_cmd_run_adversarial)
     for algorithm, flag, default in (("known-d", "--epsilon", "1/10"), ("unknown-d", "--c", "1/20")):
-        r = algorithms.add_parser(algorithm, parents=[common], help="arrivals drawn from --dist")
+        r = algorithms.add_parser(algorithm, parents=[common], help="arrivals drawn from --dist",
+                                  description=f"Repeated trials go through mc --algorithm {algorithm}.")
         r.add_argument("--dist", required=True, help="JSON list of probs or a distribution file")
         r.add_argument("--eta")
         r.add_argument(flag, default=default)
         r.add_argument("--seed", type=int, default=0)
-        r.add_argument("--trials", type=int, default=1, help="repeat with per-trial substreams and aggregate")
         r.set_defaults(fn=_cmd_run_stochastic)
 
     mc = sub.add_parser("mc", help="seeded Monte-Carlo experiment")

@@ -321,7 +321,7 @@ class NormalizedInstance:
             if len(part) != n:
                 raise ValidationError(f"type {i}: witness has {len(part)} bundles, expected {n}")
             flat = list(chain.from_iterable(part))
-            if len(set(flat)) < len(flat) or max(flat, default=-1) >= m:
+            if len(set(flat)) < len(flat) or min(flat, default=0) < 0 or max(flat, default=-1) >= m:
                 raise ValidationError(f"type {i}: witness is not a partition of the items")
             if len(flat) != m:
                 raise ValidationError(f"type {i}: witness does not cover all items")
@@ -334,8 +334,6 @@ class NormalizedInstance:
             unit = view.units[i]
             if any(view.total(i, b) != unit for b in part):
                 raise ValidationError(f"type {i}: witness bundle value != 1 after rescaling")
-            if max(view.ints[i], default=0) > unit:
-                raise ValidationError(f"type {i}: item value above 1 after rescaling")
 
     @property
     def scaled(self) -> ScaledRows:

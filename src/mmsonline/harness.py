@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -83,6 +84,11 @@ class McConfig:
     Exactly one of ``instance_obj`` (a parsed instance JSON object, fixed
     across trials) or ``generator``/``generator_params`` (fresh instance per
     trial, seeded per trial) must be given.  Rationals travel as strings.
+
+    Every run reads ``alpha``; adversarial reads ``dist`` (iid arrivals only),
+    known-d ``dist``, ``eta`` and ``epsilon``, unknown-d ``eta``, ``c`` and
+    ``hidden_dist`` (iid only); only a generator reads ``generator_params`` and
+    ``fresh_instance_per_trial``.  A field set but never read is an input error.
     """
 
     algorithm: str
@@ -113,6 +119,11 @@ class McConfig:
             raise InputError(f"trials must be positive, got {self.trials}")
         if self.parallelism < 1:
             raise InputError(f"parallelism must be positive, got {self.parallelism}")
+        unread = [f.name for f in fields(self)
+                  if f.name in _READ_BY and getattr(self, f.name) != f.default and not _READ_BY[f.name](self)]
+        if unread:
+            source = "generated instances" if self.generator else "fixed instance"
+            raise InputError(f"{self.algorithm} ({self.arrivals} arrivals, {source}) never reads {', '.join(unread)}")
         if self.generator is not None:
             generators.check_params(self.generator, self.generator_params or {})
 
@@ -133,6 +144,18 @@ class McConfig:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in obj.items() if v is not None}
 
 
+# the optional fields a run may leave unread, each with the configs that read it
+_READ_BY = {
+    "generator_params": lambda cfg: cfg.generator is not None,
+    "fresh_instance_per_trial": lambda cfg: cfg.generator is not None,
+    "dist": lambda cfg: cfg.algorithm == "known-d" or (cfg.algorithm == "adversarial" and cfg.arrivals == "iid"),
+    "hidden_dist": lambda cfg: cfg.algorithm == "unknown-d" and cfg.arrivals == "iid",
+    "eta": lambda cfg: cfg.algorithm != "adversarial",
+    "epsilon": lambda cfg: cfg.algorithm == "known-d",
+    "c": lambda cfg: cfg.algorithm == "unknown-d",
+}
+
+
 def _generate(config: McConfig, seed_key: int) -> NormalizedInstance:
     """The generator's instance, its seed drawn from the ``seed_key`` substream."""
     params = dict(config.generator_params or {})
@@ -142,37 +165,26 @@ def _generate(config: McConfig, seed_key: int) -> NormalizedInstance:
     return inst if isinstance(inst, NormalizedInstance) else normalize(inst)
 
 
-def _law(probs: tuple[str, ...] | None) -> TypeDistribution | None:
-    return TypeDistribution.from_probs(probs) if probs is not None else None
-
-
-def _trial_arrivals(config: McConfig, norm: NormalizedInstance, trial: int,
-                    dist: TypeDistribution | None) -> list[int]:
-    """Trial ``trial``'s arrivals: the trial-th of all sequences, or i.i.d.
-    draws from ``dist`` (the hidden law instead for unknown-d)."""
-    n, k = norm.n_agents, norm.k_types
-    if config.arrivals == "exhaustive":
-        return nth_sequence(k, n, trial)
-    if config.algorithm == "unknown-d":
-        dist = _law(config.hidden_dist)
-    if dist is None:
-        raise InputError("iid arrivals need a distribution")
-    if dist.k != k:
-        raise InputError("arrival distribution arity mismatch")
-    return sample_arrivals(dist, n, substream(config.master_seed, "arrivals", trial))
-
-
 def run_trial(config: McConfig, trial: int) -> dict:
-    """One seeded trial; returns a flat JSON-able row.  An invariant violation
-    aborts with a reproducer."""
+    """One seeded trial on the trial-th of all arrival sequences, or on i.i.d.
+    draws from the one law the config sets; returns a flat JSON-able row.  An
+    invariant violation aborts with a reproducer."""
     norm = config.fixed_instance
     if norm is None:
         norm = _generate(config, trial)
-    dist = _law(config.dist)
-    seq = _trial_arrivals(config, norm, trial, dist)
+    probs = config.dist or config.hidden_dist  # at most one is set
+    law = TypeDistribution.from_probs(probs) if probs else None
+    if config.arrivals == "exhaustive":
+        seq = nth_sequence(norm.k_types, norm.n_agents, trial)
+    elif law is None:
+        raise InputError("iid arrivals need a distribution")
+    elif law.k != norm.k_types:
+        raise InputError("arrival distribution arity mismatch")
+    else:
+        seq = sample_arrivals(law, norm.n_agents, substream(config.master_seed, "arrivals", trial))
     try:
         _, report = run_algorithm(
-            config.algorithm, norm, seq, dist=dist,
+            config.algorithm, norm, seq, dist=None if config.algorithm == "unknown-d" else law,
             alpha=config.alpha or None, eta=config.eta or None,
             epsilon=config.epsilon, c=config.c,
             seed=randbelow(substream(config.master_seed, "split", trial), 2**48)
@@ -262,10 +274,7 @@ def monte_carlo(config: McConfig) -> AggregateReport:
         rows = [run_trial(config, t) for t in range(trials)]
     rows.sort(key=lambda r: r["trial"])
 
-    histogram: dict[str, int] = {}
-    for row in rows:
-        if not row["success"]:
-            histogram[row["failureReason"]] = histogram.get(row["failureReason"], 0) + 1
+    histogram = Counter(row["failureReason"] for row in rows if not row["success"])
     exact = [Fraction(row["minRatio"]) for row in rows]
     ratios = sorted(map(float, exact))
     def q(p: float) -> float:
@@ -296,10 +305,8 @@ def perturb(instance: Instance, beta: Fraction, seed: int) -> Instance:
     if beta < 1:
         raise InputError("beta must be at least 1")
     rng = substream(seed, "perturb")
-    rows = []
-    for row in instance.type_values:
-        rows.append(tuple(v * uniform_fraction(rng, 1 / beta, beta) for v in row))
-    return Instance(instance.n_agents, tuple(rows), instance.type_names)
+    rows = tuple(tuple(v * uniform_fraction(rng, 1 / beta, beta) for v in row) for row in instance.type_values)
+    return Instance(instance.n_agents, rows, instance.type_names)
 
 
 def degradation_trial(
@@ -364,9 +371,6 @@ def render_csv(aggregate: AggregateReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in aggregate.rows:
-        writer.writerow([
-            row["trial"], row["seed"], row["algorithm"], row["n"], row["m"], row["k"],
-            row["alpha"], row["minRatio"],
-            "true" if row["success"] else "false", row["failureReason"],
-        ])
+        cells = {**row, "success": "true" if row["success"] else "false"}
+        writer.writerow([cells[column] for column in CSV_COLUMNS])
     return buf.getvalue()

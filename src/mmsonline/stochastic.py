@@ -43,14 +43,14 @@ from .exactpow import floor_plus_pow_sqrt, pow_sqrt_le, pow_sqrt_sum_ge
 
 
 def claim_level(alpha, eta) -> Fraction:
-    """The run's claim level: ``alpha`` if given, else 1/(2(1+eta)) for a
-    prediction error eta >= 0."""
-    if eta is not None and as_fraction(eta) < 0:
-        raise InputError("eta must be nonnegative")
+    """The run's claim level from exactly one of ``alpha`` and a prediction
+    error eta >= 0, which sets it to 1/(2(1+eta))."""
+    if (alpha is None) == (eta is None):
+        raise InputError("give exactly one of alpha and eta")
     if alpha is not None:
         return as_fraction(alpha)
-    if eta is None:
-        raise InputError("pass alpha or eta")
+    if as_fraction(eta) < 0:
+        raise InputError("eta must be nonnegative")
     return Fraction(1, 2 * (1 + as_fraction(eta)))
 
 

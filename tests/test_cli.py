@@ -2,12 +2,14 @@ import json
 import re
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
 from mmsonline import jsonio
 from mmsonline.cli import main
+from mmsonline.core import InputError
 from mmsonline.harness import McConfig
 
 
@@ -195,6 +197,16 @@ def _gen_instance_and_dist(tmp_path):
     return str(inst), str(dist)
 
 
+def _assert_refused(capsys, argv, names):
+    """``argv`` exits 1 with nothing on stdout and one ``error:`` line naming each of ``names``."""
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert all(name in captured.err for name in names), captured.err
+
+
 MC_ADV = ["mc", "--algorithm", "adversarial", "--trials", "2", "--dist", '["1/3", "1/3", "1/3"]',
           "--generator", "normalized-random"]
 
@@ -232,6 +244,9 @@ USAGE_ERRORS = [
     ["run", "bogus", "--instance", "INST"],
     ["mc", "--algorithm", "adversarial", "--dist", '["1/3", "1/3", "1/3"]', "--generator", "normalized-random"],
     ["gen", "random", "--n", "two"],
+    ["run", "known-d", "--et", "1/2", "--instance", "INST", "--dist", "DIST"],
+    ["run", "adversarial", "--inst", "SMALL", "--enumerate"],
+    ["run", "known-d", "--eta", "1/2", "--instance", "INST", "--dist", "DIST", "--trials", "2"],
 ]
 
 
@@ -258,8 +273,10 @@ USAGE_ERRORS = [
      "--generator", "normalized-random", "--generator-params", '{"n": 3, "m": 8, "k": 3}'],
     ["mc", "--algorithm", "adversarial", "--trials", "0", "--dist", '["1/3", "1/3", "1/3"]',
      "--generator", "normalized-random", "--generator-params", '{"n": 3, "m": 8, "k": 3}'],
-    ["run", "known-d", "--trials", "0", "--eta", "1/2", "--instance", "INST", "--dist", "DIST"],
-    ["run", "known-d", "--trials", "-2", "--eta", "1/2", "--instance", "INST", "--dist", "DIST"],
+    ["mc", "--algorithm", "known-d", "--trials", "0", "--eta", "1/2", "--epsilon", "1/10",
+     "--instance", "INST", "--dist", "DIST"],
+    ["mc", "--algorithm", "known-d", "--trials", "-2", "--eta", "1/2", "--epsilon", "1/10",
+     "--instance", "INST", "--dist", "DIST"],
     MC_ADV + ["--generator-params", '{"n": 0, "m": 8, "k": 3}'],
     ["gen", "normalized-random", "--n", "0", "--m", "8", "--k", "2"],
     ["run", "adversarial", "--enumerate", "--alpha=-1/2", "--instance", "SMALL"],
@@ -350,11 +367,110 @@ def test_usage_error_is_one_line_on_stderr(tmp_path, capsys, case):
     run_cli(["gen", "normalized-random", "--n", "3", "--m", "8", "--k", "2", "--out", str(small)])
     seq.write_text(json.dumps({"sequence": [0, 1, 2] * 4}))
     files = {"INST": inst, "SMALL": str(small), "DIST": dist, "SEQ": str(seq)}
+    _assert_refused(capsys, [files.get(a, a) for a in case], [])
+
+
+# the McConfig fields each run never reads on a fixed instance, beside the
+# generator-only generator_params and fresh_instance_per_trial
+UNREAD = {
+    ("adversarial", "iid"): ("hidden_dist", "eta", "epsilon", "c"),
+    ("adversarial", "exhaustive"): ("dist", "hidden_dist", "eta", "epsilon", "c"),
+    ("known-d", "iid"): ("hidden_dist", "c"),
+    ("known-d", "exhaustive"): ("hidden_dist", "c"),
+    ("unknown-d", "iid"): ("dist", "epsilon"),
+    ("unknown-d", "exhaustive"): ("dist", "hidden_dist", "epsilon"),
+}
+UNIFORM3 = ("1/3", "1/3", "1/3")
+# each optional field: a value set away from its default, and the mc flags that set it
+FIELD_VALUES = {
+    "dist": (UNIFORM3, ["--dist", json.dumps(UNIFORM3)]),
+    "hidden_dist": (UNIFORM3, ["--hidden-dist", json.dumps(UNIFORM3)]),
+    "eta": ("1/2", ["--eta", "1/2"]),
+    "epsilon": ("1/10", ["--epsilon", "1/10"]),
+    "c": ("1/20", ["--c", "1/20"]),
+    "generator_params": ({"n": 3}, ["--generator-params", '{"n": 3}']),
+    "fresh_instance_per_trial": (False, ["--fixed-instance"]),
+}
+# the fields each run reads, so each base config below is valid
+READ = {
+    ("adversarial", "iid"): ("dist",),
+    ("adversarial", "exhaustive"): (),
+    ("known-d", "iid"): ("dist", "eta", "epsilon"),
+    ("known-d", "exhaustive"): ("dist", "eta", "epsilon"),
+    ("unknown-d", "iid"): ("hidden_dist", "eta", "c"),
+    ("unknown-d", "exhaustive"): ("eta", "c"),
+}
+
+
+@pytest.mark.parametrize("algorithm, arrivals, field", [
+    (*run, field) for run, fields in UNREAD.items()
+    for field in (*fields, "generator_params", "fresh_instance_per_trial")])
+def test_unread_config_field_is_refused_by_name(tmp_path, capsys, algorithm, arrivals, field):
+    inst, _ = _gen_instance_and_dist(tmp_path)
+    base = {name: FIELD_VALUES[name][0] for name in READ[algorithm, arrivals]}
+    common = dict(algorithm=algorithm, trials=0 if arrivals == "exhaustive" else 2, master_seed=0,
+                  instance_obj=json.loads(Path(inst).read_text()), arrivals=arrivals)
+    McConfig(**common, **base)  # valid without the unread field
+    with pytest.raises(InputError, match=rf"never reads {field}$"):
+        McConfig(**common, **base, **{field: FIELD_VALUES[field][0]})
+    argv = ["mc", "--algorithm", algorithm, "--arrivals", arrivals, "--trials", str(common["trials"]),
+            "--instance", inst]
+    for name in (*READ[algorithm, arrivals], field):
+        argv += FIELD_VALUES[name][1]
+    _assert_refused(capsys, argv, [field])
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "known-d", "--instance", "INST", "--dist", "DIST", "--alpha", "2/5", "--eta", "1/2"],
+    ["run", "unknown-d", "--instance", "INST", "--dist", "DIST", "--alpha", "2/5", "--eta", "1/2"],
+    ["mc", "--algorithm", "known-d", "--trials", "2", "--instance", "INST", "--dist", "DIST",
+     "--alpha", "2/5", "--eta", "1/2", "--epsilon", "1/10"],
+    ["mc", "--algorithm", "unknown-d", "--trials", "2", "--instance", "INST", "--hidden-dist", "DIST",
+     "--alpha", "2/5", "--eta", "1/2", "--c", "1/20"],
+], ids=["run-known-d", "run-unknown-d", "mc-known-d", "mc-unknown-d"])
+def test_alpha_with_eta_is_refused(tmp_path, capsys, argv):
+    inst, dist = _gen_instance_and_dist(tmp_path)
+    _assert_refused(capsys, [{"INST": inst, "DIST": dist}.get(a, a) for a in argv], ["alpha", "eta"])
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["gen", "lower-bound", "--m", "5", "--eps", "1/3"], ["--m", "--eps"]),
+    (["gen", "example1", "--model", "binary", "--seed", "3"], ["--model", "--seed"]),
+    (["gen", "tight-half", "--k", "3", "--n", "5", "--m", "9"], ["--m"]),
+    (["gen", "random", "--n", "3", "--m", "6", "--dist-out", "LAW"], ["--dist-out"]),
+], ids=["lower-bound", "example1", "tight-half", "random-dist-out"])
+def test_gen_refuses_a_flag_its_kind_does_not_take(tmp_path, capsys, argv, flags):
+    law = tmp_path / "law.json"
+    _assert_refused(capsys, [str(law) if a == "LAW" else a for a in argv], flags)
+    assert not law.exists()
+
+
+def _readme_synopsis() -> list[str]:
+    """Each ``mmsonline`` line of README's CLI synopsis, joined with its continuation lines."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = []
+    for line in readme.split("## CLI", 1)[1].split("```")[1].splitlines():
+        if line.startswith("mmsonline "):
+            lines.append(line)
+        elif line.strip():
+            lines[-1] += " " + line.strip()
+    return lines
+
+
+def _subcommand(line: str) -> list[str]:
+    """A synopsis line's subcommand words, e.g. ``["run", "known-d"]``."""
+    return list(takewhile(lambda w: re.fullmatch(r"[a-z][a-z0-9-]*", w), line.split()[1:]))
+
+
+@pytest.mark.parametrize("line", _readme_synopsis(), ids=lambda line: " ".join(_subcommand(line)))
+def test_readme_synopsis_flags_are_in_help(capsys, line):
     capsys.readouterr()
-    assert run_cli([files.get(a, a) for a in case]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    with pytest.raises(SystemExit) as exit_:
+        main([*_subcommand(line), "--help"])
+    assert exit_.value.code == 0
+    shown = capsys.readouterr().out
+    assert [flag for flag in re.findall(r"--[a-z][a-z-]*", line)
+            if not re.search(rf"(?<![\w-]){flag}(?![\w-])", shown)] == []
 
 
 @pytest.mark.parametrize("algorithm", ["known-d", "unknown-d"])

@@ -460,6 +460,9 @@ def test_normalized_instance_rejects_bad_witness():
     inst = Instance(2, ((F(1, 2),) * 4,))
     with pytest.raises(ValidationError):
         NormalizedInstance(inst, (F(1),), ((Bundle((0,)), Bundle((1, 2, 3))),))
+    # a negative id would index from the row's end: item 2 twice, item 1 never
+    with pytest.raises(ValidationError, match="type 0: witness is not a partition of the items"):
+        NormalizedInstance(Instance(2, ((0, 1, 1),)), (1,), (((-1, 0), (2,)),))
 
 
 def _with_first_witness(norm, edit):

@@ -195,10 +195,9 @@ def test_harness_rejects_unusable_inputs(call, message):
 
 @pytest.mark.parametrize("missing", ["epsilon", "c"])
 def test_run_trial_missing_parameter_is_input_error(missing):
-    algorithm = "known-d" if missing == "epsilon" else "unknown-d"
+    algorithm, law = ("known-d", "dist") if missing == "epsilon" else ("unknown-d", "hidden_dist")
     cfg = McConfig(algorithm=algorithm, trials=1, master_seed=0,
-                   instance_obj=_fixed_instance_obj(n=12, m=40), dist=UNIFORM2,
-                   hidden_dist=UNIFORM2, eta="1/2")
+                   instance_obj=_fixed_instance_obj(n=12, m=40), eta="1/2", **{law: UNIFORM2})
     with pytest.raises(InputError, match=missing):
         run_trial(cfg, 0)
 
@@ -314,8 +313,8 @@ def test_fixed_instance_resolved_once_per_experiment(monkeypatch, tmp_path, arri
         return load(obj)
     monkeypatch.setattr(harness.jsonio, "load_normalized", counted)
     cfg = McConfig(algorithm="adversarial", trials=0 if arrivals == "exhaustive" else 20,
-                   master_seed=3, instance_obj=_fixed_instance_obj(), dist=UNIFORM2,
-                   arrivals=arrivals, parallelism=parallelism)
+                   master_seed=3, instance_obj=_fixed_instance_obj(),
+                   dist=UNIFORM2 if arrivals == "iid" else None, arrivals=arrivals, parallelism=parallelism)
     assert len(monte_carlo(cfg).rows) == (8 if arrivals == "exhaustive" else 20)
     assert log.read_text() == "x"
     assert "fixed_instance" not in cfg.to_obj() and cfg.fixed_instance is not None

@@ -96,6 +96,12 @@ def _cases(tmp: Path, capsys) -> dict[str, callable]:
     cli = lambda *args: (lambda: _cli_stdout(capsys, list(args)))  # noqa: E731
     known = ["run", "known-d", "--instance", f["mid"], "--dist", f["dist3"], "--seed", "4"]
     unknown = ["run", "unknown-d", "--instance", f["mid"], "--dist", f["dist3"], "--seed", "4"]
+    # the repeated form of the known and unknown runs above; its cases keep
+    # the `run-*-trials-*` names pinned when `run` still took `--trials`
+    mc_known = ["mc", "--algorithm", "known-d", "--trials", "3", "--seed", "4",
+                "--instance", f["mid"], "--dist", f["dist3"]]
+    mc_unknown = ["mc", "--algorithm", "unknown-d", "--trials", "3", "--seed", "4",
+                  "--instance", f["mid"], "--hidden-dist", f["dist3"]]
     gen = ["--generator", "normalized-random", "--generator-params", '{"n": 12, "m": 40, "k": 3}']
     dist2 = TypeDistribution.from_probs([F(1, 2)] * 2)
     mms = ["mms", "solve", "--instance", f["raw"], "--type", "1", "--bundles", "3"]
@@ -121,12 +127,12 @@ def _cases(tmp: Path, capsys) -> dict[str, callable]:
         "run-known-d-eta": cli(*known, "--eta", "1/2", "--epsilon", "1/10"),
         "run-known-d-raw-instance": cli(
             "run", "known-d", "--instance", f["raw"], "--dist", f["dist2"], "--eta", "1/2"),
-        "run-known-d-trials-alpha": cli(*known, "--alpha", "2/5", "--trials", "3"),
-        "run-known-d-trials-eta": cli(*known, "--eta", "1/2", "--trials", "3"),
+        "run-known-d-trials-alpha": cli(*mc_known, "--alpha", "2/5", "--epsilon", "1/10"),
+        "run-known-d-trials-eta": cli(*mc_known, "--eta", "1/2", "--epsilon", "1/10"),
         "run-unknown-d-alpha": cli(*unknown, "--alpha", "2/5", "--c", "1/20"),
         "run-unknown-d-eta": cli(*unknown, "--eta", "1/2", "--c", "1/20"),
-        "run-unknown-d-trials-alpha": cli(*unknown, "--alpha", "2/5", "--trials", "3"),
-        "run-unknown-d-trials-eta": cli(*unknown, "--eta", "1/2", "--trials", "3"),
+        "run-unknown-d-trials-alpha": cli(*mc_unknown, "--alpha", "2/5", "--c", "1/20"),
+        "run-unknown-d-trials-eta": cli(*mc_unknown, "--eta", "1/2", "--c", "1/20"),
         "mc-adversarial": cli(
             "mc", "--algorithm", "adversarial", "--trials", "6", "--seed", "3",
             "--generator", "normalized-random", "--generator-params", '{"n": 3, "m": 8, "k": 2}',

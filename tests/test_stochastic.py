@@ -41,6 +41,10 @@ UNIFORM3 = [F(1, 3)] * 3
 
 def test_params_validation():
     assert claim_level(None, F(1, 2)) == F(1, 3)
+    assert claim_level(F(2, 5), None) == F(2, 5)
+    for alpha, eta in ((F(2, 5), F(1, 2)), (None, None)):
+        with pytest.raises(InputError, match="exactly one of alpha and eta"):
+            claim_level(alpha, eta)
     norm = gen_normalized_random(6, 18, 3, seed=1)
     dist = TypeDistribution.from_probs(UNIFORM3)
     seq = sample_arrivals(dist, 6, 2)
