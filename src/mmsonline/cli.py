@@ -105,12 +105,12 @@ def _cmd_run_adversarial(args) -> int:
     norm = jsonio.load_normalized(jsonio.load(args.instance))
     if args.enumerate:
         k, n = norm.k_types, norm.n_agents
-        reports = (harness.run_algorithm("adversarial", norm, nth_sequence(k, n, t), alpha=args.alpha or None)[1]
+        reports = (harness.run_algorithm("adversarial", norm, nth_sequence(k, n, t), alpha=args.alpha)[1]
                    for t in range(enumeration_size(k, n)))
         _emit(jsonio.report_to_obj(min(reports, key=lambda rep: rep.min_ratio)), args.out)
         return 0
     seq = jsonio.sequence_from_obj(jsonio.load(args.arrivals))
-    _, rep = harness.run_algorithm("adversarial", norm, seq, alpha=args.alpha or None, trace=args.trace)
+    _, rep = harness.run_algorithm("adversarial", norm, seq, alpha=args.alpha, trace=args.trace)
     for event in rep.step_trace or ():
         print(jsonio.canonical_json(event))  # one line per step
     _emit(jsonio.report_to_obj(rep), args.out)
@@ -122,30 +122,36 @@ def _cmd_run_stochastic(args) -> int:
     norm = jsonio.load_normalized(jsonio.load(args.instance))
     dist = TypeDistribution.from_probs(_probs(args.dist))
     seq = sample_arrivals(dist, norm.n_agents, args.seed)
-    _, rep = harness.run_algorithm(args.algorithm, norm, seq, dist=dist, seed=args.seed, alpha=args.alpha or None,
-                                   eta=args.eta or None, epsilon=vars(args).get("epsilon"), c=vars(args).get("c"))
+    reads = harness.READS[args.algorithm]  # --dist and --seed drew the arrivals too
+    _, rep = harness.run_algorithm(args.algorithm, norm, seq, dist=dist if "dist" in reads else None,
+                                   seed=args.seed if "seed" in reads else None, alpha=args.alpha, eta=args.eta,
+                                   epsilon=vars(args).get("epsilon"), c=vars(args).get("c"))
     _emit(jsonio.report_to_obj(rep), args.out)
     return 0
 
 
 def _cmd_mc(args) -> int:
-    config = harness.McConfig(
-        algorithm=args.algorithm,
-        trials=args.trials,
-        master_seed=args.seed,
-        instance_obj=jsonio.load(args.instance) if args.instance else None,
-        generator=args.generator,
-        generator_params=_json_arg(args.generator_params) if args.generator_params else None,
-        fresh_instance_per_trial=not args.fixed_instance,
-        dist=_probs(args.dist),
-        hidden_dist=_probs(args.hidden_dist),
-        alpha=args.alpha,
-        eta=args.eta,
-        epsilon=args.epsilon,
-        c=args.c,
-        arrivals=args.arrivals,
-        parallelism=args.parallelism,
-    )
+    try:
+        config = harness.McConfig(
+            algorithm=args.algorithm,
+            trials=args.trials,
+            master_seed=args.seed,
+            instance_obj=jsonio.load(args.instance) if args.instance else None,
+            generator=args.generator,
+            generator_params=_json_arg(args.generator_params) if args.generator_params else None,
+            fresh_instance_per_trial=not args.fixed_instance,
+            dist=_probs(args.dist),
+            hidden_dist=_probs(args.hidden_dist),
+            alpha=args.alpha,
+            eta=args.eta,
+            epsilon=args.epsilon,
+            c=args.c,
+            arrivals=args.arrivals,
+            parallelism=args.parallelism,
+        )
+    except harness.UnreadInputs as exc:  # name the flags as typed, not the fields they set
+        raise harness.UnreadInputs(f"mc --algorithm {exc.what}", [{"fresh_instance_per_trial": "--fixed-instance"}.get(
+            name, "--" + name.replace("_", "-")) for name in exc.names]) from exc
     _emit_aggregate(harness.monte_carlo(config), args.format, args.out)
     return 0
 

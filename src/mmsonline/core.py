@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -202,7 +203,8 @@ class ScaledRows:
 
     def total(self, i: int, items: Iterable[int]) -> int:
         """Type i's value of the items, in units of L_i."""
-        return sum(map(self.ints[i].__getitem__, items))
+        row = self.ints[i]
+        return sum([row[g] for g in items])
 
 
 def as_scaled(rows: Iterable[Sequence] | ScaledRows) -> ScaledRows:
@@ -264,9 +266,8 @@ def check_arrivals(arrivals: Iterable[int], n: int, k: int) -> list[int]:
     seq = _int_ids(arrivals, "type")
     if len(seq) != n:
         raise InputError(f"arrival sequence has {len(seq)} types, expected {n}")
-    for t in seq:
-        if not 0 <= t < k:
-            raise InputError(f"type id {t} out of range")
+    if seq and not 0 <= min(seq) <= max(seq) < k:
+        raise InputError(f"type id {next(t for t in seq if not 0 <= t < k)} out of range")
     return seq
 
 
@@ -459,40 +460,49 @@ class FailureReason(str, Enum):
     VALUE_BELOW_ALPHA = "valueBelowAlpha"
 
 
-@dataclass
+@dataclass(eq=False)
 class TrialReport:
-    """Outcome of one online run: per-agent achieved ratios against the
-    (normalized) maximin share, the minimum, and the success verdict."""
+    """Outcome of one online run against the (normalized) maximin shares: agent
+    a's ratio is ``numerators[a] / denominators[a]``, exact ints whose Fractions
+    ``per_agent_ratio`` builds on first read, and ``min_ratio`` the least.  The
+    verdict ``min_ratio >= alpha`` is worked out on construction; reports compare
+    by the ratios' values, however their pairs are reduced."""
 
-    per_agent_ratio: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominators: tuple[int, ...]
     min_ratio: Fraction
     alpha: Fraction
-    succeeded_at_alpha: bool
     failure_reason: FailureReason = FailureReason.NONE
     flags: tuple[str, ...] = ()
     details: dict | None = None
     step_trace: list | None = None
+    succeeded_at_alpha: bool = field(init=False)
+
+    def __post_init__(self):
+        self.numerators, self.denominators = tuple(self.numerators), tuple(self.denominators)
+        self.alpha, self.flags = as_fraction(self.alpha), tuple(self.flags)
+        self.succeeded_at_alpha = ok = not self.numerators or self.min_ratio >= self.alpha
+        if ok or self.failure_reason is FailureReason.NONE:  # a reason only for a failed run
+            self.failure_reason = FailureReason.NONE if ok else FailureReason.VALUE_BELOW_ALPHA
+
+    @cached_property
+    def per_agent_ratio(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.numerators, self.denominators))
+
+    def __eq__(self, other):
+        if not isinstance(other, TrialReport):
+            return NotImplemented
+        rest = fields(self)[2:]  # all but the pairs, which compare as the ratios they stand for
+        return self.per_agent_ratio == other.per_agent_ratio and \
+            [getattr(self, f.name) for f in rest] == [getattr(other, f.name) for f in rest]
 
     @classmethod
-    def build(
-        cls,
-        ratios: Iterable[Fraction],
-        alpha: Fraction,
-        failure_reason: FailureReason = FailureReason.NONE,
-        flags: tuple[str, ...] = (),
-        details: dict | None = None,
-        step_trace: list | None = None,
-        min_ratio: Fraction | None = None,
-    ) -> "TrialReport":
-        """The report of these ratios; pass ``min_ratio`` when it is already known."""
+    def build(cls, ratios: Iterable[Fraction], alpha: Fraction, failure_reason: FailureReason = FailureReason.NONE,
+              flags: tuple[str, ...] = (), details: dict | None = None, step_trace: list | None = None) -> "TrialReport":
+        """The report of these exact ratios."""
         ratios = tuple(ratios)
-        alpha = as_fraction(alpha)
-        if min_ratio is None:
-            min_ratio = min(ratios) if ratios else Fraction(1)
-        ok = not ratios or min_ratio >= alpha
-        if ok or failure_reason is FailureReason.NONE:  # a reason only for a failed run
-            failure_reason = FailureReason.NONE if ok else FailureReason.VALUE_BELOW_ALPHA
-        return cls(ratios, min_ratio, alpha, ok, failure_reason, tuple(flags), details, step_trace)
+        return cls([r.numerator for r in ratios], [r.denominator for r in ratios], min(ratios, default=Fraction(1)),
+                   alpha, failure_reason, flags, details, step_trace)
 
 
 def agent_ratio(norm: NormalizedInstance, type_id: int, bundle: Bundle) -> Fraction:
@@ -530,19 +540,21 @@ def finish_run(
                 reason = FailureReason.EMPTY_RESERVE
         entries.append((agent, type_id, bundle))
     allocation = Allocation(tuple(entries))
-    # agent_ratio from ints: one Fraction per distinct (type, scaled total), a
-    # zero-share type keyed -1, and the least ratio from each type's least total
-    view, zero = norm.scaled, norm.zero_mms_types
-    known: list[dict[int, Fraction]] = [{} for _ in view.units]
-    ratios = []
+    # agent_ratio as the int pair (scaled total, L_i), or (1, 1) at a zero
+    # share, and the least ratio from each type's least total: k Fractions
+    zero = norm.zero_mms_types
+    rows = [None if i in zero else row for i, row in enumerate(norm.scaled.ints)]
+    units = [1 if i in zero else unit for i, unit in enumerate(norm.scaled.units)]
+    totals, least = [], {}
     for _, type_id, bundle in entries:
-        x = -1 if type_id in zero else sum(map(view.ints[type_id].__getitem__, bundle))
-        ratio = known[type_id].get(x)
-        if ratio is None:
-            ratio = known[type_id][x] = Fraction(1) if x < 0 else Fraction(x, view.units[type_id])
-        ratios.append(ratio)
-    min_ratio = min((totals[min(totals)] for totals in known if totals), default=Fraction(1))
-    return allocation, TrialReport.build(ratios, alpha, reason, tuple(flags), details, trace, min_ratio)
+        row = rows[type_id]
+        x = 1 if row is None else sum([row[g] for g in bundle])
+        totals.append(x)
+        if least.setdefault(type_id, x) > x:
+            least[type_id] = x
+    min_ratio = min((Fraction(x, units[i]) for i, x in least.items()), default=Fraction(1))
+    return allocation, TrialReport(totals, [units[t] for _, t, _ in entries], min_ratio, alpha, reason, flags,
+                                   details, trace)
 
 
 def verify_allocation(norm: NormalizedInstance, allocation: Allocation, alpha: Fraction) -> TrialReport:

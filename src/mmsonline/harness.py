@@ -13,10 +13,9 @@ import csv
 import io
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import generators, jsonio
 from .adversarial import run_adversarial
@@ -37,44 +36,47 @@ from .rng import randbelow, substream, uniform_fraction
 from .stochastic import run_known_d
 from .unknown import run_unknown_d
 
-ALGORITHMS = ("adversarial", "known-d", "unknown-d")
+# each algorithm's allocator, and the parameters it reads beside alpha, each
+# with whether a run needs it; the library and McConfig refuse any other one
+RUNS = {"adversarial": run_adversarial, "known-d": run_known_d, "unknown-d": run_unknown_d}
+READS = {
+    "adversarial": {"trace": False},
+    "known-d": {"dist": True, "eta": False, "epsilon": True},
+    "unknown-d": {"eta": False, "c": True, "seed": False},
+}
+ALGORITHMS = tuple(READS)
 
 
-def run_algorithm(
-    algorithm: str,
-    norm: NormalizedInstance,
-    arrivals,
-    *,
-    dist: TypeDistribution | None = None,
-    alpha=None,
-    eta=None,
-    epsilon=None,
-    c=None,
-    seed: int = 0,
-    trace: bool = False,
-) -> tuple[Allocation, TrialReport]:
+class UnreadInputs(InputError):
+    """Inputs set but never read by the run they were given to, listed in ``names``."""
+
+    def __init__(self, what: str, names: list[str]):
+        super().__init__(f"{what} never reads {', '.join(names)}")
+        self.what, self.names = what, names
+
+
+def run_algorithm(algorithm: str, norm: NormalizedInstance, arrivals, *, alpha=None,
+                  **params) -> tuple[Allocation, TrialReport]:
     """Run one allocator on one arrival sequence of original type ids.
 
-    Rationals may be Fractions, ints or "num/den" strings.  Every run checks
-    its invariants, and a failed check of the reservation state or of the
-    low-C audit raises ``InvariantViolation``.  Adversarial honours
-    ``trace``; known-d and unknown-d report an empty reserve as data.
-    ``dist`` is the known-d distribution; ``seed`` drives the unknown-d
-    random split.
+    Rationals may be Fractions, ints or "num/den" strings.  ``params`` are
+    the algorithm's own, as ``READS`` lists them: known-d's distribution
+    ``dist``, adversarial's step ``trace``, unknown-d's ``seed`` for the
+    random split.  A parameter set (not None) that the algorithm never reads
+    is an input error naming it.  Every run checks its invariants, and a
+    failed check of the reservation state or of the low-C audit raises
+    ``InvariantViolation``; known-d and unknown-d report an empty reserve as data.
     """
-    if algorithm == "adversarial":
-        return run_adversarial(norm, arrivals, alpha=alpha, trace=trace)
-    if algorithm == "known-d":
-        if dist is None:
-            raise InputError("known-d needs a distribution")
-        if epsilon is None:
-            raise InputError("known-d needs epsilon")
-        return run_known_d(norm, dist, arrivals, alpha=alpha, eta=eta, epsilon=epsilon)
-    if algorithm == "unknown-d":
-        if c is None:
-            raise InputError("unknown-d needs c")
-        return run_unknown_d(norm, arrivals, alpha=alpha, eta=eta, c=c, seed=seed)
-    raise InputError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in READS:
+        raise InputError(f"unknown algorithm {algorithm!r}")
+    params = {name: v for name, v in params.items() if v is not None}
+    unread = [name for name in params if name not in READS[algorithm]]
+    if unread:
+        raise UnreadInputs(algorithm, unread)
+    for name, needed in READS[algorithm].items():
+        if needed and name not in params:
+            raise InputError(f"{algorithm} needs {name}")
+    return RUNS[algorithm](norm, arrivals=arrivals, alpha=alpha, **params)
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ class McConfig:
                   if f.name in _READ_BY and getattr(self, f.name) != f.default and not _READ_BY[f.name](self)]
         if unread:
             source = "generated instances" if self.generator else "fixed instance"
-            raise InputError(f"{self.algorithm} ({self.arrivals} arrivals, {source}) never reads {', '.join(unread)}")
+            raise UnreadInputs(f"{self.algorithm} ({self.arrivals} arrivals, {source})", unread)
         if self.generator is not None:
             generators.check_params(self.generator, self.generator_params or {})
 
@@ -144,15 +146,14 @@ class McConfig:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in obj.items() if v is not None}
 
 
-# the optional fields a run may leave unread, each with the configs that read it
+# the optional fields a run may leave unread, each with the configs that read
+# it: a run's own parameters as READS has them, and the laws iid arrivals draw from
 _READ_BY = {
     "generator_params": lambda cfg: cfg.generator is not None,
     "fresh_instance_per_trial": lambda cfg: cfg.generator is not None,
-    "dist": lambda cfg: cfg.algorithm == "known-d" or (cfg.algorithm == "adversarial" and cfg.arrivals == "iid"),
+    "dist": lambda cfg: "dist" in READS[cfg.algorithm] or (cfg.algorithm == "adversarial" and cfg.arrivals == "iid"),
     "hidden_dist": lambda cfg: cfg.algorithm == "unknown-d" and cfg.arrivals == "iid",
-    "eta": lambda cfg: cfg.algorithm != "adversarial",
-    "epsilon": lambda cfg: cfg.algorithm == "known-d",
-    "c": lambda cfg: cfg.algorithm == "unknown-d",
+    **{name: lambda cfg, name=name: name in READS[cfg.algorithm] for name in ("eta", "epsilon", "c")},
 }
 
 
@@ -183,12 +184,11 @@ def run_trial(config: McConfig, trial: int) -> dict:
     else:
         seq = sample_arrivals(law, norm.n_agents, substream(config.master_seed, "arrivals", trial))
     try:
+        reads = READS[config.algorithm]
         _, report = run_algorithm(
-            config.algorithm, norm, seq, dist=None if config.algorithm == "unknown-d" else law,
-            alpha=config.alpha or None, eta=config.eta or None,
-            epsilon=config.epsilon, c=config.c,
-            seed=randbelow(substream(config.master_seed, "split", trial), 2**48)
-            if config.algorithm == "unknown-d" else 0)
+            config.algorithm, norm, seq, dist=law if "dist" in reads else None,
+            alpha=config.alpha, eta=config.eta, epsilon=config.epsilon, c=config.c,
+            seed=randbelow(substream(config.master_seed, "split", trial), 2**48) if "seed" in reads else None)
     except InvariantViolation as exc:
         raise InvariantViolation(
             f"{exc}; reproduce with master_seed={config.master_seed}, trial={trial}") from exc
@@ -268,6 +268,7 @@ def monte_carlo(config: McConfig) -> AggregateReport:
     # capped: a fork-started pool launches all its workers at the first submit
     workers = min(config.parallelism, trials, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only for a pool
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_mc_star, ((config, t) for t in range(trials)), chunksize=16))
     else:
@@ -286,7 +287,8 @@ def monte_carlo(config: McConfig) -> AggregateReport:
         failure_histogram=dict(sorted(histogram.items())),
         invariant_violations=0,
         min_ratio_overall=jsonio.frac_to_str(min(exact)),
-        mean_min_ratio=sum(ratios) / len(ratios),
+        # added left to right: sum() compensates float rounding from Python 3.12 on
+        mean_min_ratio=reduce(float.__add__, ratios, 0.0) / len(ratios),
         quantiles={"p05": q(0.05), "p50": q(0.50), "p95": q(0.95)},
     )
 
@@ -324,10 +326,12 @@ def degradation_trial(
     """Run one algorithm on the perturbed view of an instance and audit the
     exact degradation guarantee against the true values.
 
-    Arrivals are drawn from ``dist``, or uniformly without one; known-d
-    also needs ``dist`` as its parameter.  Returns share brackets per type (beta * true >= perturbed >= true / beta)
-    and, when the perturbed run met its claim level, whether every agent's
-    true ratio reached alpha / beta**2.
+    Arrivals are drawn from ``dist``, or uniformly without one; known-d also
+    needs ``dist`` as its parameter, unknown-d splits by ``seed``, and any
+    other parameter the algorithm never reads is refused.  Returns share
+    brackets per type (beta * true >= perturbed >= true / beta) and, when the
+    perturbed run met its claim level, whether every agent's true ratio
+    reached alpha / beta**2.
     """
     beta = as_fraction(beta)
     true_norm = normalize(instance)
@@ -339,9 +343,10 @@ def degradation_trial(
 
     k = instance.k_types
     seq = sample_arrivals(dist or TypeDistribution.from_probs([Fraction(1, k)] * k), instance.n_agents, seed)
+    reads = READS.get(algorithm, {})  # dist and seed drew the arrivals too
     allocation, report = run_algorithm(
-        algorithm, pert_norm, seq, dist=dist, alpha=alpha, eta=eta, epsilon=epsilon, c=c,
-        seed=seed)
+        algorithm, pert_norm, seq, dist=dist if "dist" in reads else None, alpha=alpha, eta=eta, epsilon=epsilon,
+        c=c, seed=seed if "seed" in reads else None)
 
     degraded_alpha = report.alpha / beta ** 2
     shares, rows = true_norm.original_mms, instance.type_values

@@ -200,9 +200,7 @@ def low_c_info(state: LowCState, arrival_ranks: Sequence[int]) -> dict:
     """Report view of a saturation run: the reserve caps against the arrival
     counts per rank and the saturation outcome; ``violations`` stays empty,
     since a failed audit raises."""
-    counts = [0] * len(state.caps)
-    for rank in arrival_ranks:
-        counts[rank] += 1
+    counts = [arrival_ranks.count(rank) for rank in range(len(state.caps))]
     return {
         "caps": list(state.caps),
         "counts": counts,

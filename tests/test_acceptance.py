@@ -265,18 +265,17 @@ def test_acceptance_8_learning_augmented_degradation():
     bad_bracket = 0
     bad_degradation = 0
     met = 0
-    for algorithm, k, dist_probs in (
-        ("adversarial", 2, (F(1, 2), F(1, 2))),
-        ("known-d", 3, (F(1, 2), F(3, 10), F(1, 5))),
-        ("unknown-d", 2, (F(3, 5), F(2, 5))),
+    # each algorithm gets only the parameters it reads; any other one is refused
+    for algorithm, k, dist_probs, params in (
+        ("adversarial", 2, (F(1, 2), F(1, 2)), {}),
+        ("known-d", 3, (F(1, 2), F(3, 10), F(1, 5)), dict(eta=F(1, 2), epsilon=F(1, 10))),
+        ("unknown-d", 2, (F(3, 5), F(2, 5)), dict(eta=F(1, 2), c=F(1, 20))),
     ):
         dist = TypeDistribution.from_probs(list(dist_probs))
         for trial in range(100):
             seed = substream(MASTER, "c8", algorithm, trial).randrange(2**32)
             inst = gen_random(4, 9, k, "uniform", seed=seed)
-            out = degradation_trial(
-                algorithm, inst, beta, seed, dist=dist,
-                eta=F(1, 2), epsilon=F(1, 10), c=F(1, 20))
+            out = degradation_trial(algorithm, inst, beta, seed, dist=dist, **params)
             bad_bracket += not out["bracketOk"]
             bad_degradation += not out["degradationOk"]
             met += out["perturbedSuccess"]

@@ -417,7 +417,7 @@ def test_unread_config_field_is_refused_by_name(tmp_path, capsys, algorithm, arr
             "--instance", inst]
     for name in (*READ[algorithm, arrivals], field):
         argv += FIELD_VALUES[name][1]
-    _assert_refused(capsys, argv, [field])
+    _assert_refused(capsys, argv, [f"never reads {FIELD_VALUES[field][1][0]}\n"])  # the flag as typed
 
 
 @pytest.mark.parametrize("argv", [
@@ -431,6 +431,25 @@ def test_unread_config_field_is_refused_by_name(tmp_path, capsys, algorithm, arr
 def test_alpha_with_eta_is_refused(tmp_path, capsys, argv):
     inst, dist = _gen_instance_and_dist(tmp_path)
     _assert_refused(capsys, [{"INST": inst, "DIST": dist}.get(a, a) for a in argv], ["alpha", "eta"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--algorithm", "known-d", "--trials", "2", "--instance", "INST", "--dist", "DIST",
+     "--epsilon", "1/10", "--alpha", ""],
+    ["mc", "--algorithm", "unknown-d", "--trials", "2", "--instance", "INST", "--hidden-dist", "DIST",
+     "--c", "1/20", "--eta", ""],
+    ["mc", "--algorithm", "adversarial", "--trials", "2", "--instance", "INST", "--dist", "DIST", "--alpha", ""],
+    ["run", "known-d", "--instance", "INST", "--dist", "DIST", "--eta", ""],
+    ["run", "unknown-d", "--instance", "INST", "--dist", "DIST", "--alpha", ""],
+    ["run", "adversarial", "--instance", "INST", "--arrivals", "SEQ", "--alpha", ""],
+], ids=["mc-known-d-alpha", "mc-unknown-d-eta", "mc-adversarial-alpha", "run-known-d-eta",
+        "run-unknown-d-alpha", "run-adversarial-alpha"])
+def test_empty_rational_is_refused_not_taken_as_unset(tmp_path, capsys, argv):
+    inst, dist = _gen_instance_and_dist(tmp_path)
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"sequence": [0, 1, 2] * 4}))
+    files = {"INST": inst, "DIST": dist, "SEQ": str(seq)}
+    _assert_refused(capsys, [files.get(a, a) for a in argv], ["bad rational ''"])
 
 
 @pytest.mark.parametrize("argv, flags", [

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import pickle
 import re
 import types
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -12,13 +14,14 @@ from mmsonline import (
     InputError,
     TypeDistribution,
     ValidationError,
+    gen_random,
     normalize,
     run_adversarial,
     run_known_d,
     run_unknown_d,
     sample_arrivals,
 )
-from mmsonline.adversarial import TentativeState
+from mmsonline.adversarial import TentativeState, adaptive_lower_bound_adversary, greedy_policy, tentative_policy
 from mmsonline.core import (
     Allocation,
     Bundle,
@@ -29,6 +32,7 @@ from mmsonline.core import (
     ScaledRows,
     TrialReport,
     _in_order_and_disjoint,
+    agent_ratio,
     as_scaled,
     check_items,
     fill_bag,
@@ -39,6 +43,7 @@ from mmsonline.core import (
     verify_allocation,
 )
 from mmsonline.generators import gen_normalized_random
+from mmsonline.jsonio import canonical_json, report_to_obj
 from mmsonline.rng import substream
 from mmsonline.stochastic import preprocess_low_c, universal_items
 from mmsonline.solver import mms_brute_force
@@ -401,6 +406,59 @@ def test_finish_run_ratios_count_zero_share_agents():
         assert rep.per_agent_ratio == ratios and rep.min_ratio == min(ratios)
         again = verify_allocation(norm, alloc, F(1, 2))
         assert (again.per_agent_ratio, again.min_ratio) == (rep.per_agent_ratio, rep.min_ratio)
+
+
+def test_ratio_pairs_read_as_agent_ratio_and_render_the_same_bytes():
+    # the golden instances and a small raw sweep with zero-share types, every
+    # allocator, its ex-post verification and the lower-bound game: each
+    # reported ratio is agent_ratio's, and the reports' JSON hashes to the
+    # digest of the code that kept one Fraction per agent
+    insts = [gen_normalized_random(3, 8, 2, seed=1), gen_normalized_random(12, 40, 3, seed=2),
+             normalize(gen_random(3, 8, 2, "uniform", seed=5))]
+    insts += [normalize(gen_random(n, m, k, model, seed=seed)) for model, k, (n, m), seed
+              in product(("uniform", "binary", "clustered"), (2, 3), ((3, 7), (4, 9)), range(2))]
+    digest, zero_agents, verdicts = hashlib.sha256(), 0, set()
+    for norm in insts:
+        k = norm.k_types
+        dist = TypeDistribution.from_probs([F(1, k)] * k)
+        for s in range(3):
+            seq = sample_arrivals(dist, norm.n_agents, s)
+            for alloc, rep in [run_adversarial(norm, seq), run_known_d(norm, dist, seq, eta=F(1, 2), epsilon=F(1, 10)),
+                               run_unknown_d(norm, seq, eta=F(1, 2), c=F(1, 20), seed=s)]:
+                for r in (rep, verify_allocation(norm, alloc, rep.alpha)):
+                    ratios = tuple(agent_ratio(norm, t, b) for _, t, b in alloc.entries)
+                    assert r.per_agent_ratio == ratios and r.min_ratio == min(ratios)
+                    assert r.succeeded_at_alpha == (r.min_ratio >= r.alpha)
+                    zeros = [x for (_, t, _), x in zip(alloc.entries, r.per_agent_ratio) if t in norm.zero_mms_types]
+                    assert zeros == [1] * len(zeros)
+                    zero_agents += len(zeros)
+                    verdicts.add(r.succeeded_at_alpha)
+                    digest.update(canonical_json(report_to_obj(r)).encode())
+    for policy in (greedy_policy, tentative_policy):
+        for k, n in ((16, 4), (16, 6), (25, 6)):
+            digest.update(canonical_json(report_to_obj(adaptive_lower_bound_adversary(k, n, policy))).encode())
+    assert zero_agents == 258 and verdicts == {True, False}
+    assert digest.hexdigest() == "34db866e77a7a1320b4cd459d6eb649e1510930639413a618039b89d04a0122c"
+
+
+def test_reports_compare_by_value_and_replace_keeps_them():
+    # finish_run keeps each ratio as (scaled total, L_i), unreduced: 6/4 and
+    # 2/4 here; a report built from the reduced Fractions is the same report
+    norm = NormalizedInstance(Instance(2, ((F(1, 4),) * 8,)), (F(1),), ((Bundle(range(4)), Bundle(range(4, 8))),))
+    _, rep = finish_run(norm, [0, 0], [Bundle(range(6)), Bundle((6, 7))], F(1, 2), details={"x": 1})
+    assert (rep.numerators, rep.denominators) == ((6, 2), (4, 4))
+    built = TrialReport.build([F(3, 2), F(1, 2)], F(1, 2), details={"x": 1})
+    assert (built.numerators, built.denominators) == ((3, 1), (2, 2)) and built == rep
+    assert rep.per_agent_ratio is rep.per_agent_ratio  # built once, on the first read
+    assert TrialReport.build([F(3, 2), F(2, 4)], F(1, 2), details={"x": 1}) == rep
+    assert TrialReport.build([F(3, 2), F(1, 3)], F(1, 2), details={"x": 1}) != rep
+    assert TrialReport.build([F(3, 2), F(1, 2)], F(1, 2)) != rep
+    flagged = dataclasses.replace(rep, flags=("degenerateScale",))
+    assert flagged != rep and flagged.per_agent_ratio == rep.per_agent_ratio and flagged.min_ratio == F(1, 2)
+    assert dataclasses.replace(flagged, flags=()) == rep
+    assert report_to_obj(dataclasses.replace(rep)) == report_to_obj(rep) == report_to_obj(built)
+    assert not dataclasses.replace(rep, alpha=F(2, 3)).succeeded_at_alpha  # the verdict follows alpha
+    assert pickle.loads(pickle.dumps(rep)) == rep
 
 
 def test_a_reason_is_reported_only_for_a_failed_run():

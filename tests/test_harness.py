@@ -1,6 +1,11 @@
+import concurrent.futures
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -109,10 +114,19 @@ def test_monte_carlo_caps_its_worker_count(monkeypatch, parallelism, trials, cpu
     base = dict(algorithm="adversarial", trials=trials, master_seed=4,
                 instance_obj=_fixed_instance_obj(), dist=UNIFORM2)
     serial = monte_carlo(McConfig(**base)).canonical_json()
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)  # imported where the pool starts
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     assert monte_carlo(McConfig(**base, parallelism=parallelism)).canonical_json() == serial
     assert started == workers
+
+
+def test_importing_the_harness_leaves_multiprocessing_unloaded():
+    # the pool is imported where a parallel run starts it, so a serial run never pays for it
+    src = Path(harness.__file__).resolve().parents[1]
+    code = "import sys, mmsonline.harness; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "[]\n"
 
 
 def test_repeat_same_seed_byte_identical():
@@ -155,6 +169,39 @@ def test_degradation_trial_adversarial():
     assert out["degradationOk"]
     if out["perturbedSuccess"]:
         assert out["trueMinRatio"] >= out["degradedAlpha"]
+
+
+# each algorithm's own parameters, and every other one set, in the order run_algorithm names them
+OWN = {
+    "adversarial": (dict(trace=True), dict(eta=F(1, 2), epsilon=F(1, 10), c=F(1, 20), seed=3)),
+    "known-d": (dict(eta=F(1, 2), epsilon=F(1, 10)), dict(c=F(1, 20), seed=3, trace=True)),
+    "unknown-d": (dict(eta=F(1, 2), c=F(1, 20), seed=3), dict(epsilon=F(1, 10), trace=True)),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(OWN))
+def test_run_algorithm_refuses_every_parameter_its_algorithm_never_reads(algorithm):
+    own, other = OWN[algorithm]
+    law = TypeDistribution.from_probs(UNIFORM2)
+    if algorithm == "known-d":
+        own = {**own, "dist": law}
+    else:
+        other = {"dist": law, **other}
+    norm = harness.jsonio.load_normalized(_fixed_instance_obj(n=12, m=40))
+    seq = sample_arrivals(law, 12, 5)
+    harness.run_algorithm(algorithm, norm, seq, **own, **dict.fromkeys(other))  # None is unset
+    for name, val in other.items():
+        with pytest.raises(InputError, match=rf"^{algorithm} never reads {name}$"):
+            harness.run_algorithm(algorithm, norm, seq, **own, **{name: val})
+    with pytest.raises(InputError, match=rf"^{algorithm} never reads {', '.join(other)}$"):
+        harness.run_algorithm(algorithm, norm, seq, **own, **other)
+    # degradation_trial draws the arrivals from dist and seeds them by seed,
+    # so only the other rationals reach the algorithm unread
+    rationals = [name for name in ("eta", "epsilon", "c") if name in other]
+    with pytest.raises(InputError, match=rf"^{algorithm} never reads {', '.join(rationals)}$"):
+        degradation_trial(algorithm, gen_random(3, 8, 2, "uniform", seed=2), F(6, 5), seed=3, dist=law,
+                          **{name: val for name, val in own.items() if name in ("eta", "epsilon", "c")},
+                          **{name: other[name] for name in rationals})
 
 
 def test_degradation_trial_known_d_needs_distribution():
@@ -240,6 +287,16 @@ def test_min_ratio_overall_by_exact_order(monkeypatch):
                     "failureReason": "none", "violations": 0}
         monkeypatch.setattr(harness, "run_trial", fake_trial)
         assert monte_carlo(cfg).min_ratio_overall == below
+
+
+def test_mean_min_ratio_adds_left_to_right_on_every_python(monkeypatch):
+    # ten tenths add up to just below 1 one at a time, and to exactly 1 with
+    # the compensated float sum() of Python 3.12 on; the report keeps the former
+    cfg = McConfig(algorithm="adversarial", trials=10, master_seed=0,
+                   instance_obj=_fixed_instance_obj(), dist=UNIFORM2)
+    monkeypatch.setattr(harness, "run_trial", lambda config, trial: {
+        "trial": trial, "minRatio": "1/10", "success": True, "failureReason": "none", "violations": 0})
+    assert monte_carlo(cfg).mean_min_ratio == 0.9999999999999999 / 10
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
