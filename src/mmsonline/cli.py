@@ -34,11 +34,14 @@ def _json_arg(text: str):
 
 
 def _probs(spec: str | None) -> tuple[str, ...] | None:
-    """A JSON list of probabilities, or a distribution file's, as strings."""
-    if spec and spec.startswith("["):
+    """A JSON list of probabilities, or a distribution file's, as strings;
+    only an absent flag (``None``) is unset."""
+    if spec is None:
+        return None
+    if spec.startswith("["):
         return tuple(_json_arg(spec))
-    law = jsonio.distribution_from_obj(jsonio.load(spec)) if spec else None
-    return tuple(jsonio.distribution_to_obj(law)["probs"]) if law else None
+    law = jsonio.distribution_from_obj(jsonio.load(spec))
+    return tuple(jsonio.distribution_to_obj(law)["probs"])
 
 
 def _write(text: str, out: str | None) -> None:
@@ -136,9 +139,9 @@ def _cmd_mc(args) -> int:
             algorithm=args.algorithm,
             trials=args.trials,
             master_seed=args.seed,
-            instance_obj=jsonio.load(args.instance) if args.instance else None,
+            instance_obj=None if args.instance is None else jsonio.load(args.instance),
             generator=args.generator,
-            generator_params=_json_arg(args.generator_params) if args.generator_params else None,
+            generator_params=None if args.generator_params is None else _json_arg(args.generator_params),
             fresh_instance_per_trial=not args.fixed_instance,
             dist=_probs(args.dist),
             hidden_dist=_probs(args.hidden_dist),

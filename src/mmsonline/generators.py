@@ -413,10 +413,13 @@ def parameters(name: str) -> Mapping[str, inspect.Parameter]:
 
 
 def check_params(name: str, params) -> None:
-    """Reject parameters the generator does not take, and an ``int`` one given
-    anything but an int: a JSON true is a bool, which is not a count."""
+    """Reject anything but a dict, parameters the generator does not take, and
+    an ``int`` one given anything but an int: a JSON true is a bool, which is
+    not a count."""
     declared = parameters(name)
-    try:  # a TypeError: not an object, or not the generator's parameters
+    if not isinstance(params, dict):
+        raise InputError(f"generator_params for {name!r} must be a JSON object")
+    try:  # a TypeError: not the generator's parameters
         bound = _SIGNATURES[name].bind(**params)
     except TypeError as exc:
         raise InputError(f"generator_params for {name!r}: {exc}") from exc

@@ -10,6 +10,7 @@ the whole experiment with a reproducer.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import os
 from collections import Counter
@@ -36,14 +37,13 @@ from .rng import randbelow, substream, uniform_fraction
 from .stochastic import run_known_d
 from .unknown import run_unknown_d
 
-# each algorithm's allocator, and the parameters it reads beside alpha, each
-# with whether a run needs it; the library and McConfig refuse any other one
+# each algorithm's allocator, and the parameters its signature takes beside
+# norm, arrivals and alpha, each with whether a run needs it (it has no
+# default); the library and McConfig refuse any other one
 RUNS = {"adversarial": run_adversarial, "known-d": run_known_d, "unknown-d": run_unknown_d}
-READS = {
-    "adversarial": {"trace": False},
-    "known-d": {"dist": True, "eta": False, "epsilon": True},
-    "unknown-d": {"eta": False, "c": True, "seed": False},
-}
+READS = {algorithm: {name: p.default is p.empty for name, p in inspect.signature(run).parameters.items()
+                     if name not in ("norm", "arrivals", "alpha")}
+         for algorithm, run in RUNS.items()}
 ALGORITHMS = tuple(READS)
 
 
@@ -87,10 +87,11 @@ class McConfig:
     across trials) or ``generator``/``generator_params`` (fresh instance per
     trial, seeded per trial) must be given.  Rationals travel as strings.
 
-    Every run reads ``alpha``; adversarial reads ``dist`` (iid arrivals only),
-    known-d ``dist``, ``eta`` and ``epsilon``, unknown-d ``eta``, ``c`` and
-    ``hidden_dist`` (iid only); only a generator reads ``generator_params`` and
-    ``fresh_instance_per_trial``.  A field set but never read is an input error.
+    Beside the fields every config reads, a config reads its algorithm's
+    ``READS`` (taken from the allocators' signatures), the law its iid
+    arrivals draw from (``hidden_dist`` for unknown-d, ``dist`` otherwise)
+    and, with a generator, ``generator_params`` and ``fresh_instance_per_trial``.
+    Any other field set away from its default is an input error.
     """
 
     algorithm: str
@@ -121,13 +122,18 @@ class McConfig:
             raise InputError(f"trials must be positive, got {self.trials}")
         if self.parallelism < 1:
             raise InputError(f"parallelism must be positive, got {self.parallelism}")
-        unread = [f.name for f in fields(self)
-                  if f.name in _READ_BY and getattr(self, f.name) != f.default and not _READ_BY[f.name](self)]
+        reads = {"algorithm", "trials", "master_seed", "instance_obj", "generator", "alpha", "arrivals",
+                 "parallelism", *READS[self.algorithm]}  # the fields every config reads, and its own
+        if self.arrivals == "iid":
+            reads.add("hidden_dist" if self.algorithm == "unknown-d" else "dist")
+        if self.generator is not None:
+            reads |= {"generator_params", "fresh_instance_per_trial"}
+        unread = [f.name for f in fields(self) if f.name not in reads and getattr(self, f.name) != f.default]
         if unread:
             source = "generated instances" if self.generator else "fixed instance"
             raise UnreadInputs(f"{self.algorithm} ({self.arrivals} arrivals, {source})", unread)
         if self.generator is not None:
-            generators.check_params(self.generator, self.generator_params or {})
+            generators.check_params(self.generator, {} if self.generator_params is None else self.generator_params)
 
     @cached_property
     def fixed_instance(self) -> NormalizedInstance | None:
@@ -146,20 +152,9 @@ class McConfig:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in obj.items() if v is not None}
 
 
-# the optional fields a run may leave unread, each with the configs that read
-# it: a run's own parameters as READS has them, and the laws iid arrivals draw from
-_READ_BY = {
-    "generator_params": lambda cfg: cfg.generator is not None,
-    "fresh_instance_per_trial": lambda cfg: cfg.generator is not None,
-    "dist": lambda cfg: "dist" in READS[cfg.algorithm] or (cfg.algorithm == "adversarial" and cfg.arrivals == "iid"),
-    "hidden_dist": lambda cfg: cfg.algorithm == "unknown-d" and cfg.arrivals == "iid",
-    **{name: lambda cfg, name=name: name in READS[cfg.algorithm] for name in ("eta", "epsilon", "c")},
-}
-
-
 def _generate(config: McConfig, seed_key: int) -> NormalizedInstance:
     """The generator's instance, its seed drawn from the ``seed_key`` substream."""
-    params = dict(config.generator_params or {})
+    params = {} if config.generator_params is None else dict(config.generator_params)
     if "seed" in generators.parameters(config.generator):
         params.setdefault("seed", randbelow(substream(config.master_seed, "instance", seed_key), 2**48))
     inst, _ = generators.generate(config.generator, params)
@@ -173,8 +168,8 @@ def run_trial(config: McConfig, trial: int) -> dict:
     norm = config.fixed_instance
     if norm is None:
         norm = _generate(config, trial)
-    probs = config.dist or config.hidden_dist  # at most one is set
-    law = TypeDistribution.from_probs(probs) if probs else None
+    probs = config.hidden_dist if config.dist is None else config.dist  # at most one is set
+    law = None if probs is None else TypeDistribution.from_probs(probs)
     if config.arrivals == "exhaustive":
         seq = nth_sequence(norm.k_types, norm.n_agents, trial)
     elif law is None:
@@ -318,20 +313,17 @@ def degradation_trial(
     seed: int,
     *,
     dist: TypeDistribution | None = None,
-    alpha: Fraction | None = None,
-    eta: Fraction | None = None,
-    epsilon: Fraction | None = None,
-    c: Fraction | None = None,
+    **params,
 ) -> dict:
     """Run one algorithm on the perturbed view of an instance and audit the
     exact degradation guarantee against the true values.
 
     Arrivals are drawn from ``dist``, or uniformly without one; known-d also
-    needs ``dist`` as its parameter, unknown-d splits by ``seed``, and any
-    other parameter the algorithm never reads is refused.  Returns share
-    brackets per type (beta * true >= perturbed >= true / beta) and, when the
-    perturbed run met its claim level, whether every agent's true ratio
-    reached alpha / beta**2.
+    needs ``dist`` as its parameter, unknown-d splits by ``seed``, and every
+    other parameter goes on to ``run_algorithm``, which refuses any the
+    algorithm never reads.  Returns share brackets per type (beta * true >=
+    perturbed >= true / beta) and, when the perturbed run met its claim
+    level, whether every agent's true ratio reached alpha / beta**2.
     """
     beta = as_fraction(beta)
     true_norm = normalize(instance)
@@ -344,9 +336,8 @@ def degradation_trial(
     k = instance.k_types
     seq = sample_arrivals(dist or TypeDistribution.from_probs([Fraction(1, k)] * k), instance.n_agents, seed)
     reads = READS.get(algorithm, {})  # dist and seed drew the arrivals too
-    allocation, report = run_algorithm(
-        algorithm, pert_norm, seq, dist=dist if "dist" in reads else None, alpha=alpha, eta=eta, epsilon=epsilon,
-        c=c, seed=seed if "seed" in reads else None)
+    allocation, report = run_algorithm(algorithm, pert_norm, seq, dist=dist if "dist" in reads else None,
+                                       seed=seed if "seed" in reads else None, **params)
 
     degraded_alpha = report.alpha / beta ** 2
     shares, rows = true_norm.original_mms, instance.type_values

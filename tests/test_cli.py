@@ -233,7 +233,8 @@ MISTYPED = {
     "SEQ_STRING": ("SEQ", lambda o: o["sequence"].__setitem__(0, "x")),
 }
 # usage errors, rejected before any file is read: a flag the algorithm does
-# not read, conflicting or missing flags, a bad choice, a non-integer
+# not read, conflicting or missing flags, a bad choice, a non-integer; and an
+# empty law flag, which names no file rather than leaving the law unset
 USAGE_ERRORS = [
     *(["run", "adversarial", "--instance", "INST", "--arrivals", "SEQ", flag, value]
       for flag, value in [("--eta", "1/2"), ("--seed", "9"), ("--dist", "DIST"),
@@ -247,6 +248,8 @@ USAGE_ERRORS = [
     ["run", "known-d", "--et", "1/2", "--instance", "INST", "--dist", "DIST"],
     ["run", "adversarial", "--inst", "SMALL", "--enumerate"],
     ["run", "known-d", "--eta", "1/2", "--instance", "INST", "--dist", "DIST", "--trials", "2"],
+    ["run", "known-d", "--instance", "INST", "--dist", "", "--eta", "0"],
+    ["mc", "--algorithm", "adversarial", "--trials", "2", "--instance", "INST", "--dist", ""],
 ]
 
 
@@ -450,6 +453,34 @@ def test_empty_rational_is_refused_not_taken_as_unset(tmp_path, capsys, argv):
     seq.write_text(json.dumps({"sequence": [0, 1, 2] * 4}))
     files = {"INST": inst, "DIST": dist, "SEQ": str(seq)}
     _assert_refused(capsys, [files.get(a, a) for a in argv], ["bad rational ''"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "known-d", "--instance", "INST", "--dist", "", "--eta", "0"], "cannot read JSON from : "),
+    (["mc", "--algorithm", "adversarial", "--trials", "2", "--instance", "INST", "--dist", ""],
+     "cannot read JSON from : "),
+    (["mc", "--algorithm", "adversarial", "--trials", "2", "--instance", "", "--generator", "normalized-random",
+      "--dist", "DIST"], "cannot read JSON from : "),
+    (["run", "known-d", "--instance", "INST", "--dist", "[]", "--eta", "0"], "probabilities must sum to exactly 1"),
+    (["mc", "--algorithm", "unknown-d", "--trials", "2", "--instance", "INST", "--hidden-dist", "[]",
+      "--eta", "0", "--c", "1/20"], "probabilities must sum to exactly 1"),
+    (["mc", "--algorithm", "known-d", "--arrivals", "exhaustive", "--trials", "0", "--instance", "SMALL",
+      "--dist", "[]", "--eta", "0", "--epsilon", "1/10"], "probabilities must sum to exactly 1"),
+], ids=["run-known-d-dist-empty", "mc-dist-empty", "mc-instance-empty", "run-known-d-dist-no-probs",
+        "mc-unknown-d-hidden-dist-no-probs", "mc-known-d-exhaustive-dist-no-probs"])
+def test_empty_file_or_law_is_refused_not_taken_as_unset(tmp_path, capsys, argv, message):
+    inst, dist = _gen_instance_and_dist(tmp_path)
+    small = tmp_path / "small.json"
+    run_cli(["gen", "normalized-random", "--n", "3", "--m", "8", "--k", "2", "--out", str(small)])
+    files = {"INST": inst, "SMALL": str(small), "DIST": dist}
+    _assert_refused(capsys, [files.get(a, a) for a in argv], [f"error: {message}"])
+
+
+@pytest.mark.parametrize("params", ["[]", "0", '""', "false", "[1]"])
+def test_generator_params_must_be_a_json_object(capsys, params):
+    _assert_refused(capsys, ["mc", "--algorithm", "adversarial", "--trials", "2", "--generator", "lower-bound",
+                             "--generator-params", params, "--dist", '["1/2", "1/2"]'],
+                    ["error: generator_params for 'lower-bound' must be a JSON object\n"])
 
 
 @pytest.mark.parametrize("argv, flags", [

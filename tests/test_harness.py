@@ -204,6 +204,26 @@ def test_run_algorithm_refuses_every_parameter_its_algorithm_never_reads(algorit
                           **{name: other[name] for name in rationals})
 
 
+def test_reads_pins_each_allocators_own_parameters():
+    # read from the allocators' signatures: a changed signature shows up here
+    assert harness.READS == {
+        "adversarial": {"trace": False},
+        "known-d": {"dist": True, "eta": False, "epsilon": True},
+        "unknown-d": {"eta": False, "c": True, "seed": False},
+    }
+
+
+@pytest.mark.parametrize("algorithm, params, name", [
+    ("adversarial", dict(alpah=F(1, 2)), "alpah"),
+    ("known-d", dict(eta=F(1, 2), epsilonn=F(1, 10)), "epsilonn"),
+    ("unknown-d", dict(eta=F(1, 2), c=F(1, 20), trce=True), "trce"),
+])
+def test_degradation_trial_names_a_misspelled_parameter(algorithm, params, name):
+    with pytest.raises(InputError, match=rf"^{algorithm} never reads {name}$"):
+        degradation_trial(algorithm, gen_random(3, 8, 2, "uniform", seed=2), F(6, 5), seed=3,
+                          dist=TypeDistribution.from_probs(UNIFORM2), **params)
+
+
 def test_degradation_trial_known_d_needs_distribution():
     with pytest.raises(InputError):
         degradation_trial("known-d", gen_random(3, 8, 2, "uniform", seed=2),
