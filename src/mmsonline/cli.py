@@ -33,6 +33,18 @@ def _json_arg(text: str):
         raise InputError(f"malformed JSON {text!r}: {exc}") from exc
 
 
+def _generator_params(args) -> dict | None:
+    """``--generator-params`` as a JSON object; only an absent flag is unset,
+    so a JSON null is refused like any other value that is not an object."""
+    if args.generator_params is None:
+        return None
+    params = _json_arg(args.generator_params)
+    if not isinstance(params, dict):
+        name = "" if args.generator is None else f" for {args.generator!r}"
+        raise InputError(f"generator_params{name} must be a JSON object")
+    return params
+
+
 def _probs(spec: str | None) -> tuple[str, ...] | None:
     """A JSON list of probabilities, or a distribution file's, as strings;
     only an absent flag (``None``) is unset."""
@@ -141,7 +153,7 @@ def _cmd_mc(args) -> int:
             master_seed=args.seed,
             instance_obj=None if args.instance is None else jsonio.load(args.instance),
             generator=args.generator,
-            generator_params=None if args.generator_params is None else _json_arg(args.generator_params),
+            generator_params=_generator_params(args),
             fresh_instance_per_trial=not args.fixed_instance,
             dist=_probs(args.dist),
             hidden_dist=_probs(args.hidden_dist),

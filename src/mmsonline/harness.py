@@ -144,8 +144,16 @@ class McConfig:
             return jsonio.load_normalized(self.instance_obj)
         return None if self.fresh_instance_per_trial else _generate(self, 0)
 
+    @cached_property
+    def law(self) -> TypeDistribution | None:
+        """The one law the config sets (``dist``, or unknown-d's ``hidden_dist``),
+        or ``None``: the law iid arrivals draw from, and known-d's ``dist``.
+        Cached and pickled like ``fixed_instance``."""
+        probs = self.hidden_dist if self.dist is None else self.dist  # at most one is set
+        return None if probs is None else TypeDistribution.from_probs(probs)
+
     def to_obj(self) -> dict:
-        # the fields only, never a cached fixed_instance; parallelism is an
+        # the fields only, never a cached fixed_instance or law; parallelism is an
         # execution detail, not experiment identity; the laws (dist,
         # hidden_dist) are the tuple fields, written as lists
         obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "parallelism"}
@@ -168,8 +176,7 @@ def run_trial(config: McConfig, trial: int) -> dict:
     norm = config.fixed_instance
     if norm is None:
         norm = _generate(config, trial)
-    probs = config.hidden_dist if config.dist is None else config.dist  # at most one is set
-    law = None if probs is None else TypeDistribution.from_probs(probs)
+    law = config.law
     if config.arrivals == "exhaustive":
         seq = nth_sequence(norm.k_types, norm.n_agents, trial)
     elif law is None:
@@ -250,7 +257,9 @@ def _mc_star(args: tuple[McConfig, int]) -> dict:
 
 def monte_carlo(config: McConfig) -> AggregateReport:
     """Run the experiment; deterministic for a fixed master seed at any
-    parallelism level.  Any invariant violation aborts with a reproducer."""
+    parallelism level.  Any invariant violation aborts with a reproducer.
+    Above parallelism 1 the workers are spawned, so a calling script needs
+    the ``if __name__ == "__main__":`` guard."""
     trials = config.trials
     norm = config.fixed_instance  # resolved here, so no trial or worker resolves it again
     if config.arrivals == "exhaustive":
@@ -260,11 +269,14 @@ def monte_carlo(config: McConfig) -> AggregateReport:
         if trials not in (0, expected):
             raise InputError(f"exhaustive enumeration has {expected} sequences")
         trials = expected
-    # capped: a fork-started pool launches all its workers at the first submit
-    workers = min(config.parallelism, trials, os.cpu_count() or 1)
+    config.law  # resolved here too, so it is pickled along to the workers
+    workers = min(config.parallelism, trials, os.cpu_count() or 1)  # each one costs a start-up
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only for a pool
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # imported only for a pool, which spawns its workers on every platform:
+        # a fork of this process may deadlock once it runs threads
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             rows = list(pool.map(_mc_star, ((config, t) for t in range(trials)), chunksize=16))
     else:
         rows = [run_trial(config, t) for t in range(trials)]

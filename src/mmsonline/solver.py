@@ -2,8 +2,9 @@
 
 ``mms_exact`` finds the optimum by bin completion (Korf 2009) between a
 longest-processing-time (LPT) split and the top-j cap of machine covering
-(P||C_min), then a branch-and-bound with symmetry breaking and the bundle
-deficit bound finds the witness at that optimum; every size takes this path.
+(P||C_min), then a branch-and-bound with symmetry breaking, the bundle
+deficit bound and the least-overshoot bound (over per-depth subset-sum
+bitsets) finds the witness at that optimum; every size takes this path.
 ``mms_brute_force`` is the independent oracle: plain exhaustive enumeration,
 kept free of any pruning the solver uses.
 
@@ -25,6 +26,7 @@ DEFAULT_BUNDLE_CAP = 8
 BRUTE_ITEM_CAP = 12
 BRUTE_BUNDLE_CAP = 5
 _MEMO_LIMIT = 2_000_000
+_REACH_BITS = 1 << 16  # widest subset-sum bitset the witness search builds
 
 
 def lpt_partition(ints: Sequence[int], n: int) -> list[list[int]]:
@@ -139,9 +141,19 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
     loads are interchangeable and only the first is tried.  The deficit bound
     prunes a node when the bundles below the optimum need more value, or more
     items, than remain; states are memoized by (depth, sorted load profile).
-    That leaf is the first optimal leaf in branch order, where a search from
-    the LPT incumbent keeping each strictly better leaf also ends: no prune or
-    memo hit cuts a subtree holding a leaf above its incumbent.  ``nodes``
+    The overshoot bound sharpens it: at a leaf worth opt all bundles end
+    ``total - n * opt`` above the optimum.  A bundle d short ends at least
+    (its least reachable sum >= d) - d above it, one past it by its excess,
+    so a node whose least overshoots exceed that spare, or where no subset
+    of the items left reaches some d, holds no such leaf.  ``reach[i]`` has
+    the subset sums of the items from depth i as bits below ``opt + vals[0]``
+    (a least sum >= d lies below d plus its subset's smallest item); it is
+    built only when that width is at most ``_REACH_BITS``, and wider rows
+    (huge common denominators) keep the deficit bound alone.
+    The leaf found is the first optimal leaf in branch order, where a search
+    from the LPT incumbent keeping each strictly better leaf also ends: no
+    prune or memo hit cuts a subtree holding a leaf above its incumbent, so
+    the bounds change ``nodes`` only, never the witness.  ``nodes``
     counts this search only (1 if it does not run), not the decision states.
     Every size takes this path: at m = 0 or n = 1 the LPT split meets the cap.
     Above the caps (m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP) it raises
@@ -180,6 +192,13 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
         else:
             hi, step = t, 2 * step
 
+    # reach[i]: the subset sums of items[i:] as bits below opt + vals[0]
+    reach: list[int] = []
+    if lpt_value < opt and opt + vals[0] <= _REACH_BITS:
+        mask = (1 << (opt + vals[0])) - 1
+        reach = [1] * (mm + 1)
+        for i in range(mm - 1, -1, -1):
+            reach[i] = (reach[i + 1] | reach[i + 1] << vals[i]) & mask
     loads = [0] * n
     current: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple] = set()
@@ -193,6 +212,17 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
         short = [opt - x for x in loads if x < opt]
         if len(short) > mm - idx or sum(short) > suffix[idx]:
             return False
+        if reach:
+            # the overshoot bound: each short bundle takes at least its least
+            # reachable sum >= d, and those sums must fit in what remains
+            r, fill = reach[idx], 0
+            for d in short:
+                s = r >> d
+                if not s:
+                    return False
+                fill += d + (s & -s).bit_length() - 1
+            if fill > suffix[idx]:
+                return False
         order = sorted(range(n), key=loads.__getitem__)
         key = (idx, tuple([loads[j] for j in order]))
         if key in seen:

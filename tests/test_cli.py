@@ -476,11 +476,21 @@ def test_empty_file_or_law_is_refused_not_taken_as_unset(tmp_path, capsys, argv,
     _assert_refused(capsys, [files.get(a, a) for a in argv], [f"error: {message}"])
 
 
-@pytest.mark.parametrize("params", ["[]", "0", '""', "false", "[1]"])
+@pytest.mark.parametrize("params", ["[]", "0", '""', "false", "[1]", "null"])
 def test_generator_params_must_be_a_json_object(capsys, params):
     _assert_refused(capsys, ["mc", "--algorithm", "adversarial", "--trials", "2", "--generator", "lower-bound",
                              "--generator-params", params, "--dist", '["1/2", "1/2"]'],
                     ["error: generator_params for 'lower-bound' must be a JSON object\n"])
+
+
+@pytest.mark.parametrize("params", ["null", "[1]"])
+def test_generator_params_beside_an_instance_must_be_a_json_object(tmp_path, capsys, params):
+    # a JSON null is no absent flag, so it is not taken as unset
+    inst = tmp_path / "small.json"
+    run_cli(["gen", "normalized-random", "--n", "3", "--m", "8", "--k", "2", "--out", str(inst)])
+    _assert_refused(capsys, ["mc", "--algorithm", "adversarial", "--trials", "0", "--instance", str(inst),
+                             "--generator-params", params, "--arrivals", "exhaustive"],
+                    ["error: generator_params must be a JSON object\n"])
 
 
 @pytest.mark.parametrize("argv, flags", [

@@ -1,11 +1,16 @@
 import concurrent.futures
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -99,7 +104,8 @@ def test_monte_carlo_caps_its_worker_count(monkeypatch, parallelism, trials, cpu
     started = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "spawn"
             started.append(max_workers)
 
         def __enter__(self):
@@ -118,6 +124,27 @@ def test_monte_carlo_caps_its_worker_count(monkeypatch, parallelism, trials, cpu
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     assert monte_carlo(McConfig(**base, parallelism=parallelism)).canonical_json() == serial
     assert started == workers
+
+
+def test_parallel_run_beside_a_thread_does_not_fork(monkeypatch):
+    # from Python 3.12 on, a fork while another thread runs warns that the
+    # child may deadlock; the pool spawns its workers, so nothing warns.  An
+    # error filter cannot catch it: os.fork clears the error it would raise
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    base = dict(algorithm="adversarial", trials=2, master_seed=4,
+                instance_obj=_fixed_instance_obj(), dist=UNIFORM2)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parallel = monte_carlo(McConfig(**base, parallelism=2))
+    finally:
+        done.set()
+        thread.join()
+    assert [str(w.message) for w in caught if "fork()" in str(w.message)] == []
+    assert parallel.canonical_json() == monte_carlo(McConfig(**base)).canonical_json()
 
 
 def test_importing_the_harness_leaves_multiprocessing_unloaded():
@@ -319,19 +346,37 @@ def test_mean_min_ratio_adds_left_to_right_on_every_python(monkeypatch):
     assert monte_carlo(cfg).mean_min_ratio == 0.9999999999999999 / 10
 
 
+def _trial_patched(module: str, name: str, value, args):
+    """A pool worker's trial with ``module.name`` set to ``value`` there: the
+    workers are spawned and import the library anew, so a patch made in the
+    test process does not reach them.  Set as ``harness._mc_star``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module(module), name, value)
+        return harness.run_trial(*args)
+
+
+_RUN_ALGORITHM = harness.run_algorithm
+
+
+def _planted_run(algorithm, norm, seq, **kw):
+    if seq == [1, 0]:
+        raise InvariantViolation("planted")
+    return _RUN_ALGORITHM(algorithm, norm, seq, **kw)
+
+
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_raised_violation_aborts_at_its_trial(monkeypatch, tmp_path, capsys, parallelism):
     # of the 2^2 orders of a k = 2, n = 2 instance, trial 2's run raises a violation
     from mmsonline.cli import main
     inst = tmp_path / "inst.json"
     inst.write_text(canonical_json(_fixed_instance_obj(n=2, m=5)))
-    run, served = harness.run_algorithm, []
+    served = []
     def planted(algorithm, norm, seq, **kw):
         served.append(seq)
-        if seq == [1, 0]:
-            raise InvariantViolation("planted")
-        return run(algorithm, norm, seq, **kw)
+        return _planted_run(algorithm, norm, seq, **kw)
     monkeypatch.setattr(harness, "run_algorithm", planted)
+    monkeypatch.setattr(harness, "_mc_star", partial(_trial_patched, "mmsonline.harness", "run_algorithm",
+                                                     _planted_run))
     assert main(["mc", "--algorithm", "adversarial", "--trials", "0", "--arrivals", "exhaustive",
                  "--instance", str(inst), "--parallelism", str(parallelism)]) == 2
     assert capsys.readouterr().err == ("invariant violation: planted; "
@@ -379,22 +424,53 @@ def test_fixed_instance_once_matches_per_trial_resolution(monkeypatch, name, par
     assert got == reference
 
 
+def _logged(fn, *args):
+    """``fn(*args)``, logged as an x in the file the environment names, so a
+    call in a spawned worker counts too."""
+    with open(os.environ["MMSONLINE_TEST_CALLS"], "a") as f:
+        f.write("x")
+    return fn(*args)
+
+
+_LOAD_NORMALIZED = harness.jsonio.load_normalized
+
+
+def _counted_load(obj):
+    return _logged(_LOAD_NORMALIZED, obj)
+
+
 @pytest.mark.parametrize("parallelism", [1, 2])
 @pytest.mark.parametrize("arrivals", ["iid", "exhaustive"])
 def test_fixed_instance_resolved_once_per_experiment(monkeypatch, tmp_path, arrivals, parallelism):
     log = tmp_path / "resolved"
-    load = harness.jsonio.load_normalized
-    def counted(obj):
-        with open(log, "a") as f:  # a file, so a forked worker's resolution counts too
-            f.write("x")
-        return load(obj)
-    monkeypatch.setattr(harness.jsonio, "load_normalized", counted)
+    monkeypatch.setenv("MMSONLINE_TEST_CALLS", str(log))
+    monkeypatch.setattr(harness.jsonio, "load_normalized", _counted_load)
+    monkeypatch.setattr(harness, "_mc_star", partial(_trial_patched, "mmsonline.jsonio", "load_normalized",
+                                                     _counted_load))
     cfg = McConfig(algorithm="adversarial", trials=0 if arrivals == "exhaustive" else 20,
                    master_seed=3, instance_obj=_fixed_instance_obj(),
                    dist=UNIFORM2 if arrivals == "iid" else None, arrivals=arrivals, parallelism=parallelism)
     assert len(monte_carlo(cfg).rows) == (8 if arrivals == "exhaustive" else 20)
     assert log.read_text() == "x"
     assert "fixed_instance" not in cfg.to_obj() and cfg.fixed_instance is not None
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("fields", [dict(algorithm="known-d", dist=UNIFORM3, eta="1/2", epsilon="1/10"),
+                                    dict(algorithm="unknown-d", hidden_dist=UNIFORM3, eta="1/2", c="1/20")])
+def test_arrival_law_resolved_once_per_experiment(monkeypatch, tmp_path, fields, parallelism):
+    # a fresh instance per trial, but one law for the whole experiment
+    log = tmp_path / "resolved"
+    monkeypatch.setenv("MMSONLINE_TEST_CALLS", str(log))
+    counted = SimpleNamespace(from_probs=partial(_logged, TypeDistribution.from_probs))
+    monkeypatch.setattr(harness, "_mc_star", partial(_trial_patched, "mmsonline.harness", "TypeDistribution",
+                                                     counted))
+    cfg = McConfig(trials=20, master_seed=3, generator="normalized-random",
+                   generator_params={"n": 12, "m": 40, "k": 3}, parallelism=parallelism, **fields)
+    expected = monte_carlo(cfg).canonical_json()
+    monkeypatch.setattr(harness, "TypeDistribution", counted)
+    assert monte_carlo(dataclasses.replace(cfg)).canonical_json() == expected
+    assert log.read_text() == "x"
 
 
 def test_raw_instance_exhaustive_normalizes_once(monkeypatch):

@@ -245,9 +245,11 @@ DIGESTS = {
     # `nodes` count went 50 -> 37 and nothing else in the output changed;
     # re-pinned again when it began to decide the optimum before its search
     # and stop that search at the first optimal leaf: `nodes` went 37 -> 23,
-    # the rest unchanged; test_mms_solve_value_and_witness pins the rest
+    # the rest unchanged; re-pinned again when that search began to prune by
+    # each short bundle's least reachable overshoot: `nodes` went 23 -> 12, the
+    # rest unchanged; test_mms_solve_value_and_witness pins the rest
     "mms-solve":
-        "147d5b23df62c62d5bbb62b73e192565f1691c8ff65b59e4e689babb532dd899",
+        "fe38b302de38adcb259053f72563736addf9c6802c6ab22ffb3013d1b0709b23",
     "mms-solve-brute-force":
         "93737936f7324dd45863ff34ed0ed34e924fdc171dc4ca58f439ef018ba47f8a",
     "perturb":

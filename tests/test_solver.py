@@ -8,6 +8,7 @@ from mmsonline.core import Bundle, MmsResult, scale_row, value
 from mmsonline.generators import gen_random
 from mmsonline.rng import substream
 from mmsonline.solver import (
+    _REACH_BITS,
     _covers,
     lpt_partition,
     mms_brute_force,
@@ -285,6 +286,61 @@ def test_optimum_one_below_the_cap_needs_no_proof_search(n, m, seed, value, witn
     res = mms_exact(gen_random(n, m, 1, "uniform", seed=seed).type_values[0], n)
     assert (res.value, [tuple(b) for b in res.witness]) == (value, witness)
     assert res.nodes <= parent_nodes
+
+
+@pytest.mark.parametrize("m,n,seed,max_nodes,rows", [
+    (24, 7, 2, 3_816, [
+        (F(391, 12), [(14,), (1, 13, 17), (7, 11, 16, 20), (3, 9, 19, 23), (0, 6, 10, 12, 18),
+                      (5, 8, 15, 22), (2, 4, 21)]),
+        (F(401, 12), [(21, 23), (0, 8, 19), (7, 12, 17), (3, 4, 15, 22), (5, 9, 10, 16),
+                      (2, 11, 14, 18), (1, 6, 13, 20)]),
+        (F(169, 6), [(2,), (20, 22), (16, 21, 23), (9, 11, 12, 17), (4, 8, 10, 15, 18),
+                     (0, 3, 7, 13), (1, 5, 6, 14, 19)]),
+    ]),
+    (24, 8, 0, 6_769, [
+        (F(467, 12), [(1,), (10,), (7, 20), (2, 15, 17, 22), (0, 4, 5, 12, 21), (9, 18, 23),
+                      (6, 8, 14, 19), (3, 11, 13, 16)]),
+        (F(93, 2), [(9, 14), (13, 16), (18, 23), (4, 5, 8, 21), (7, 10, 22), (0, 15, 17),
+                    (1, 11, 19, 20), (2, 3, 6, 12)]),
+        (F(37), [(6,), (2, 12, 20), (1, 22), (5, 8, 21), (4, 9, 14), (11, 18, 19),
+                 (0, 7, 10, 13, 23), (3, 15, 16, 17)]),
+    ]),
+    (24, 5, 1, 1_080, [
+        (F(178, 3), [(2, 6, 7, 23), (3, 9, 12, 18), (8, 14, 16, 19, 20), (0, 4, 5, 10, 21, 22),
+                     (1, 11, 13, 15, 17)]),
+        (F(85, 2), [(6, 15), (1, 9, 13, 16, 22), (4, 7, 11, 19, 21), (0, 3, 10, 14, 23),
+                    (2, 5, 8, 12, 17, 18, 20)]),
+        (F(139, 4), [(0, 3, 20), (4, 8, 9, 21), (5, 6, 7, 16, 18, 19), (1, 10, 11, 12, 14, 23),
+                     (2, 13, 15, 17, 22)]),
+    ]),
+    (20, 6, 3, 734, [
+        (F(107, 3), [(11,), (10, 13, 17, 19), (2, 14, 16), (4, 7, 9, 18), (3, 5, 6, 8), (0, 1, 12, 15)]),
+        (F(32), [(11,), (1, 5, 7, 13), (4, 6, 9, 16), (0, 3, 12, 15), (8, 14, 18, 19), (2, 10, 17)]),
+        (F(179, 4), [(3, 18), (2, 9, 17), (5, 14, 15, 16), (6, 8, 12, 19), (0, 1, 10), (4, 7, 11, 13)]),
+    ]),
+])
+def test_long_rows_keep_their_witness_in_few_nodes(m, n, seed, max_nodes, rows):
+    # value and witness as the search without the overshoot bound gave them,
+    # in 6.6k to 2.2M nodes over the three types; a work count, not a time
+    inst = gen_random(n, m, 3, "uniform", seed=seed)
+    results = [mms_exact(row, n) for row in inst.type_values]
+    assert [(r.value, [tuple(b) for b in r.witness]) for r in results] == rows
+    assert sum(r.nodes for r in results) <= max_nodes
+
+
+def test_rows_past_the_bitset_width_keep_the_deficit_bound():
+    # denominators 7-23 scale these rows past _REACH_BITS, so the search runs
+    # without subset-sum bitsets; it still meets the oracle and the reference
+    for seed in range(1, 4):
+        rng = substream(seed, "solver-wide")
+        m, n = rng.randint(9, 12), rng.randint(3, 4)
+        vals = [F(rng.randint(1, 60), rng.choice((7, 11, 13, 17, 19, 23))) for _ in range(m)]
+        ints, den = scale_row(vals)
+        got, _ = _agrees_with_reference(vals, n)
+        assert got.value * den + max(ints) > _REACH_BITS
+        assert got.nodes > 1  # LPT falls short, so the search runs
+        assert got.value == mms_brute_force(vals, n).value
+        _check_witness(vals, n, got)
 
 
 def _covers_brute(vals, bins, target):
