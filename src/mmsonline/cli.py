@@ -137,9 +137,8 @@ def _cmd_run_stochastic(args) -> int:
     norm = jsonio.load_normalized(jsonio.load(args.instance))
     dist = TypeDistribution.from_probs(_probs(args.dist))
     seq = sample_arrivals(dist, norm.n_agents, args.seed)
-    reads = harness.READS[args.algorithm]  # --dist and --seed drew the arrivals too
-    _, rep = harness.run_algorithm(args.algorithm, norm, seq, dist=dist if "dist" in reads else None,
-                                   seed=args.seed if "seed" in reads else None, alpha=args.alpha, eta=args.eta,
+    dist, seed = harness.if_read(args.algorithm, dist, lambda: args.seed)
+    _, rep = harness.run_algorithm(args.algorithm, norm, seq, dist=dist, seed=seed, alpha=args.alpha, eta=args.eta,
                                    epsilon=vars(args).get("epsilon"), c=vars(args).get("c"))
     _emit(jsonio.report_to_obj(rep), args.out)
     return 0

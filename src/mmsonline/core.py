@@ -362,13 +362,15 @@ def normalize(instance: Instance, mms_solver: Callable[[Sequence[Fraction], int]
     bundle worth exactly 1 and the grand total exactly ``n``.  Types whose
     share is 0 are left unscaled and flagged.
 
-    ``mms_solver`` maps (valuation, n) to an :class:`MmsResult`; by default
-    the exact branch-and-bound solver is used, so the instance must be within
-    its size caps.
+    ``mms_solver`` maps (valuation, n) to an :class:`MmsResult` and reads
+    the rows as rationals.  By default the exact solver's integer kernel
+    ``solver.mms_exact_scaled`` solves each row of ``instance.scaled`` as it
+    is held, so the instance must be within its size caps.
     """
-    if mms_solver is None:
-        from .solver import mms_exact as mms_solver  # local import avoids a cycle
-    results = [mms_solver(row, instance.n_agents) for row in instance.type_values]
+    from .solver import mms_exact_scaled  # local import avoids a cycle
+    n, view = instance.n_agents, instance.scaled
+    results = ([mms_exact_scaled(ints, unit, n) for ints, unit in zip(view.ints, view.units)] if mms_solver is None
+               else [mms_solver(row, n) for row in instance.type_values])
     witnesses = tuple(tuple(res.witness) for res in results)
     zero_types = frozenset(i for i, res in enumerate(results) if res.value == 0)
     return NormalizedInstance(rescale(instance, witnesses, zero_types), tuple(res.value for res in results),

@@ -79,6 +79,14 @@ def run_algorithm(algorithm: str, norm: NormalizedInstance, arrivals, *, alpha=N
     return RUNS[algorithm](norm, arrivals=arrivals, alpha=alpha, **params)
 
 
+def if_read(algorithm: str, dist, seed) -> tuple:
+    """``(dist, seed())`` with each left None unless ``algorithm`` reads it, for
+    callers that set both whatever the algorithm (to draw its arrivals, say);
+    ``seed`` is called only when read, so a run that splits nothing draws none."""
+    reads = READS.get(algorithm, ())
+    return dist if "dist" in reads else None, seed() if "seed" in reads else None
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Picklable experiment description.
@@ -176,21 +184,20 @@ def run_trial(config: McConfig, trial: int) -> dict:
     norm = config.fixed_instance
     if norm is None:
         norm = _generate(config, trial)
-    law = config.law
+    law, n, k = config.law, norm.n_agents, norm.k_types
     if config.arrivals == "exhaustive":
-        seq = nth_sequence(norm.k_types, norm.n_agents, trial)
+        seq = nth_sequence(k, n, trial)
     elif law is None:
         raise InputError("iid arrivals need a distribution")
-    elif law.k != norm.k_types:
+    elif law.k != k:
         raise InputError("arrival distribution arity mismatch")
     else:
-        seq = sample_arrivals(law, norm.n_agents, substream(config.master_seed, "arrivals", trial))
+        seq = sample_arrivals(law, n, substream(config.master_seed, "arrivals", trial))
     try:
-        reads = READS[config.algorithm]
-        _, report = run_algorithm(
-            config.algorithm, norm, seq, dist=law if "dist" in reads else None,
-            alpha=config.alpha, eta=config.eta, epsilon=config.epsilon, c=config.c,
-            seed=randbelow(substream(config.master_seed, "split", trial), 2**48) if "seed" in reads else None)
+        dist, seed = if_read(config.algorithm, law,
+                             lambda: randbelow(substream(config.master_seed, "split", trial), 2**48))
+        _, report = run_algorithm(config.algorithm, norm, seq, dist=dist, seed=seed, alpha=config.alpha,
+                                  eta=config.eta, epsilon=config.epsilon, c=config.c)
     except InvariantViolation as exc:
         raise InvariantViolation(
             f"{exc}; reproduce with master_seed={config.master_seed}, trial={trial}") from exc
@@ -198,9 +205,9 @@ def run_trial(config: McConfig, trial: int) -> dict:
         "trial": trial,
         "seed": config.master_seed,
         "algorithm": config.algorithm,
-        "n": norm.n_agents,
+        "n": n,
         "m": norm.m_items,
-        "k": norm.k_types,
+        "k": k,
         "alpha": jsonio.frac_to_str(report.alpha),
         "minRatio": jsonio.frac_to_str(report.min_ratio),
         "success": report.succeeded_at_alpha,
@@ -347,9 +354,8 @@ def degradation_trial(
 
     k = instance.k_types
     seq = sample_arrivals(dist or TypeDistribution.from_probs([Fraction(1, k)] * k), instance.n_agents, seed)
-    reads = READS.get(algorithm, {})  # dist and seed drew the arrivals too
-    allocation, report = run_algorithm(algorithm, pert_norm, seq, dist=dist if "dist" in reads else None,
-                                       seed=seed if "seed" in reads else None, **params)
+    read_dist, read_seed = if_read(algorithm, dist, lambda: seed)
+    allocation, report = run_algorithm(algorithm, pert_norm, seq, dist=read_dist, seed=read_seed, **params)
 
     degraded_alpha = report.alpha / beta ** 2
     shares, rows = true_norm.original_mms, instance.type_values

@@ -8,9 +8,9 @@ bitsets) finds the witness at that optimum; every size takes this path.
 ``mms_brute_force`` is the independent oracle: plain exhaustive enumeration,
 kept free of any pruning the solver uses.
 
-Values are scaled to integers by the common denominator
-(``core.scale_row``) before searching; that is still exact arithmetic, just
-faster than Fraction in the hot loop.
+The search runs on a row scaled to integers over its common denominator, in
+the kernel ``mms_exact_scaled``: ``core.normalize`` calls it on the rows an
+instance holds, and ``mms_exact`` on a rational row it scales (``core.scale_row``).
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ def lpt_partition(ints: Sequence[int], n: int) -> list[list[int]]:
     (``core.scale_row``) into n bundles (item ids)."""
     if n < 1:
         raise InputError("need at least one bundle")
-    order = sorted(range(len(ints)), key=lambda g: (-ints[g], g))
     loads = [0] * n
     bundles: list[list[int]] = [[] for _ in range(n)]
-    for g in order:
-        j = min(range(n), key=lambda j: (loads[j], j))
+    for g in sorted(range(len(ints)), key=ints.__getitem__, reverse=True):  # stable: ties by index
+        j = loads.index(min(loads))  # the least load, at the lowest index
         loads[j] += ints[g]
         bundles[j].append(g)
     return bundles
@@ -48,7 +47,8 @@ def _covers(vals: tuple[int, ...], bins: int, target: int, failed: set[tuple]) -
     """Whether the positive ints ``vals`` (non-increasing) split into ``bins``
     parts each worth at least ``target``, by bin completion over the part
     holding the largest item; failed (items, bins) states go in ``failed``."""
-    big = next((i for i, v in enumerate(vals) if v < target), len(vals))
+    # past the first call, every item is below the target
+    big = next((i for i, v in enumerate(vals) if v < target), len(vals)) if vals and vals[0] >= target else 0
     vals, bins = vals[big:], bins - big  # an item worth the target fills a part alone
     slack = sum(vals) - bins * target  # the most value the open parts may waste
     if bins <= 1 and slack >= 0:
@@ -71,8 +71,13 @@ def _covers(vals: tuple[int, ...], bins: int, target: int, failed: set[tuple]) -
                 continue
             prev = v
             picked.append(j)
-            ok = complete(j + 1, need - v) if v < need else _covers(
-                tuple(x for t, x in enumerate(rest) if t not in picked), bins - 1, target, failed)
+            if v < need:
+                ok = complete(j + 1, need - v)
+            else:  # the items left: rest without the ascending picked ones
+                left, start = (), 0
+                for t in picked:
+                    left, start = left + rest[start:t], t + 1
+                ok = _covers(left + rest[start:], bins - 1, target, failed)
             picked.pop()
             if ok:
                 return True
@@ -129,7 +134,14 @@ def mms_brute_force(valuation: Sequence[Fraction], n: int) -> MmsResult:
 
 
 def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
-    """Exact share: decide the optimum, then find its first split in branch order.
+    """Exact share of a rational row: ``mms_exact_scaled`` on its integer view."""
+    return mms_exact_scaled(*scale_row(valuation), n)
+
+
+def mms_exact_scaled(ints: Sequence[int], unit: int, n: int) -> MmsResult:
+    """Exact share of the row worth ``ints[g] / unit`` at item g (nonnegative
+    ints, as ``core.scale_row`` gives them): decide the optimum, then find its
+    first split in branch order.
 
     The optimum lies between the LPT split's value and the top-j cap: the
     n - j bundles without any of the j largest items share the rest, so no
@@ -161,15 +173,14 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
     """
     if n < 1:
         raise InputError("need at least one bundle")
-    m = len(valuation)
+    m = len(ints)
     if m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP:
         raise CapacityError(
             f"exact solver capped at m<={DEFAULT_ITEM_CAP}, n<={DEFAULT_BUNDLE_CAP} "
             f"(got m={m}, n={n})")
-    ints, den = scale_row(valuation)
-    items = sorted((g for g in range(m) if ints[g] > 0), key=lambda g: (-ints[g], g))
-    zeros = [g for g in range(m) if ints[g] == 0]
-    mm = len(items)
+    order = sorted(range(m), key=ints.__getitem__, reverse=True)  # stable: ties by index
+    mm = m - ints.count(0)
+    items, zeros = order[:mm], order[mm:]  # the zeros come last, ascending
     suffix = [0] * (mm + 1)
     for i in range(mm - 1, -1, -1):
         suffix[i] = suffix[i + 1] + ints[items[i]]
@@ -184,7 +195,7 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
     # gallop down from the cap, then bisect: a split worth opt exists and none
     # worth hi does (fractional rows scale to gaps of thousands of units)
     opt, hi, step = lpt_value, cap + 1, 1
-    vals = tuple(ints[g] for g in items)
+    vals = tuple(map(ints.__getitem__, items))
     while hi - opt > 1:
         t = max(hi - step, opt + 1) if step else (opt + hi) // 2
         if _covers(vals, n, t, set()):
@@ -224,18 +235,18 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
             if fill > suffix[idx]:
                 return False
         order = sorted(range(n), key=loads.__getitem__)
-        key = (idx, tuple([loads[j] for j in order]))
+        key = (idx, tuple(map(loads.__getitem__, order)))
         if key in seen:
             return False
         if len(seen) < _MEMO_LIMIT:
             seen.add(key)
         g = items[idx]
         v = ints[g]
-        tried: set[int] = set()
+        prev = -1
         for j in order:
-            if loads[j] in tried:
+            if loads[j] == prev:  # equal loads sit side by side in order
                 continue
-            tried.add(loads[j])
+            prev = loads[j]
             loads[j] += v
             current[j].append(g)
             if rec(idx + 1):
@@ -250,5 +261,5 @@ def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
     bundles = [sorted(b) for b in best_bundles]
     bundles[0].extend(zeros)
     witness = tuple(Bundle(tuple(b)) for b in bundles)
-    return MmsResult(Fraction(opt, den), witness, nodes=nodes)
+    return MmsResult(Fraction(opt, unit), witness, nodes=nodes)
 

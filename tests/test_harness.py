@@ -231,6 +231,14 @@ def test_run_algorithm_refuses_every_parameter_its_algorithm_never_reads(algorit
                           **{name: other[name] for name in rationals})
 
 
+@pytest.mark.parametrize("algorithm,given", [("adversarial", (None, None)), ("known-d", ("law", None)),
+                                              ("unknown-d", (None, 7))])
+def test_if_read_passes_dist_and_seed_only_to_an_algorithm_that_reads_them(algorithm, given):
+    drawn = []
+    assert harness.if_read(algorithm, "law", lambda: drawn.append(7) or 7) == given
+    assert drawn == [7] * (given[1] is not None)  # an unread seed is never drawn
+
+
 def test_reads_pins_each_allocators_own_parameters():
     # read from the allocators' signatures: a changed signature shows up here
     assert harness.READS == {

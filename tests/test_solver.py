@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmsonline import CapacityError
-from mmsonline.core import Bundle, MmsResult, scale_row, value
+from mmsonline import CapacityError, InputError
+from mmsonline.core import Bundle, Instance, MmsResult, normalize, scale_row, value
 from mmsonline.generators import gen_random
 from mmsonline.rng import substream
 from mmsonline.solver import (
@@ -13,6 +13,7 @@ from mmsonline.solver import (
     lpt_partition,
     mms_brute_force,
     mms_exact,
+    mms_exact_scaled,
 )
 
 
@@ -414,3 +415,155 @@ def test_target_search_gallops_over_a_wide_fractional_gap(monkeypatch):
     _agrees_with_reference(row, 3)
     # one decision per halving of the gap, not one per unit
     assert len(targets) <= 2 * (cap - lpt).bit_length()
+
+
+# -- the integer kernel and the tie rules of its keys ------------------------
+
+
+def _wide_instance():
+    # denominators 7-23 scale type 0 past _REACH_BITS
+    rng = substream(2, "solver-wide")
+    m, n = rng.randint(9, 12), rng.randint(3, 4)
+    return Instance(n, [[F(rng.randint(1, 60), rng.choice((7, 11, 13, 17, 19, 23))) for _ in range(m)],
+                        [F(rng.randint(0, 9)) for _ in range(m)]])
+
+
+@pytest.mark.parametrize("inst", [
+    *(gen_random(n, m, 3, model, seed=seed) for model in ("uniform", "binary", "clustered")
+      for n, m in ((3, 8), (5, 12), (6, 14)) for seed in range(2)),
+    gen_random(4, 10, 3, "binary", seed=1, q=F(1, 5)),  # some types have fewer than n ones
+    gen_random(6, 9, 3, "binary", seed=0, q=F(1, 3)),
+    _wide_instance(),
+])
+def test_normalize_on_the_scaled_rows_equals_normalize_through_the_rationals(inst):
+    got, want = normalize(inst), normalize(inst, mms_exact)
+    assert got.original_mms == want.original_mms
+    assert got.witness_partitions == want.witness_partitions
+    assert got.zero_mms_types == want.zero_mms_types
+    assert got.scaled == want.scaled
+    assert got == want
+
+
+def test_the_integer_path_covers_zero_shares_and_rows_past_the_bitset_width():
+    assert normalize(gen_random(4, 10, 3, "binary", seed=1, q=F(1, 5))).zero_mms_types
+    inst = _wide_instance()
+    ints, unit = inst.scaled.ints[0], inst.scaled.units[0]
+    assert normalize(inst).original_mms[0] * unit + max(ints) > _REACH_BITS
+
+
+@pytest.mark.parametrize("row,n,error,match", [
+    ([F(1), F(2)], 0, InputError, "need at least one bundle"),
+    ([F(1)] * 30, 2, CapacityError, "got m=30, n=2"),
+    ([F(1)] * 4, 9, CapacityError, "got m=4, n=9"),
+])
+def test_the_kernel_raises_as_the_rational_solver_does(row, n, error, match):
+    raised = []
+    for call in (lambda: mms_exact(row, n), lambda: mms_exact_scaled(*scale_row(row), n)):
+        with pytest.raises(error, match=match) as info:
+            call()
+        raised.append((info.type, str(info.value)))
+    assert raised[0] == raised[1]
+
+
+def _reference_lpt(ints, n):
+    """LPT on the keys the solver used before: items by (-value, id), the
+    bundle by (load, index)."""
+    loads, bundles = [0] * n, [[] for _ in range(n)]
+    for g in sorted(range(len(ints)), key=lambda g: (-ints[g], g)):
+        j = min(range(n), key=lambda j: (loads[j], j))
+        loads[j] += ints[g]
+        bundles[j].append(g)
+    return bundles
+
+
+_TIE_ROWS = [
+    [F(3)] * 9,  # all equal
+    [F(2), F(5), F(2), F(5), F(1), F(2), F(5), F(1), F(2), F(1)],  # repeated values
+    [F(0), F(4), F(0), F(4), F(4), F(0), F(1), F(1), F(0)],  # zeros among ties
+    [F(1, 2), F(1), F(1, 2), F(1, 2), F(1), F(0), F(1, 2), F(1), F(1, 2), F(1)],
+    [F(0)] * 6,
+]
+
+
+def _graham_row(n):
+    """Two items each of 2n-1 down to n+1 and three of n, shuffled among
+    three zeros: LPT falls one short of the share n, so the search runs."""
+    row = [F(v) for v in range(2 * n - 1, n, -1) for _ in range(2)] + [F(n)] * 3 + [F(0)] * 3
+    rng = substream(n, "solver-ties")
+    return [row.pop(rng.randrange(len(row))) for _ in range(len(row))]
+
+
+@pytest.mark.parametrize("row", _TIE_ROWS)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ties_break_by_index_as_with_the_old_keys(row, n):
+    ints, _ = scale_row(row)
+    assert lpt_partition(ints, n) == _reference_lpt(ints, n)
+    # the witness is the first optimal leaf in branch order, so it pins the
+    # item order, the bundle order and the equal-load skip
+    _agrees_with_reference(row, n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ties_break_by_index_where_the_search_runs(n):
+    row = _graham_row(n)
+    ints, _ = scale_row(row)
+    assert lpt_partition(ints, n) == _reference_lpt(ints, n)
+    got, _ = _agrees_with_reference(row, n)
+    assert got.value == 3 * n and got.nodes > 1
+
+
+def _reference_covers(vals, bins, target, failed, ends):
+    """``_covers`` as it rebuilt the items left with a membership test per
+    item; ``ends`` collects, per rebuild, whether ``picked`` held the first
+    and the last index of ``rest``."""
+    big = next((i for i, v in enumerate(vals) if v < target), len(vals))
+    vals, bins = vals[big:], bins - big
+    slack = sum(vals) - bins * target
+    if bins <= 1 and slack >= 0:
+        return True
+    if slack < 0 or len(vals) < 2 * bins or (vals, bins) in failed:
+        return False
+    rest = vals[1:]
+    suffix = [sum(rest[j:]) for j in range(len(rest) + 1)]
+    picked = []
+
+    def complete(i, need):
+        prev = 0
+        for j in range(i, len(rest)):
+            if suffix[j] < need:
+                return False
+            v = rest[j]
+            if v == prev or v - need > slack:
+                continue
+            prev = v
+            picked.append(j)
+            if v < need:
+                ok = complete(j + 1, need - v)
+            else:
+                ends.add((picked[0] == 0, picked[-1] == len(rest) - 1))
+                ok = _reference_covers(tuple(x for t, x in enumerate(rest) if t not in picked), bins - 1,
+                                       target, failed, ends)
+            picked.pop()
+            if ok:
+                return True
+        return False
+
+    if complete(0, target - vals[0]):
+        return True
+    failed.add((vals, bins))
+    return False
+
+
+def test_covers_rebuilds_the_items_left_as_the_per_item_test_did():
+    # same answer and the same failed states, so the same parts were tried
+    ends = set()
+    for seed in range(60):
+        rng = substream(seed, "solver-rebuild")
+        m, bins = rng.randint(4, 12), rng.randint(2, 4)
+        vals = tuple(sorted((rng.randint(1, 12) for _ in range(m)), reverse=True))
+        for target in range(max(1, sum(vals) // bins - 3), sum(vals) // bins + 2):
+            got_failed, want_failed = set(), set()
+            assert _covers(vals, bins, target, got_failed) == _reference_covers(vals, bins, target, want_failed, ends)
+            assert got_failed == want_failed
+    assert (True, True) in ends  # picked held both the first and the last index of rest
+    assert ends == {(a, b) for a in (True, False) for b in (True, False)}
