@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, starmap
 from typing import Callable, Iterable, Sequence
 
 
@@ -78,11 +78,10 @@ class Bundle(tuple):
             raise InputError("negative item index")
         return tuple.__new__(cls, norm)
 
-    @classmethod
-    def from_sorted(cls, items: Iterable[int]) -> "Bundle":
-        """Trusted constructor, no check and no sort: the caller guarantees
-        strictly increasing non-negative int items."""
-        return tuple.__new__(cls, items)
+    # Trusted constructor ``Bundle.from_sorted(items)``, no check and no sort: the caller
+    # guarantees strictly increasing non-negative int items.  It is ``tuple.__new__``
+    # itself, so building a bundle runs no Python frame.
+    from_sorted = classmethod(tuple.__new__)
 
     def __repr__(self) -> str:
         return f"Bundle(items={tuple(self)!r})"
@@ -160,15 +159,22 @@ def scale_parts(parts: Iterable[tuple[Sequence[int], Sequence[int]]], m: int) ->
     part, of nonnegative int weights with a positive sum, worth exactly 1: an
     item of weight w in a part of total T is worth w / T = x / L, with L the lcm
     over the parts of T / gcd(the part's weights), the row's least common
-    denominator.  Equal ints share one object, as in ``scale_row``."""
-    parts = [(items, weights, sum(weights)) for items, weights in parts]
-    unit = math.lcm(*(total // math.gcd(*weights) for _, weights, total in parts))
-    row = [0] * m
-    distinct: dict[int, int] = {}
-    for items, weights, total in parts:
-        for g, w in zip(items, weights):
-            x = w * unit // total
-            row[g] = distinct.setdefault(x, x)
+    denominator.  The totals and gcds are taken part by part at C level, each
+    distinct (T, w) gives its x once, and equal ints share one object across
+    parts, as in ``scale_row``."""
+    parts = list(parts)
+    weights = [ws for _, ws in parts]
+    totals = list(map(sum, weights))
+    unit = math.lcm(*map(operator.floordiv, totals, starmap(math.gcd, weights)))
+    row, by_total, distinct = [0] * m, {}, {}
+    for (items, ws), total in zip(parts, totals):
+        xs = by_total.setdefault(total, {})  # w -> x for this T
+        for g, w in zip(items, ws):
+            x = xs.get(w)
+            if x is None:
+                x = w * unit // total
+                x = xs[w] = distinct.setdefault(x, x)
+            row[g] = x
     return tuple(row), unit
 
 
@@ -332,8 +338,8 @@ class NormalizedInstance:
                 continue
             if self.original_mms[i] <= 0:
                 raise ValidationError(f"type {i} has nonpositive share but is not flagged")
-            unit = view.units[i]
-            if any(view.total(i, b) != unit for b in part):
+            row, unit = view.ints[i], view.units[i]  # list sums beat map(row.__getitem__) past ~4 items
+            if any([sum([row[g] for g in b]) != unit for b in part]):
                 raise ValidationError(f"type {i}: witness bundle value != 1 after rescaling")
 
     @property
@@ -550,7 +556,7 @@ def finish_run(
     totals, least = [], {}
     for _, type_id, bundle in entries:
         row = rows[type_id]
-        x = 1 if row is None else sum([row[g] for g in bundle])
+        x = 1 if row is None else sum(map(row.__getitem__, bundle))
         totals.append(x)
         if least.setdefault(type_id, x) > x:
             least[type_id] = x

@@ -323,7 +323,9 @@ def gen_normalized_random(n: int, m: int, k: int, seed: int = 0,
     [weight_lo, weight_hi] rescaled by the part sum, as scaled ints through
     ``core.scale_parts``).  The partition is then a share witness: its
     minimum is 1 and the total is n, so the share is pinched to exactly 1
-    with no solving.
+    with no solving.  A type's shuffled items and its weights, drawn in the
+    same order, are cut into the parts by one list of slices shared by all
+    types, and each witness bundle is its part's items sorted.
     """
     if not 1 <= n <= m:
         raise InputError("needs 1 <= n <= m so every part is nonempty")
@@ -332,22 +334,18 @@ def gen_normalized_random(n: int, m: int, k: int, seed: int = 0,
     rows: list[tuple[int, ...]] = []
     units: list[int] = []
     witnesses: list[tuple[Bundle, ...]] = []
-    base, extra = divmod(m, n)
+    base, extra = divmod(m, n)  # the first `extra` parts hold one item more
+    cuts = [0, *itertools.accumulate([base + 1] * extra + [base] * (n - extra))]
+    parts = list(map(slice, cuts, cuts[1:]))
     for i in range(k):
         rng = substream(seed, "pinched", i, n, m, k)
         perm = list(range(m))
         shuffle(rng, perm)
-        drawn = randints(rng, weight_lo, weight_hi, m)  # part by part, as the items
-        weighted: list[tuple[list[int], list[int]]] = []
-        pos = 0
-        for j in range(n):
-            size = base + (1 if j < extra else 0)
-            weighted.append((perm[pos:pos + size], drawn[pos:pos + size]))
-            pos += size
-        row, unit = scale_parts(weighted, m)
+        drawn = randints(rng, weight_lo, weight_hi, m)
+        row, unit = scale_parts(zip(map(perm.__getitem__, parts), map(drawn.__getitem__, parts)), m)
         rows.append(row)
         units.append(unit)
-        witnesses.append(tuple(Bundle.from_sorted(sorted(part)) for part, _ in weighted))
+        witnesses.append(tuple(map(Bundle.from_sorted, map(sorted, map(perm.__getitem__, parts)))))
     inst = Instance(n, ScaledRows(tuple(rows), tuple(units)))
     return NormalizedInstance(inst, tuple(Fraction(1) for _ in range(k)), tuple(witnesses))
 

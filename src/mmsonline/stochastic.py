@@ -36,7 +36,6 @@ from .core import (
     as_fraction,
     check_arrivals,
     check_items,
-    fill_bag,
     finish_run,
 )
 from .exactpow import floor_plus_pow_sqrt, pow_sqrt_le, pow_sqrt_sum_ge
@@ -116,7 +115,11 @@ def preprocess_low_c(
     items the last type does not value highly, until it holds M_i bundles
     or runs out.  Bag filling then grows bags from the remainder in
     ascending item order until some unsaturated type claims (>= alpha),
-    giving each bag to the lowest-ranked unsaturated claimant.
+    giving each bag to the lowest-ranked unsaturated claimant.  It is one
+    pass over the remainder: each open type's (rank, row, claim) is bound
+    once, each item is added to the open types' running sums in rank order,
+    and the bag closes at the first type whose sum reaches its claim, so
+    the types after it are not summed for that item.
 
     An unsaturated outcome is a legal, reported state, not an error; a
     failed audit of the open types raises ``InvariantViolation``.
@@ -156,7 +159,7 @@ def preprocess_low_c(
             unsaturated.discard(i)
 
     # whoever is still open cannot hold too many high-valued items overall
-    opened = sorted(unsaturated)  # ascending; changes only when a type saturates
+    opened = sorted(unsaturated)  # ascending
     pk = probs[-1]
     mus = [nprime * p for p in probs]
     for i in opened:
@@ -169,20 +172,25 @@ def preprocess_low_c(
     # c = ceil(alpha L) to it, and a bag stops once some open type reaches its
     # claim: no open type's bag is worth over 2c - 2 <= floor(2 alpha L)
     scan = [g for g in item_list if g not in taken] if taken else item_list
-    pos = bag_count = 0
-    while opened:
-        filled = fill_bag(rows, claim, scan, pos, opened)
-        if filled is None:
-            break  # remainder exhausted without a claim; those items stay unallocated
-        bag, _, claimants, pos = filled
-        claimant = claimants[0]
-        reserves[claimant].append(Bundle.from_sorted(bag))
-        bag_count += 1
-        if len(reserves[claimant]) == caps[claimant]:
-            opened.remove(claimant)
+    cols = [(j, rows[j], claim[j]) for j in opened]  # the open types' (rank, row, claim), ascending
+    sums, start, bag_count = [0] * k, 0, 0
+    for pos, g in enumerate(scan if cols else (), 1):
+        for j, row, c in cols:
+            sums[j] += row[g]
+            if sums[j] >= c:
+                break  # j is the first claimant in rank order
+        else:
+            continue
+        reserves[j].append(Bundle.from_sorted(scan[start:pos]))
+        sums, start, bag_count = [0] * k, pos, bag_count + 1
+        if len(reserves[j]) == caps[j]:
+            cols = [col for col in cols if col[0] != j]
+            if not cols:
+                break
+    # a scan that runs out mid-bag leaves those items unallocated
 
     return LowCState(high_sets=high_sets, reserves=reserves, caps=caps, singleton_counts=singleton_counts,
-                     order=order, unsaturated=set(opened), bag_count=bag_count)
+                     order=order, unsaturated={j for j, _, _ in cols}, bag_count=bag_count)
 
 
 def run_low_c(state: LowCState, arrival_ranks: Sequence[int]) -> list[Bundle | None]:

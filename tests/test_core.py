@@ -270,6 +270,10 @@ def test_normalize_zero_share_type_left_alone():
 @settings(max_examples=100)
 @given(st.lists(st.lists(st.integers(0, 2**64), min_size=1, max_size=4).filter(any), min_size=1, max_size=5))
 @example([[0, 5], [7], [2**60, 2**60 + 3, 0]])
+# 1/2 from two (total, weight) pairs: one int object only if interned across parts;
+# the 1/1000 part lifts L so that 1/2 scales to 500, past CPython's small-int cache
+@example([[1, 1], [2, 2]])
+@example([[1, 1], [2, 2], [1, 999]])
 def test_scale_parts_matches_a_fraction_reference(weight_lists):
     # zero weights, single-item parts and weights far past 2^40, each part on scattered item ids
     m = sum(map(len, weight_lists))

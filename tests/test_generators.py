@@ -214,6 +214,77 @@ def test_gen_normalized_random_ints_match_fraction_rows(n, m, k, seed, lo, hi):
     assert norm.witness_partitions == witnesses
 
 
+def _reference_scale_parts(parts, m):
+    """Reference: ``core.scale_parts`` as it was, one ``setdefault`` per item."""
+    import math
+    parts = [(items, weights, sum(weights)) for items, weights in parts]
+    unit = math.lcm(*(total // math.gcd(*weights) for _, weights, total in parts))
+    row = [0] * m
+    distinct = {}
+    for items, weights, total in parts:
+        for g, w in zip(items, weights):
+            x = w * unit // total
+            row[g] = distinct.setdefault(x, x)
+    return tuple(row), unit
+
+
+def _reference_gen_normalized_random(n, m, k, seed=0, weight_lo=3, weight_hi=5):
+    """Reference: ``gen_normalized_random`` as it was, one slice pair per part
+    into a ``weighted`` list, scaled by ``_reference_scale_parts``."""
+    from mmsonline.core import Instance, NormalizedInstance, ScaledRows
+    from mmsonline.rng import randints, shuffle, substream
+    if not 1 <= n <= m:
+        raise InputError("needs 1 <= n <= m so every part is nonempty")
+    if not 1 <= weight_lo <= weight_hi:
+        raise InputError("bad weight range")
+    rows = []
+    units = []
+    witnesses = []
+    base, extra = divmod(m, n)
+    for i in range(k):
+        rng = substream(seed, "pinched", i, n, m, k)
+        perm = list(range(m))
+        shuffle(rng, perm)
+        drawn = randints(rng, weight_lo, weight_hi, m)  # part by part, as the items
+        weighted = []
+        pos = 0
+        for j in range(n):
+            size = base + (1 if j < extra else 0)
+            weighted.append((perm[pos:pos + size], drawn[pos:pos + size]))
+            pos += size
+        row, unit = _reference_scale_parts(weighted, m)
+        rows.append(row)
+        units.append(unit)
+        witnesses.append(tuple(Bundle.from_sorted(sorted(part)) for part, _ in weighted))
+    inst = Instance(n, ScaledRows(tuple(rows), tuple(units)))
+    return NormalizedInstance(inst, tuple(F(1) for _ in range(k)), tuple(witnesses))
+
+
+# n = m, n = 1, weight_lo = weight_hi, k = 5, uneven part sizes, weights up to 10^6
+REFERENCE_SWEEP = [
+    (n, m, k, seed, lo, hi)
+    for n, m, k, lo, hi in [
+        (1, 1, 1, 3, 5), (1, 9, 2, 3, 5), (6, 6, 3, 3, 5), (5, 5, 5, 1, 1), (4, 13, 5, 3, 5),
+        (7, 30, 3, 4, 4), (9, 50, 2, 1, 10**6), (3, 10, 4, 10**6, 10**6), (25, 101, 3, 2, 4),
+        (200, 1000, 3, 3, 5),
+    ]
+    for seed in (0, 1, 2**31 + 5)
+]
+
+
+@pytest.mark.parametrize("n, m, k, seed, lo, hi", REFERENCE_SWEEP)
+def test_gen_normalized_random_matches_the_reference_generator(n, m, k, seed, lo, hi):
+    from mmsonline.jsonio import canonical_json, instance_to_obj
+    got = gen_normalized_random(n, m, k, seed=seed, weight_lo=lo, weight_hi=hi)
+    want = _reference_gen_normalized_random(n, m, k, seed=seed, weight_lo=lo, weight_hi=hi)
+    assert got == want
+    assert (got.scaled.ints, got.scaled.units) == (want.scaled.ints, want.scaled.units)
+    assert got.witness_partitions == want.witness_partitions
+    assert canonical_json(instance_to_obj(got.base, got)) == canonical_json(instance_to_obj(want.base, want))
+    # equal ints are one object within each row, as the reference interns them
+    assert [len(set(map(id, row))) for row in got.scaled.ints] == [len(set(row)) for row in want.scaled.ints]
+
+
 def test_sample_arrivals():
     d = TypeDistribution.from_probs([F(1), F(0)])
     assert sample_arrivals(d, 5, 0) == [0, 0, 0, 0, 0]

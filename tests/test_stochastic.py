@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mmsonline import (
     InputError,
@@ -18,7 +18,9 @@ from mmsonline.core import (
     Instance,
     InvariantViolation,
     NormalizedInstance,
+    ScaledRows,
     as_scaled,
+    fill_bag,
     value,
     verify_allocation,
 )
@@ -399,6 +401,57 @@ def test_preprocess_low_c_matches_fraction_reference_on_violations():
     assert want == "open type 1 holds 100 high-valued items"
     with pytest.raises(InvariantViolation, match=f"^{want}$"):
         preprocess_low_c(as_scaled(case[0]), *case[1:])
+
+
+def _fill_bag_phase(view, items, state, alpha):
+    """Reference: the bag phase as one ``fill_bag`` call per bag, run after the
+    turn-phase singletons that ``state`` records; its reserves, bag count and
+    unsaturated types."""
+    rows, claim, caps = view.ints, view.at_least(alpha), state.caps
+    reserves = [deque(islice(dq, count)) for dq, count in zip(state.reserves, state.singleton_counts)]
+    taken = {g for dq in reserves for (g,) in dq}
+    opened = [i for i, dq in enumerate(reserves) if len(dq) < caps[i]]
+    scan = [g for g in sorted(set(items)) if g not in taken]
+    pos = bag_count = 0
+    while opened:
+        filled = fill_bag(rows, claim, scan, pos, opened)
+        if filled is None:
+            break
+        bag, _, claimants, pos = filled
+        reserves[claimants[0]].append(Bundle.from_sorted(bag))
+        bag_count += 1
+        if len(reserves[claimants[0]]) == caps[claimants[0]]:
+            opened.remove(claimants[0])
+    return [list(dq) for dq in reserves], bag_count, set(opened)
+
+
+@st.composite
+def _bag_phase_cases(draw):
+    """Small scaled rows and claim levels, with agent counts and laws whose
+    caps leave some types open after their turn and saturate others."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 16))
+    ints = tuple(tuple(draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))) for _ in range(k))
+    units = tuple(draw(st.lists(st.sampled_from([6, 8, 12]), min_size=k, max_size=k)))
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    probs = sorted((F(w, sum(weights)) for w in weights), reverse=True)
+    alpha = draw(st.sampled_from([F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]))
+    return (ScaledRows(ints, units), draw(st.sets(st.integers(0, m - 1), min_size=m // 2)), draw(st.integers(1, 6)), probs,
+            alpha, draw(st.sampled_from([F(1, 10), F(1, 5), F(2, 5)])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bag_phase_cases())
+# each bag is claimed by both open types at once and goes to rank 0, which saturates
+# after two; the last item leaves rank 1 open
+@example((ScaledRows(((2, 2, 2, 2, 1), (2, 2, 2, 2, 1)), (4, 4)), {0, 1, 2, 3, 4}, 2, [F(1, 2)] * 2, F(1), F(1, 10)))
+# nothing is open after the turn phase: no bag is filled
+@example((ScaledRows(((4, 4), (4, 4)), (4, 4)), {0, 1}, 1, [F(1, 2)] * 2, F(1, 2), F(1, 10)))
+def test_bag_pass_matches_one_fill_bag_call_per_bag(case):
+    view, items, _, _, alpha, _ = case
+    state = _low_c_outcome(preprocess_low_c, *case)
+    assume(not isinstance(state, str))  # a failed audit raises before bag filling
+    want = _fill_bag_phase(view, items, state, alpha)
+    assert ([list(dq) for dq in state.reserves], state.bag_count, state.unsaturated) == want
 
 
 def test_empty_high_sets_pure_bag_filling():
