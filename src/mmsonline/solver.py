@@ -11,6 +11,9 @@ kept free of any pruning the solver uses.
 The search runs on a row scaled to integers over its common denominator, in
 the kernel ``mms_exact_scaled``: ``core.normalize`` calls it on the rows an
 instance holds, and ``mms_exact`` on a rational row it scales (``core.scale_row``).
+Each recursion is a module-level function over explicit state, never a
+closure: a recursive closure is a reference cycle, which keeps every call's
+memo and item lists alive until the cyclic collector runs.
 """
 
 from __future__ import annotations
@@ -57,36 +60,37 @@ def _covers(vals: tuple[int, ...], bins: int, target: int, failed: set[tuple]) -
         return False
     rest = vals[1:]
     suffix = [*accumulate(reversed(rest))][::-1] + [0]
-    picked: list[int] = []
-
-    def complete(i: int, need: int) -> bool:
-        # add items in order until the part reaches the target, each equal
-        # value once per depth
-        prev = 0
-        for j in range(i, len(rest)):
-            if suffix[j] < need:
-                return False
-            v = rest[j]
-            if v == prev or v - need > slack:
-                continue
-            prev = v
-            picked.append(j)
-            if v < need:
-                ok = complete(j + 1, need - v)
-            else:  # the items left: rest without the ascending picked ones
-                left, start = (), 0
-                for t in picked:
-                    left, start = left + rest[start:t], t + 1
-                ok = _covers(left + rest[start:], bins - 1, target, failed)
-            picked.pop()
-            if ok:
-                return True
-        return False
-
-    if complete(0, target - vals[0]):
+    if _complete(rest, suffix, slack, [], bins, target, failed, 0, target - vals[0]):
         return True
     if len(failed) < _MEMO_LIMIT:
         failed.add((vals, bins))
+    return False
+
+
+def _complete(rest: tuple[int, ...], suffix: list[int], slack: int, picked: list[int],
+              bins: int, target: int, failed: set[tuple], i: int, need: int) -> bool:
+    """Complete ``_covers``' part holding its largest item, which still needs
+    ``need``: add items of ``rest`` from i on (those at ``picked`` are in it)
+    in order until it reaches the target, each equal value once per depth."""
+    prev = 0
+    for j in range(i, len(rest)):
+        if suffix[j] < need:
+            return False
+        v = rest[j]
+        if v == prev or v - need > slack:
+            continue
+        prev = v
+        picked.append(j)
+        if v < need:
+            ok = _complete(rest, suffix, slack, picked, bins, target, failed, j + 1, need - v)
+        else:  # the items left: rest without the ascending picked ones
+            left, start = (), 0
+            for t in picked:
+                left, start = left + rest[start:t], t + 1
+            ok = _covers(left + rest[start:], bins - 1, target, failed)
+        picked.pop()
+        if ok:
+            return True
     return False
 
 
@@ -103,34 +107,31 @@ def mms_brute_force(valuation: Sequence[Fraction], n: int) -> MmsResult:
     if m > BRUTE_ITEM_CAP or n > BRUTE_BUNDLE_CAP:
         raise CapacityError(f"brute force capped at m<={BRUTE_ITEM_CAP}, n<={BRUTE_BUNDLE_CAP}")
     ints, den = scale_row(valuation)
-    loads = [0] * n
-    assign = [0] * m
-    best = -1
-    best_assign: list[int] = []
-    nodes = 0
-
-    def rec(idx: int) -> None:
-        nonlocal best, best_assign, nodes
-        nodes += 1
-        if idx == m:
-            mn = min(loads)
-            if mn > best:
-                best = mn
-                best_assign = assign.copy()
-            return
-        choices = range(1) if idx == 0 else range(n)
-        for j in choices:
-            loads[j] += ints[idx]
-            assign[idx] = j
-            rec(idx + 1)
-            loads[j] -= ints[idx]
-
-    rec(0)
+    best: list = [0, -1, []]  # nodes, the best least load, its assignment
+    _enumerate(0, n, ints, [0] * n, [0] * m, best)
+    nodes, value, best_assign = best
     bundles: list[list[int]] = [[] for _ in range(n)]
     for g, j in enumerate(best_assign):
         bundles[j].append(g)
     witness = tuple(Bundle(tuple(b)) for b in bundles)
-    return MmsResult(Fraction(best, den), witness, nodes=nodes)
+    return MmsResult(Fraction(value, den), witness, nodes=nodes)
+
+
+def _enumerate(idx: int, n: int, ints: list[int], loads: list[int], assign: list[int], best: list) -> None:
+    """Give items idx.. of ``ints`` every bundle in turn (item 0 only bundle 0),
+    counting nodes in ``best[0]`` and keeping the first assignment with the
+    greatest least load in ``best[1:]``."""
+    best[0] += 1
+    if idx == len(ints):
+        mn = min(loads)
+        if mn > best[1]:
+            best[1], best[2] = mn, assign.copy()
+        return
+    for j in range(1) if idx == 0 else range(n):
+        loads[j] += ints[idx]
+        assign[idx] = j
+        _enumerate(idx + 1, n, ints, loads, assign, best)
+        loads[j] -= ints[idx]
 
 
 def mms_exact(valuation: Sequence[Fraction], n: int) -> MmsResult:
@@ -167,6 +168,11 @@ def mms_exact_scaled(ints: Sequence[int], unit: int, n: int) -> MmsResult:
     prune or memo hit cuts a subtree holding a leaf above its incumbent, so
     the bounds change ``nodes`` only, never the witness.  ``nodes``
     counts this search only (1 if it does not run), not the decision states.
+    The decision (``_covers``/``_complete``) and the search (``_search``) are
+    module-level functions taking their state as arguments, so whatever a
+    solve builds is freed by refcount when it returns.  A recursive closure
+    would be a reference cycle, keeping the memo alive until the cyclic
+    collector runs.
     Every size takes this path: at m = 0 or n = 1 the LPT split meets the cap.
     Above the caps (m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP) it raises
     :class:`CapacityError`.
@@ -190,7 +196,6 @@ def mms_exact_scaled(ints: Sequence[int], unit: int, n: int) -> MmsResult:
     lpt = lpt_partition(ints, n)
     lpt_value = min(sum(ints[g] for g in b) for b in lpt)
     best_bundles = [[g for g in b if ints[g] > 0] for b in lpt]
-    nodes = 1
 
     # gallop down from the cap, then bisect: a split worth opt exists and none
     # worth hi does (fractional rows scale to gaps of thousands of units)
@@ -210,56 +215,56 @@ def mms_exact_scaled(ints: Sequence[int], unit: int, n: int) -> MmsResult:
         reach = [1] * (mm + 1)
         for i in range(mm - 1, -1, -1):
             reach[i] = (reach[i + 1] | reach[i + 1] << vals[i]) & mask
-    loads = [0] * n
     current: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple] = set()
-
-    def rec(idx: int) -> bool:
-        """True at the first leaf worth opt, which stays in ``current``."""
-        nonlocal nodes
-        nodes += 1
-        if idx == mm:
-            return min(loads) >= opt
-        short = [opt - x for x in loads if x < opt]
-        if len(short) > mm - idx or sum(short) > suffix[idx]:
-            return False
-        if reach:
-            # the overshoot bound: each short bundle takes at least its least
-            # reachable sum >= d, and those sums must fit in what remains
-            r, fill = reach[idx], 0
-            for d in short:
-                s = r >> d
-                if not s:
-                    return False
-                fill += d + (s & -s).bit_length() - 1
-            if fill > suffix[idx]:
-                return False
-        order = sorted(range(n), key=loads.__getitem__)
-        key = (idx, tuple(map(loads.__getitem__, order)))
-        if key in seen:
-            return False
-        if len(seen) < _MEMO_LIMIT:
-            seen.add(key)
-        g = items[idx]
-        v = ints[g]
-        prev = -1
-        for j in order:
-            if loads[j] == prev:  # equal loads sit side by side in order
-                continue
-            prev = loads[j]
-            loads[j] += v
-            current[j].append(g)
-            if rec(idx + 1):
-                return True
-            loads[j] -= v
-            current[j].pop()
-        return False
-
-    if lpt_value < opt and rec(0):
+    count = [1]
+    if lpt_value < opt and _search(0, opt, n, mm, items, ints, suffix, reach, [0] * n, current, set(), count):
         best_bundles = current
 
     bundles = [sorted(b) for b in best_bundles]
     bundles[0].extend(zeros)
     witness = tuple(Bundle(tuple(b)) for b in bundles)
-    return MmsResult(Fraction(opt, unit), witness, nodes=nodes)
+    return MmsResult(Fraction(opt, unit), witness, nodes=count[0])
+
+
+def _search(idx: int, opt: int, n: int, mm: int, items: list[int], ints: Sequence[int], suffix: list[int],
+            reach: list[int], loads: list[int], current: list[list[int]], seen: set[tuple], count: list[int]) -> bool:
+    """``mms_exact_scaled``'s witness search from depth idx: True at the first
+    leaf worth opt, which stays in ``current``; nodes are counted in ``count[0]``."""
+    count[0] += 1
+    if idx == mm:
+        return min(loads) >= opt
+    short = [opt - x for x in loads if x < opt]
+    if len(short) > mm - idx or sum(short) > suffix[idx]:
+        return False
+    if reach:
+        # the overshoot bound: each short bundle takes at least its least
+        # reachable sum >= d, and those sums must fit in what remains
+        r, fill = reach[idx], 0
+        for d in short:
+            s = r >> d
+            if not s:
+                return False
+            fill += d + (s & -s).bit_length() - 1
+        if fill > suffix[idx]:
+            return False
+    order = sorted(range(n), key=loads.__getitem__)
+    key = (idx, tuple(map(loads.__getitem__, order)))
+    if key in seen:
+        return False
+    if len(seen) < _MEMO_LIMIT:
+        seen.add(key)
+    g = items[idx]
+    v = ints[g]
+    prev = -1
+    for j in order:
+        if loads[j] == prev:  # equal loads sit side by side in order
+            continue
+        prev = loads[j]
+        loads[j] += v
+        current[j].append(g)
+        if _search(idx + 1, opt, n, mm, items, ints, suffix, reach, loads, current, seen, count):
+            return True
+        loads[j] -= v
+        current[j].pop()
+    return False
 

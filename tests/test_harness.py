@@ -494,3 +494,18 @@ def test_raw_instance_exhaustive_normalizes_once(monkeypatch):
     agg = monte_carlo(cfg)
     assert len(agg.rows) == 3 ** 6 and len(normalized) == 1
     assert agg.success_rate == 1.0 and F(agg.min_ratio_overall) >= F(1, 3)
+
+
+@pytest.mark.parametrize("cfg", [
+    McConfig(algorithm="known-d", trials=1, master_seed=3, generator="normalized-random",
+             generator_params={"n": 30, "m": 120, "k": 3, "weight_lo": 3, "weight_hi": 5},
+             dist=UNIFORM3, eta="1/2", epsilon="1/10"),
+    McConfig(algorithm="unknown-d", trials=1, master_seed=9, generator="normalized-random",
+             generator_params={"n": 40, "m": 160, "k": 2, "weight_lo": 2, "weight_hi": 4},
+             hidden_dist=UNIFORM2, eta="1/2", c="1/20"),
+    # a raw instance, so the first trial also normalizes it with the exact solver
+    McConfig(algorithm="adversarial", trials=0, master_seed=0, arrivals="exhaustive",
+             instance_obj=instance_to_obj(gen_random(4, 10, 3, "uniform", seed=0))),
+], ids=["known-d", "unknown-d", "adversarial-exhaustive"])
+def test_a_trial_leaves_no_cyclic_garbage(cyclic_garbage, cfg):
+    assert cyclic_garbage(run_trial, cfg, 0) == 0

@@ -567,3 +567,27 @@ def test_covers_rebuilds_the_items_left_as_the_per_item_test_did():
             assert got_failed == want_failed
     assert (True, True) in ends  # picked held both the first and the last index of rest
     assert ends == {(a, b) for a in (True, False) for b in (True, False)}
+
+
+# -- no solve leaves cyclic garbage ------------------------------------------
+
+
+_ROW, _N = [2, 23, 27, 28, 24, 24, 24, 29, 3, 18], 3
+
+
+def test_the_garbage_row_runs_every_phase_of_a_solve():
+    # LPT < optimum <= cap - 2: the gallop, the bisection and the witness search all run
+    srt = sorted(_ROW, reverse=True)
+    cap = min(sum(srt[j:]) // (_N - j) for j in range(_N))
+    lpt = min(sum(_ROW[g] for g in b) for b in lpt_partition(_ROW, _N))
+    res = mms_exact_scaled(_ROW, 1, _N)
+    assert lpt < res.value < cap - 1 and res.nodes > 1
+
+
+@pytest.mark.parametrize("call, args", [
+    (mms_exact_scaled, (_ROW, 1, _N)),
+    (mms_brute_force, ([F(x) for x in _ROW[:8]], _N)),
+    (normalize, (gen_random(5, 13, 3, "uniform", seed=4),)),
+], ids=["mms_exact_scaled", "mms_brute_force", "normalize"])
+def test_a_solve_leaves_no_cyclic_garbage(cyclic_garbage, call, args):
+    assert cyclic_garbage(call, *args) == 0
