@@ -11,15 +11,15 @@ kept free of any pruning the solver uses.
 The search runs on a row scaled to integers over its common denominator, in
 the kernel ``mms_exact_scaled``: ``core.normalize`` calls it on the rows an
 instance holds, and ``mms_exact`` on a rational row it scales (``core.scale_row``).
-Each recursion is a module-level function over explicit state, never a
-closure: a recursive closure is a reference cycle, which keeps every call's
-memo and item lists alive until the cyclic collector runs.
+It sorts the items once; LPT runs on that order.  The decision sums its items
+only once: the slack and the remainder travel down its recursion.  Each
+recursion is a module-level function over explicit state, never a closure (a
+reference cycle, which keeps every call's memo alive until the collector runs).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence
 
 from .core import Bundle, CapacityError, InputError, MmsResult, scale_row
@@ -37,57 +37,68 @@ def lpt_partition(ints: Sequence[int], n: int) -> list[list[int]]:
     (``core.scale_row``) into n bundles (item ids)."""
     if n < 1:
         raise InputError("need at least one bundle")
+    return _lpt(ints, sorted(range(len(ints)), key=ints.__getitem__, reverse=True), n)[0]  # stable: ties by index
+
+
+def _lpt(ints: Sequence[int], order: list[int], n: int) -> tuple[list[list[int]], list[int]]:
+    """LPT over the item ids ``order`` (non-increasing value): bundles, loads."""
     loads = [0] * n
     bundles: list[list[int]] = [[] for _ in range(n)]
-    for g in sorted(range(len(ints)), key=ints.__getitem__, reverse=True):  # stable: ties by index
+    for g in order:
         j = loads.index(min(loads))  # the least load, at the lowest index
         loads[j] += ints[g]
         bundles[j].append(g)
-    return bundles
+    return bundles, loads
 
 
 def _covers(vals: tuple[int, ...], bins: int, target: int, failed: set[tuple]) -> bool:
     """Whether the positive ints ``vals`` (non-increasing) split into ``bins``
     parts each worth at least ``target``, by bin completion over the part
-    holding the largest item; failed (items, bins) states go in ``failed``."""
+    holding the largest item; failed (items, bins) states go in ``failed``.
+    Only this call sums the items; each state below gets its slack passed down."""
     # past the first call, every item is below the target
     big = next((i for i, v in enumerate(vals) if v < target), len(vals)) if vals and vals[0] >= target else 0
     vals, bins = vals[big:], bins - big  # an item worth the target fills a part alone
-    slack = sum(vals) - bins * target  # the most value the open parts may waste
-    if bins <= 1 and slack >= 0:
+    return _decide(vals, bins, target, failed, sum(vals) - bins * target)
+
+
+def _decide(vals: tuple[int, ...], bins: int, target: int, failed: set[tuple], slack: int) -> bool:
+    """``_covers`` on items below the target worth ``bins * target + slack``."""
+    if bins <= 1 and slack >= 0:  # slack: the most value the open parts may waste
         return True
-    if slack < 0 or len(vals) < 2 * bins or (vals, bins) in failed:
+    if slack < 0 or len(vals) < 2 * bins or (key := (vals, bins)) in failed:
         return False
-    rest = vals[1:]
-    suffix = [*accumulate(reversed(rest))][::-1] + [0]
-    if _complete(rest, suffix, slack, [], bins, target, failed, 0, target - vals[0]):
+    if _complete(vals, slack + bins * target - vals[0], slack, [], bins, target, failed, 1, target - vals[0]):
         return True
     if len(failed) < _MEMO_LIMIT:
-        failed.add((vals, bins))
+        failed.add(key)
     return False
 
 
-def _complete(rest: tuple[int, ...], suffix: list[int], slack: int, picked: list[int],
+def _complete(vals: tuple[int, ...], remain: int, slack: int, picked: list[int],
               bins: int, target: int, failed: set[tuple], i: int, need: int) -> bool:
-    """Complete ``_covers``' part holding its largest item, which still needs
-    ``need``: add items of ``rest`` from i on (those at ``picked`` are in it)
-    in order until it reaches the target, each equal value once per depth."""
+    """Complete ``_decide``'s part holding ``vals[0]``, which still needs
+    ``need``: add items from ``vals[i]`` on (those at ``picked`` are in it) in
+    order until it reaches the target, each equal value once per depth.
+    ``remain``, the sum of ``vals[i:]``, drops by each item passed, picked or
+    skipped; a completed part's waste ``v - need`` leaves its child less slack."""
     prev = 0
-    for j in range(i, len(rest)):
-        if suffix[j] < need:
+    for j in range(i, len(vals)):
+        if remain < need:
             return False
-        v = rest[j]
+        v = vals[j]
+        remain -= v
         if v == prev or v - need > slack:
             continue
         prev = v
         picked.append(j)
         if v < need:
-            ok = _complete(rest, suffix, slack, picked, bins, target, failed, j + 1, need - v)
-        else:  # the items left: rest without the ascending picked ones
-            left, start = (), 0
+            ok = _complete(vals, remain, slack, picked, bins, target, failed, j + 1, need - v)
+        else:  # the items left: vals[1:] without the ascending picked ones
+            left, start = (), 1
             for t in picked:
-                left, start = left + rest[start:t], t + 1
-            ok = _covers(left + rest[start:], bins - 1, target, failed)
+                left, start = left + vals[start:t], t + 1
+            ok = _decide(left + vals[start:], bins - 1, target, failed, slack - v + need)
         picked.pop()
         if ok:
             return True
@@ -168,11 +179,8 @@ def mms_exact_scaled(ints: Sequence[int], unit: int, n: int) -> MmsResult:
     prune or memo hit cuts a subtree holding a leaf above its incumbent, so
     the bounds change ``nodes`` only, never the witness.  ``nodes``
     counts this search only (1 if it does not run), not the decision states.
-    The decision (``_covers``/``_complete``) and the search (``_search``) are
-    module-level functions taking their state as arguments, so whatever a
-    solve builds is freed by refcount when it returns.  A recursive closure
-    would be a reference cycle, keeping the memo alive until the cyclic
-    collector runs.
+    LPT runs on this function's item order and returns its loads.  No decision
+    state sums its items: slack and remainder travel down ``_complete``.
     Every size takes this path: at m = 0 or n = 1 the LPT split meets the cap.
     Above the caps (m > DEFAULT_ITEM_CAP or n > DEFAULT_BUNDLE_CAP) it raises
     :class:`CapacityError`.
@@ -192,10 +200,10 @@ def mms_exact_scaled(ints: Sequence[int], unit: int, n: int) -> MmsResult:
         suffix[i] = suffix[i + 1] + ints[items[i]]
     cap = min(suffix[j] // (n - j) for j in range(min(n, mm + 1)))
 
-    # LPT split (zero-valued items stripped; they are re-attached at the end)
-    lpt = lpt_partition(ints, n)
-    lpt_value = min(sum(ints[g] for g in b) for b in lpt)
-    best_bundles = [[g for g in b if ints[g] > 0] for b in lpt]
+    # LPT split over the positive items in this order: the zeros, which come
+    # last and add to no load, are re-attached at the end
+    best_bundles, loads = _lpt(ints, items, n)
+    lpt_value = min(loads)
 
     # gallop down from the cap, then bisect: a split worth opt exists and none
     # worth hi does (fractional rows scale to gaps of thousands of units)

@@ -1,11 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmsonline import CapacityError, InputError
 from mmsonline.core import Bundle, Instance, MmsResult, normalize, scale_row, value
 from mmsonline.generators import gen_random
+from mmsonline import solver
 from mmsonline.rng import substream
 from mmsonline.solver import (
     _REACH_BITS,
@@ -569,6 +570,31 @@ def test_covers_rebuilds_the_items_left_as_the_per_item_test_did():
     assert ends == {(a, b) for a in (True, False) for b in (True, False)}
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(1, 12), max_size=9))
+# a skipped item takes the remainder below need, by the waste rule
+# ((8, 8, 8, 6), target 15) and by the equal-value rule ((9, 9, 9, 9, 8), target 19)
+@example(bins=2, vals=[8, 8, 8, 6])
+@example(bins=2, vals=[9, 9, 9, 9, 8])
+def test_covers_decides_as_brute_force_and_fails_the_reference_states(bins, vals):
+    vals = tuple(sorted(vals, reverse=True))
+    complete, remains = solver._complete, []
+
+    def checked(vals, remain, slack, picked, bins, target, failed, i, need):
+        remains.append((remain, sum(vals[i:])))  # the remainder each completion is handed
+        return complete(vals, remain, slack, picked, bins, target, failed, i, need)
+
+    for target in range(1, sum(vals) // bins + 2):
+        got_failed, want_failed = set(), set()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_complete", checked)
+            got = _covers(vals, bins, target, got_failed)
+        assert got == _covers_brute(vals, bins, target)
+        assert got == _reference_covers(vals, bins, target, want_failed, set())
+        assert got_failed == want_failed
+    assert all(got == want for got, want in remains)
+
+
 # -- no solve leaves cyclic garbage ------------------------------------------
 
 
@@ -591,3 +617,50 @@ def test_the_garbage_row_runs_every_phase_of_a_solve():
 ], ids=["mms_exact_scaled", "mms_brute_force", "normalize"])
 def test_a_solve_leaves_no_cyclic_garbage(cyclic_garbage, call, args):
     assert cyclic_garbage(call, *args) == 0
+
+
+# -- pinned outputs ------------------------------------------------------------
+
+# (value, nodes, each item's bundle) of every type's row of
+# gen_random(n, m, 3, "uniform", seed) under mms_exact_scaled: the bench
+# ladder's shapes (n 4-6, m 12-14) and a slice of the held-out shapes (m 16-24)
+_PINNED = {
+    (4, 12, 0): ('45 15 231330312322', '70/3 16 212130131023', '83/3 1 232132031203'),
+    (4, 12, 1): ('51/2 1 213232122103', '39 27 333102233310', '32 34 122123010323'),
+    (4, 13, 0): ('113/6 16 2013132310021', '18 16 3011132303220', '63/2 20 1020321332012'),
+    (4, 13, 1): ('100/3 17 2211133231101', '63/2 53 1323223020301', '133/4 24 2203322331121'),
+    (4, 14, 0): ('299/6 20 23202203131311', '79/2 17 31111133233022', '103/3 42 11133002132323'),
+    (4, 14, 1): ('275/6 29 22311320221313', '36 30 00122330321231', '83/4 17 22233202313332'),
+    (5, 12, 0): ('24 1 201324313244', '52/3 32 424331241002', '155/6 1 311043434122'),
+    (5, 12, 1): ('25 15 041332210224', '65/3 15 423124130244', '175/12 16 304434422431'),
+    (5, 13, 0): ('159/4 17 3213234403442', '28 29 3434410122423', '76/3 1 4330121124203'),
+    (5, 13, 1): ('122/3 26 4321341103240', '79/3 21 2241434032314', '36 58 3344240112324'),
+    (5, 14, 0): ('128/3 58 34044413230120', '497/12 34 44223043131123', '21 1 43224342301243'),
+    (5, 14, 1): ('25 17 31444234423303', '203/6 20 23104333424422', '24 27 41423334242403'),
+    (6, 12, 0): ('109/6 1 443035233514', '43/3 1 105435453221', '119/6 17 434150324552'),
+    (6, 12, 1): ('47/3 16 450243315254', '40/3 16 140545323554', '61/4 1 425531304232'),
+    (6, 13, 0): ('169/6 40 4443250355421', '47/2 16 2454145053132', '95/6 35 5331250512544'),
+    (6, 13, 1): ('29/2 16 5534044415523', '20 16 0533551443524', '157/12 1 5451534430425'),
+    (6, 14, 0): ('61/4 22 25243455133440', '39/2 19 34123455234150', '109/4 17 45305232412345'),
+    (6, 14, 1): ('51/2 1 12345342001455', '135/4 28 14353215042354', '143/6 17 31222344515510'),
+    (3, 16, 0): ('199/3 20 0022220121102120', '355/12 31 1212122102012002', '487/6 20 2222011110110202'),
+    (5, 16, 0): ('319/6 89 1324341420134102', '25 22 2314123424343014', '112/3 145 3044413232231433'),
+    (8, 16, 0): ('97/6 35 0556736371674422', '203/12 59 1257757627043643', '21 166 7456704313622765'),
+    (3, 20, 0): ('218/3 24 11220020010001122112', '119/2 25 20012020122110011212', '779/6 24 11200001202200211112'),
+    (5, 20, 0): ('245/6 40 42331021203112433443', '173/6 139 21403304142314122340', '111/4 217 23412340421331223414'),
+    (8, 20, 0): ('257/12 56 64623537730415576573', '30 30 56536025761747344356', '22 1 57626374417055667657'),
+    (3, 24, 0): ('321/4 67 220012111221102001112200', '1049/12 28 121010101101220122220220', '509/6 28 212200002111010111202122'),
+    (5, 24, 0): ('301/6 56 213124224441403031223010', '493/12 80 330312434121231444423121', '195/4 1350 214442443431003221131432'),
+    (8, 24, 0): ('467/12 4506 403744626517476373562435', '93/2 2236 567733743046710515266342', '37 27 621743063465164777551326'),
+}
+
+
+def test_the_kernel_keeps_its_pinned_outputs():
+    for (n, m, seed), rows in _PINNED.items():
+        inst = gen_random(n, m, 3, "uniform", seed=seed)
+        for i, (ints, unit, want) in enumerate(zip(inst.scaled.ints, inst.scaled.units, rows)):
+            res = mms_exact_scaled(ints, unit, n)
+            value, nodes, owner = want.split()
+            witness = tuple(tuple(g for g in range(m) if owner[g] == str(j)) for j in range(n))
+            assert (res.value, res.nodes, tuple(map(tuple, res.witness))) == (F(value), int(nodes), witness), \
+                f"gen_random({n}, {m}, 3, 'uniform', seed={seed}), type {i}"
