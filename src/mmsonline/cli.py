@@ -59,7 +59,7 @@ def _probs(spec: str | None) -> tuple[str, ...] | None:
 def _write(text: str, out: str | None) -> None:
     """``text`` to the ``--out`` file, or to stdout."""
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

@@ -47,15 +47,16 @@ class PoolExhausted(InvariantViolation):
 
 def as_fraction(x) -> Fraction:
     """Exact rational from an int, Fraction or ``"num/den"`` string; anything
-    else (floats, None, malformed strings, zero denominators) is an input error."""
+    else (floats, None, malformed strings, an empty side of the slash, zero
+    denominators) is an input error."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise InputError(f"refusing float value {x!r}; pass int, Fraction or 'num/den' string")
     try:
         if isinstance(x, str):
-            num, _, den = x.partition("/")
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+            num, slash, den = x.partition("/")  # an empty side fails int()
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {x!r}") from exc
@@ -506,11 +507,11 @@ class TrialReport:
 
     @classmethod
     def build(cls, ratios: Iterable[Fraction], alpha: Fraction, failure_reason: FailureReason = FailureReason.NONE,
-              flags: tuple[str, ...] = (), details: dict | None = None, step_trace: list | None = None) -> "TrialReport":
+              details: dict | None = None) -> "TrialReport":
         """The report of these exact ratios."""
         ratios = tuple(ratios)
         return cls([r.numerator for r in ratios], [r.denominator for r in ratios], min(ratios, default=Fraction(1)),
-                   alpha, failure_reason, flags, details, step_trace)
+                   alpha, failure_reason, details=details)
 
 
 def agent_ratio(norm: NormalizedInstance, type_id: int, bundle: Bundle) -> Fraction:

@@ -33,12 +33,11 @@ from .rng import bernoulli, randbelow, randints, shuffle, substream, thresholds
 # -- helpers ----------------------------------------------------------------
 
 
-def _spread_witness(valued: Sequence[int], zeros: Sequence[int], n: int) -> tuple[Bundle, ...]:
-    """One valued item per bundle, zero-valued items spread round-robin."""
-    if len(valued) != n:
-        raise InputError("need exactly n valued items")
-    parts: list[list[int]] = [[valued[j]] for j in range(n)]
-    for idx, g in enumerate(zeros):
+def _spread_witness(row: Sequence[Fraction], n: int) -> tuple[Bundle, ...]:
+    """The share partition of a 0/1 row that values exactly n items: one
+    valued item per bundle, the zero-valued items spread round-robin."""
+    parts: list[list[int]] = [[g] for g, v in enumerate(row) if v]
+    for idx, g in enumerate(g for g, v in enumerate(row) if not v):
         parts[idx % n].append(g)
     return tuple(Bundle(tuple(p)) for p in parts)
 
@@ -144,9 +143,8 @@ def gen_lower_bound(k: int = 16, n: int = 4) -> LowerBoundConstruction:
         raise InputError("n must be even and at least 2")
     mu1 = math.isqrt(k) // 2
     m = n * mu1
+    # with mu1 >= 2: 2 mu1^2 - mu1 + 1 <= 4 mu1^2 <= k types are defined
     defined = 4 * math.comb(mu1, 2) + mu1 + 1
-    if defined > k:
-        raise InputError("internal: construction exceeds k types")
 
     rows: list[tuple[Fraction, ...]] = [_indicator(m, range(m))]
     names: list[str] = ["ones"]
@@ -158,14 +156,11 @@ def gen_lower_bound(k: int = 16, n: int = 4) -> LowerBoundConstruction:
 
     interval_types = []
     for r in range(mu1):
-        block = list(range(r * n, (r + 1) * n))
         interval_types.append(len(rows))
-        rows.append(_indicator(m, block))
+        rows.append(_indicator(m, range(r * n, (r + 1) * n)))
         names.append(f"block{r}")
         mms.append(Fraction(1))
-        block_set = set(block)
-        zeros = [g for g in range(m) if g not in block_set]
-        witnesses.append(_spread_witness(block, zeros, n))
+        witnesses.append(_spread_witness(rows[-1], n))
 
     pair_types: dict[tuple[int, int, int, int], int] = {}
     half = n // 2
@@ -174,14 +169,11 @@ def gen_lower_bound(k: int = 16, n: int = 4) -> LowerBoundConstruction:
         halves_r = (list(range(r * n, r * n + half)), list(range(r * n + half, (r + 1) * n)))
         for hl in (0, 1):
             for hr in (0, 1):
-                valued = halves_l[hl] + halves_r[hr]
                 pair_types[(l, r, hl, hr)] = len(rows)
-                rows.append(_indicator(m, valued))
+                rows.append(_indicator(m, halves_l[hl] + halves_r[hr]))
                 names.append(f"pair{l}_{r}_h{hl}{hr}")
                 mms.append(Fraction(1))
-                valued_set = set(valued)
-                zeros = [g for g in range(m) if g not in valued_set]
-                witnesses.append(_spread_witness(valued, zeros, n))
+                witnesses.append(_spread_witness(rows[-1], n))
 
     while len(rows) < k:
         names.append(f"ones_fill{len(rows)}")
@@ -260,13 +252,9 @@ def gen_tightness_pk(
     rows = [_indicator(m, [*range(c + nprime - 1), c + nprime + i]) for i in range(k - 1)]
     rows.append(_indicator(m, [*range(c), *range(c + nprime, m)]))
 
-    witnesses = []
-    for i in range(k):
-        valued = [g for g in range(m) if rows[i][g] == 1]
-        zeros = [g for g in range(m) if rows[i][g] == 0]
-        witnesses.append(_spread_witness(valued, zeros, n))
     inst = Instance(n, tuple(rows), tuple(f"t{i}" for i in range(k)))
-    norm = NormalizedInstance(inst, tuple(Fraction(1) for _ in range(k)), tuple(witnesses))
+    witnesses = tuple(_spread_witness(row, n) for row in rows)
+    norm = NormalizedInstance(inst, tuple(Fraction(1) for _ in range(k)), witnesses)
 
     if p_min is None:
         p_min = min(Fraction(1, n), Fraction(1, 2 * (k - 1)))

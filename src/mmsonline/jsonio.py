@@ -6,12 +6,14 @@ instance schema is::
     { "n": int, "m": int, "types": [ [ "num/den", ... ] x k ],
       "names": [str]            (optional)
       "mms": [ "num/den", ... ]                 (optional, with "witnesses")
-      "witnesses": [ [ [item, ...] x n ] x k ]  (optional: share partitions) }
+      "witnesses": [ [ [item, ...] x n ] x k ]  (optional: share partitions)
+      "zeroMmsTypes": [int]                     (optional, with the pair) }
 
 The optional mms/witnesses pair lets generated constructions ship their
-known share partitions, so runs on them never need the exact solver.  With
-the pair, the ``types`` rows are the normalized rows: every witness bundle
-of a positive-share type is worth exactly 1.
+known share partitions, so runs on them never need the exact solver; a
+share key without the whole pair is refused.  With the pair, the ``types``
+rows are the normalized rows: every witness bundle of a positive-share type
+is worth exactly 1.
 """
 
 from __future__ import annotations
@@ -73,8 +75,13 @@ def instance_from_obj(obj: dict) -> Instance:
 
 
 def normalized_from_obj(obj: dict) -> NormalizedInstance | None:
-    """The embedded normalized view, if the object carries share partitions."""
+    """The embedded normalized view, if the object carries share partitions;
+    ``"mms"``, ``"witnesses"`` or ``"zeroMmsTypes"`` without both of the first
+    two is an input error, not an instance left to the solver."""
     if "mms" not in obj or "witnesses" not in obj:
+        if "mms" in obj or "witnesses" in obj or "zeroMmsTypes" in obj:
+            missing = " and ".join(key for key in ("mms", "witnesses") if key not in obj)
+            raise InputError(f"share partitions given without {missing}")
         return None
     inst = instance_from_obj(obj)
     try:
@@ -141,8 +148,8 @@ def report_to_obj(report: TrialReport) -> dict:
 
 def load(path: str | Path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 

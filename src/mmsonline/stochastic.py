@@ -12,7 +12,7 @@ filling until every type is saturated, with arrivals simply draining their
 type's reserve queue.
 
 Type indices inside this module are ranks in the probability-sorted order;
-the public runner translates from and back to original type ids.
+``known_d_engine`` translates its original-id arrivals into them.
 """
 
 from __future__ import annotations
@@ -272,28 +272,28 @@ def to_rank_space(norm: NormalizedInstance, dist: TypeDistribution, arrivals: Se
 
 
 def known_d_engine(
-    view: ScaledRows,
+    norm: NormalizedInstance,
+    law: TypeDistribution,
     items: Sequence[int],
-    probs: Sequence[Fraction],
     alpha: Fraction,
     epsilon: Fraction,
-    arrival_ranks: Sequence[int],
-    partition: Sequence[Bundle],
+    arrivals: Sequence[int],
 ) -> tuple[list[Bundle | None], dict]:
     """Dispatch between the two regimes, one agent per arrival; returns
     per-agent bundles (None for a dry reserve) plus run metadata.
 
-    Valuations and arrivals are already in probability-sorted rank space
-    (see ``to_rank_space``); ``partition`` is rank 0's share partition of
-    all the instance's items, which the high-C regime routes everyone through.
+    Arrivals are original type ids; the engine works in ``law``'s rank space
+    (see ``to_rank_space``), and the high-C regime routes everyone through
+    the most probable type's share partition of all the instance's items.
     """
     alpha = as_fraction(alpha)
+    view, arrival_ranks = to_rank_space(norm, law, arrivals)
     n_agents = len(arrival_ranks)
-    k = len(view.ints)
     c_items = universal_items(view, items, alpha)
-    if high_c_condition(len(c_items), n_agents, k, probs[0], epsilon):
+    if high_c_condition(len(c_items), n_agents, norm.k_types, law.probs[0], epsilon):
         # the bundles within the served items are each worth a full share; the
         # served leftovers of the others join the first of them
+        partition = norm.witness_partitions[law.order[0]]
         served = set(items)
         kept = [b for b in partition if served.issuperset(b)]
         cut = [g for b in partition if not served.issuperset(b) for g in b if g in served]
@@ -307,7 +307,7 @@ def known_d_engine(
         c_set = set(c_items)
         rest_items = [g for g in items if g not in c_set]
         state = preprocess_low_c(
-            view, rest_items, n_agents - served, probs, alpha, epsilon)
+            view, rest_items, n_agents - served, law.probs, alpha, epsilon)
         rest_ranks = arrival_ranks[served:]
         out.extend(run_low_c(state, rest_ranks))
         info.update(low_c_info(state, rest_ranks),
@@ -334,9 +334,6 @@ def run_known_d(
         raise InputError("epsilon must lie in (0, 1/2)")
     if dist.k != norm.k_types:
         raise InputError("distribution arity mismatch")
-    n = norm.n_agents
-    seq = check_arrivals(arrivals, n, norm.k_types)
-    values_sorted, ranks = to_rank_space(norm, dist, seq)
-    bundles, info = known_d_engine(values_sorted, list(range(norm.m_items)), dist.probs,
-                                   alpha, epsilon, ranks, norm.witness_partitions[dist.order[0]])
+    seq = check_arrivals(arrivals, norm.n_agents, norm.k_types)
+    bundles, info = known_d_engine(norm, dist, range(norm.m_items), alpha, epsilon, seq)
     return finish_run(norm, seq, bundles, alpha, details=info)

@@ -69,11 +69,6 @@ class UnknownParams:
         epsilon_prime = (2 + c) / 3
         return cls(c, epsilon, epsilon_prime, n, ceil_pow(n, epsilon_prime))
 
-    @property
-    def delta_exponent(self) -> Fraction:
-        # the basket-value check uses delta = n ** -((eps' - c) / 2)
-        return (self.epsilon_prime - self.c) / 2
-
 
 def learn_distribution(observed_types: Sequence[int], k: int) -> TypeDistribution:
     """Empirical frequencies of an observation window, as exact rationals."""
@@ -115,13 +110,13 @@ def random_split(items: Sequence[int], p: Fraction, rng: random.Random) -> tuple
 
 def basket_value_ok(v: Fraction, k: int, params: UnknownParams) -> bool:
     """Decide ``v >= (1 - delta) * 2k * window`` exactly, with the run's
-    learning window and delta = n ** -((eps' - c)/2)."""
+    learning window and delta = n ** -((eps' - c)/2), all read off ``params``."""
     full = 2 * k * params.learn_window
     shortfall = 1 - as_fraction(v) / full
     if shortfall <= 0:
         return True
-    # v >= (1-delta)*full  <=>  delta >= shortfall  <=>  n^exp <= 1/shortfall
-    return pow_sqrt_le(params.n, params.delta_exponent, 1, 1 / shortfall)
+    # v >= (1-delta)*full  <=>  delta >= shortfall  <=>  n^((eps'-c)/2) <= 1/shortfall
+    return pow_sqrt_le(params.n, (params.epsilon_prime - params.c) / 2, 1, 1 / shortfall)
 
 
 def run_unknown_d(
@@ -155,36 +150,29 @@ def run_unknown_d(
         details["branch"] = "degenerate"
         return allocation, replace(rep, flags=("degenerateScale",), details=details)
 
+    # the first agents take universal singletons, a whole window's worth at most
     c_items = universal_items(norm.scaled, range(m), alpha)
+    served_c = min(len(c_items), window)
+    bundles: list[Bundle | None] = [Bundle.from_sorted((g,)) for g in c_items[:served_c]]
+    served = set(c_items[:served_c])
+    rest = [g for g in range(m) if g not in served] if served else range(m)
     zero = norm.zero_mms_types
-    bundles: list[Bundle | None] = []
     reason = FailureReason.NONE
 
-    if len(c_items) >= window:
+    if served_c == window:
         details["branch"] = "learnFromUniversal"
-        bundles.extend(Bundle.from_sorted((c_items[t],)) for t in range(window))
         learned = learn_distribution(seq[:window], k)
         details["learned"] = [str(p) for p in learned.original_probs()]
-        served = set(c_items[:window])
-        rest_items = [g for g in range(m) if g not in served]
-        values_sorted, ranks = to_rank_space(norm, learned, seq[window:])
-        sub, info = known_d_engine(
-            values_sorted, rest_items, learned.probs,
-            alpha, params.epsilon, ranks, norm.witness_partitions[learned.order[0]])
-        details["dispatch"] = info
+        sub, details["dispatch"] = known_d_engine(norm, learned, rest, alpha, params.epsilon, seq[window:])
         bundles.extend(sub)
     else:
         details["branch"] = "splitAndLearn"
-        bundles.extend(Bundle.from_sorted((g,)) for g in c_items)
-        served_c = len(c_items)
         p = Fraction(2 * k * window, n - served_c)
         if p > 1:
             p = Fraction(1)
             flags.append("outOfRegime")
         details["splitProb"] = str(p)
-        c_set = set(c_items)
-        rest = Bundle.from_sorted([g for g in range(m) if g not in c_set] if c_set else range(m))
-        basket1, basket2 = random_split(rest, p, substream(seed, "split"))
+        basket1, basket2 = random_split(Bundle.from_sorted(rest), p, substream(seed, "split"))
         details["basket1"] = len(basket1)
         details["basket2"] = len(basket2)
 

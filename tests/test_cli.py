@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -231,6 +232,11 @@ MISTYPED = {
     "INST_ZERO_TYPE_OUT_OF_RANGE": ("INST", lambda o: o.update(zeroMmsTypes=[7])),
     "SEQ_FRACTIONAL": ("SEQ", lambda o: o["sequence"].__setitem__(slice(0, 2), [0.9, 1.2])),
     "SEQ_STRING": ("SEQ", lambda o: o["sequence"].__setitem__(0, "x")),
+    # part of a share set: mms without witnesses, witnesses without mms, and
+    # zeroMmsTypes without either
+    "INST_MMS_ONLY": ("INST", lambda o: o.pop("witnesses")),
+    "INST_WITNESSES_ONLY": ("INST", lambda o: o.pop("mms")),
+    "RAW_ZERO_TYPES_ONLY": ("RAW", lambda o: o.update(zeroMmsTypes=[0])),
 }
 # usage errors, rejected before any file is read: a flag the algorithm does
 # not read, conflicting or missing flags, a bad choice, a non-integer; and an
@@ -311,6 +317,9 @@ USAGE_ERRORS = [
     ["run", "adversarial", "--instance", "SMALL"],
     ["run", "known-d", "--eta", "1/2", "--instance", "INST"],
     *USAGE_ERRORS,
+    ["run", "adversarial", "--instance", "INST_MMS_ONLY", "--arrivals", "SEQ"],
+    ["run", "adversarial", "--instance", "INST_WITNESSES_ONLY", "--arrivals", "SEQ"],
+    ["run", "adversarial", "--instance", "RAW_ZERO_TYPES_ONLY", "--arrivals", "SEQ"],
 ])
 def test_bad_or_missing_rational_is_input_error(tmp_path, capsys, case):
     inst, dist = _gen_instance_and_dist(tmp_path)
@@ -592,3 +601,52 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "mmsonline" in proc.stdout
+
+
+@pytest.mark.parametrize("drop, extra, missing", [
+    (["witnesses"], {}, "witnesses"),
+    (["mms"], {}, "mms"),
+    (["mms", "witnesses"], {"zeroMmsTypes": [0]}, "mms and witnesses"),
+], ids=["mms-only", "witnesses-only", "zero-types-only"])
+def test_partial_share_set_is_refused_not_solved(tmp_path, capsys, drop, extra, missing):
+    # small enough for the exact solver, so a dropped share set would run
+    inst, seq = tmp_path / "small.json", tmp_path / "seq.json"
+    run_cli(["gen", "normalized-random", "--n", "3", "--m", "8", "--k", "2", "--out", str(inst)])
+    obj = {key: v for key, v in json.loads(inst.read_text()).items() if key not in drop}
+    inst.write_text(json.dumps({**obj, **extra}))
+    seq.write_text(json.dumps({"sequence": [0, 1, 0]}))
+    _assert_refused(capsys, ["run", "adversarial", "--instance", str(inst), "--arrivals", str(seq)],
+                    [f"error: share partitions given without {missing}\n"])
+
+
+@pytest.mark.parametrize("alpha", ["1/", "/2"])
+def test_rational_with_an_empty_side_is_refused(tmp_path, capsys, alpha):
+    small = tmp_path / "small.json"
+    run_cli(["gen", "normalized-random", "--n", "3", "--m", "8", "--k", "2", "--out", str(small)])
+    _assert_refused(capsys, ["run", "adversarial", "--enumerate", "--alpha", alpha, "--instance", str(small)],
+                    [f"error: bad rational '{alpha}'\n"])
+
+
+def test_undecodable_json_file_is_refused(tmp_path, capsys):
+    inst = tmp_path / "latin1.json"
+    inst.write_bytes('{"n": 2, "types": [["1", "1"]], "names": ["café"]}'.encode("latin-1"))
+    _assert_refused(capsys, ["mms", "solve", "--instance", str(inst), "--type", "0", "--bundles", "2"],
+                    [f"error: cannot read JSON from {inst}: 'utf-8' codec can't decode"])
+
+
+def test_json_is_read_and_written_as_utf8_under_an_ascii_locale(tmp_path):
+    # with the C locale and UTF-8 mode off, the locale's encoding is ASCII, and
+    # every open that leaves the encoding to it warns, here as an error
+    inst = tmp_path / "cafe.json"
+    inst.write_text(json.dumps({"n": 2, "types": [["1", "1"]], "names": ["café"]}, ensure_ascii=False),
+                    encoding="utf-8")
+    code = ("import sys; from mmsonline import cli, jsonio; "
+            "print(jsonio.load_normalized(jsonio.load(sys.argv[1])).base.type_names[0] == 'caf\\u00e9'); "
+            "sys.exit(cli.main(['gen', 'lower-bound', '--out', sys.argv[2]]))")
+    src = Path(jsonio.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                           "-c", code, str(inst), str(tmp_path / "lb.json")],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+    assert json.loads((tmp_path / "lb.json").read_text(encoding="utf-8"))["names"][0] == "ones"

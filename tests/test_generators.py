@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from mmsonline.generators import (
     gen_tightness_pk,
     nth_sequence,
 )
+from mmsonline.jsonio import canonical_json, distribution_to_obj, frac_to_str, instance_to_obj
 from mmsonline.solver import mms_brute_force, mms_exact
 from mmsonline.stochastic import universal_items
 
@@ -306,3 +308,55 @@ def test_nth_sequence_matches_product_order(k, n):
     expected = [list(seq) for seq in itertools.product(range(k), repeat=n)]
     assert [nth_sequence(k, n, t) for t in range(k ** n)] == expected
     assert [list(seq) for seq in all_sequences(k, n)] == expected
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
+
+
+def _lower_bound_obj(k, n):
+    cons = gen_lower_bound(k, n)
+    norm = cons.normalized()
+    return {"k": cons.k, "n": cons.n, "mu1": cons.mu1, "instance": instance_to_obj(cons.instance),
+            "mms": [frac_to_str(v) for v in cons.declared_mms],
+            "witnesses": [[list(b) for b in part] for part in cons.witnesses],
+            "intervals": list(cons.interval_types),
+            "pairs": [[*key, t] for key, t in cons.pair_types.items()],  # in insertion order
+            "defined": cons.defined_types, "normalized": instance_to_obj(norm.base, norm)}
+
+
+def _tightness_pk_obj(k, n):
+    norm, dist = gen_tightness_pk(k, n)
+    return [instance_to_obj(norm.base, norm), distribution_to_obj(dist)]
+
+
+# sha256 prefixes of each k's sweep, pinned before the 0/1 constructions
+# shared one witness builder: gen_lower_bound over n in 2..10 even, with the
+# construction's fields and its normalized view, and gen_tightness_pk over
+# every valid n <= 40 (k | n, n/k >= 2, k - 1 <= n/k)
+LOWER_BOUND_DIGESTS = {16: "ad369d269ec5d2d1", 17: "da6ab42aabe815da", 24: "847fe2d3c3ac62ed",
+                       25: "30fdb651c98c6d79", 36: "125e557aa5f7ba48", 50: "6210cc43e76bacd4",
+                       64: "e1fac9c81e7528d6", 100: "acf5373b0ca87c59"}
+TIGHTNESS_PK_DIGESTS = {2: "95ce5552670b254e", 3: "d19405e45f441bd3", 4: "728cf1a02cb1374a",
+                        5: "375c7b8bf1344b43"}
+
+
+def _tightness_pk_ns(k):
+    return [n for n in range(k, 41, k) if n // k >= 2 and k - 1 <= n // k]
+
+
+def test_lower_bound_construction_keeps_its_pinned_bytes():
+    got = {k: _digest([_lower_bound_obj(k, n) for n in range(2, 11, 2)]) for k in LOWER_BOUND_DIGESTS}
+    assert got == LOWER_BOUND_DIGESTS
+
+
+def test_tightness_pk_keeps_its_pinned_bytes():
+    got = {k: _digest([_tightness_pk_obj(k, n) for n in _tightness_pk_ns(k)]) for k in TIGHTNESS_PK_DIGESTS}
+    assert got == TIGHTNESS_PK_DIGESTS
+
+
+def test_lower_bound_defines_at_most_k_types():
+    # mu1 = floor(sqrt(k)/2) >= 2 gives 2 mu1^2 - mu1 + 1 <= 4 mu1^2 <= k
+    for k in range(16, 401):
+        cons = gen_lower_bound(k, 2)
+        assert cons.defined_types == 2 * cons.mu1 ** 2 - cons.mu1 + 1 <= k

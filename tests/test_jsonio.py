@@ -17,6 +17,7 @@ from mmsonline.jsonio import (
     frac_to_str,
     instance_from_obj,
     instance_to_obj,
+    load_normalized,
     normalized_from_obj,
     report_to_obj,
     sequence_from_obj,
@@ -28,7 +29,7 @@ def test_fraction_strings():
     assert frac_to_str(F(5)) == "5/1"
     assert as_fraction("3/4") == F(3, 4)
     assert as_fraction("7") == F(7)
-    for bad in ("1/0", "a/b", "abc", "", None, 0.5):
+    for bad in ("1/0", "a/b", "abc", "", None, 0.5, "3/", "/2"):
         with pytest.raises(InputError):
             as_fraction(bad)
 
@@ -50,6 +51,15 @@ def test_normalized_roundtrip_with_witnesses():
     back = normalized_from_obj(obj)
     assert back == norm
     assert normalized_from_obj(instance_to_obj(norm.base)) is None
+
+
+def test_load_normalized_refuses_a_partial_share_set():
+    raw = {"n": 2, "types": [["1", "1", "1", "1"]]}
+    assert load_normalized(raw).original_mms == (F(2),)  # solved: no share set at all
+    for extra, missing in [({"mms": ["5"]}, "witnesses"), ({"witnesses": [[[0, 1], [2, 3]]]}, "mms"),
+                           ({"zeroMmsTypes": [0]}, "mms and witnesses")]:
+        with pytest.raises(InputError, match=f"^share partitions given without {missing}$"):
+            load_normalized({**raw, **extra})
 
 
 def test_distribution_roundtrip():

@@ -619,12 +619,8 @@ def test_high_c_with_a_zero_share_rank_0():
 def test_tight_pk_dispatch_reduces_by_universal_prefix():
     from mmsonline.generators import gen_tightness_pk
     norm, dist = gen_tightness_pk(4, 20)
-    rows = norm.base.type_values
-    values_sorted = as_scaled(rows[orig] for orig in dist.order)
-    ranks = [dist.order.index(t) for t in sample_arrivals(dist, 20, 5)]
-    out, info = known_d_engine(values_sorted, list(range(norm.m_items)),
-                               dist.probs, F(1, 3), F(1, 10), ranks,
-                               norm.witness_partitions[dist.order[0]])
+    out, info = known_d_engine(norm, dist, list(range(norm.m_items)), F(1, 3), F(1, 10),
+                               sample_arrivals(dist, 20, 5))
     assert info["branch"] == "lowC"
     assert info["universal"] == 15           # the n - n/k universal prefix
     # first 15 agents got universal singletons; the pipeline saw n' = 5
@@ -634,9 +630,10 @@ def test_tight_pk_dispatch_reduces_by_universal_prefix():
 
 def test_dispatch_all_c_serves_singletons():
     # every item universal, cond_high false (k=1... use k=2 with tiny n^eps term)
-    rows = as_scaled(((F(1),) * 2, (F(1),) * 2))
-    out, info = known_d_engine(rows, [0, 1], [F(1, 2), F(1, 2)], F(1, 2),
-                               F(1, 10), [1, 0], [Bundle((0,)), Bundle((1,))])
+    witness = (Bundle((0,)), Bundle((1,)))
+    norm = NormalizedInstance(Instance(2, ((F(1),) * 2, (F(1),) * 2)), (F(1), F(1)), (witness, witness))
+    out, info = known_d_engine(norm, TypeDistribution.from_probs([F(1, 2), F(1, 2)]), [0, 1], F(1, 2),
+                               F(1, 10), [1, 0])
     # here |C| = 2 >= 1 + 2^0.1 = 2.07... is false -> allC path
     assert info["branch"] == "allC"
     assert out == [Bundle((0,)), Bundle((1,))]

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,7 @@ from mmsonline.core import (
 )
 from mmsonline.exactpow import ceil_pow
 from mmsonline.generators import gen_normalized_random
-from mmsonline.jsonio import allocation_to_obj
+from mmsonline.jsonio import allocation_to_obj, canonical_json, report_to_obj
 from mmsonline.rng import bernoulli, substream
 from mmsonline.unknown import UnknownParams, basket_value_ok, learn_distribution, random_split
 
@@ -357,3 +358,53 @@ def test_restricted_share_layering_desk_scale():
         assert bundle
         assert value(norm.base.type_values[ti], bundle) >= floor / k
         assert floor / k >= rep.alpha
+
+
+def _few_universal_instance(n=12):
+    # the two-type instance of the negative-id test: items 0, 2 and 4 are the
+    # only universal ones, fewer than its window of 6
+    row0, row1 = [], []
+    for j in range(n):
+        row0 += [F(1, 2), F(1, 2)] if j < 3 else [F(3, 4), F(1, 4)]
+        row1 += [F(3, 4), F(1, 4)] if j < 3 else [F(1, 4), F(3, 4)]
+    witness = tuple(Bundle((2 * j, 2 * j + 1)) for j in range(n))
+    return NormalizedInstance(Instance(n, (tuple(row0), tuple(row1))), (F(1), F(1)), (witness, witness))
+
+
+def _all_universal_instance(n=12):
+    # every item is worth 1/2 to both types, so the window's singletons leave
+    # a high-C remainder
+    row = (F(1, 2),) * (2 * n)
+    witness = tuple(Bundle((2 * j, 2 * j + 1)) for j in range(n))
+    return NormalizedInstance(Instance(n, (row, row)), (F(1), F(1)), (witness, witness))
+
+
+UNIFORM3_LAW = TypeDistribution.from_probs([F(1, 3)] * 3)
+# (instance, arrivals, eta) per shape of the universal set C against the
+# learning window; each shape's allocation and report, pinned before the
+# universal singletons were served on one path
+UNKNOWN_SHAPES = {
+    "no-universal": (lambda: gen_normalized_random(20, 60, 3, seed=0), sample_arrivals(UNIFORM3_LAW, 20, 0), 0),
+    "universal-below-window": (_few_universal_instance, [0, 1] * 6, F(1, 2)),
+    "universal-below-window-random": (lambda: gen_normalized_random(20, 60, 3, seed=1),
+                                      sample_arrivals(UNIFORM3_LAW, 20, 1), F(1, 2)),
+    "universal-fills-window": (lambda: gen_normalized_random(20, 60, 3, seed=2),
+                               sample_arrivals(UNIFORM3_LAW, 20, 2), F(1, 2)),
+    "universal-fills-window-high-c": (_all_universal_instance, [0, 1, 1] * 4, F(1, 2)),
+}
+UNKNOWN_SHAPE_DIGESTS = {
+    "no-universal": "9e6c8397b211fd81",
+    "universal-below-window": "f47c7d2c8fd8f5a8",
+    "universal-below-window-random": "4254b13a7359c05d",
+    "universal-fills-window": "083b0fa79f5a2fe7",
+    "universal-fills-window-high-c": "2382a9796634bb67",
+}
+
+
+def test_unknown_d_keeps_its_pinned_reports_on_each_universal_shape():
+    got = {}
+    for name, (make, seq, eta) in UNKNOWN_SHAPES.items():
+        alloc, rep = run_unknown_d(make(), seq, eta=eta, c=F(1, 20), seed=3)
+        got[name] = hashlib.sha256(canonical_json([allocation_to_obj(alloc), report_to_obj(rep)]).encode()
+                                   ).hexdigest()[:16]
+    assert got == UNKNOWN_SHAPE_DIGESTS
